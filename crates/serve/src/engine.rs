@@ -11,11 +11,21 @@
 //! retrying on mismatch), so concurrent faults/ingests on one cluster
 //! cannot silently discard each other's acknowledged updates.
 //!
+//! Each cluster is [`Served`]: its core plus the encoded bodies of warm
+//! `map`/`reorder` replies. A warm array reply is a header spliced onto a
+//! cached body, never a [`Json`] tree of one number per rank. The bodies
+//! live and die with the core — every swap replaces both in one step — so
+//! a reply can never carry a mapping of a core that is no longer served.
+//!
 //! Metrics: `serve.request` / `serve.error` count dispatches, and
 //! `serve.coalesce` counts requests that reused shared-core state — a cache
 //! hit or a share of another thread's in-flight compute. The same totals
 //! are kept on plain atomics (readable via the `stats` op) so an untraced
-//! daemon still reports them.
+//! daemon still reports them. `serve.reply.body.{hit,miss,coalesced}`
+//! count array replies served from a cached body, encoded afresh, or
+//! sharing another thread's in-flight encode — the same split as the
+//! `reply_body` entry of `stats` — and every reply's serialization runs in
+//! a `serve.encode` span.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -23,7 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use tarr_core::{SessionCore, SessionHandle};
+use tarr_core::{Mapper, PatternKind, SessionCore, SessionHandle};
+use tarr_mpi::{Lookup, ShardedOnceMap};
 use tarr_replay::{
     build_core, fault_core, restore_dir, write_snapshot, BackendKind, EngineSnapshot, Event,
     FaultSpec, IngestSource, IngestSpec, LayoutKind, ReplayError, WalTail, WalWriter, WAL_FILE,
@@ -32,8 +43,8 @@ use tarr_trace::json::{parse, Json};
 
 use crate::metrics::{op_index, ServeMetrics};
 use crate::protocol::{
-    err_reply, err_reply_coded, need_str, need_u64, num, ok_reply, opt_bool, opt_f64, opt_u64,
-    parse_mapper, parse_pattern, parse_scheme, to_string,
+    array_reply, err_reply, err_reply_coded, int_array, need_str, need_u64, num, ok_reply,
+    opt_bool, opt_f64, opt_u64, parse_mapper, parse_pattern, parse_scheme, to_string,
 };
 
 /// Unwrap a replay-layer error into the op's message: `Apply` carries the
@@ -104,6 +115,65 @@ impl From<&str> for OpError {
     }
 }
 
+/// The ops whose reply is one integer array: `map` lists the permutation,
+/// `reorder` the reordered communicator's cores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ArrayOp {
+    Map,
+    Reorder,
+}
+
+/// The key of one cached reply body.
+type BodyKey = (ArrayOp, Mapper, PatternKind);
+
+/// One cluster as served: its core plus the encoded array bodies of the
+/// `map`/`reorder` replies answered from it (at most one per op × mapper ×
+/// pattern, mirroring the core's own mapping and communicator caches).
+/// Replaced as a whole whenever the core is, so the bodies share the
+/// core's lifetime.
+struct Served {
+    core: Arc<SessionCore>,
+    bodies: ShardedOnceMap<BodyKey, Arc<str>>,
+}
+
+impl Served {
+    fn new(core: Arc<SessionCore>) -> Arc<Served> {
+        Arc::new(Served {
+            core,
+            bodies: ShardedOnceMap::default(),
+        })
+    }
+}
+
+/// `req`'s reply line around the cached body for `key`, encoding the body
+/// with `values` on first use only (concurrent first requests share one
+/// encode).
+fn array_line(
+    req: &Json,
+    served: &Served,
+    key: BodyKey,
+    values: impl FnOnce() -> String,
+) -> String {
+    let _sp = tarr_trace::span("serve.encode");
+    let (body, outcome) = served.bodies.get_or_compute(&key, || Arc::from(values()));
+    match outcome {
+        Lookup::Hit => tarr_trace::counter_add!("serve.reply.body.hit", 1),
+        Lookup::Miss => tarr_trace::counter_add!("serve.reply.body.miss", 1),
+        Lookup::Coalesced => tarr_trace::counter_add!("serve.reply.body.coalesced", 1),
+    }
+    let (op, field) = match key.0 {
+        ArrayOp::Map => ("map", "mapping"),
+        ArrayOp::Reorder => ("reorder", "cores"),
+    };
+    array_reply(req, op, field, &body)
+}
+
+/// Serialize a reply tree inside the `serve.encode` span.
+fn encode(reply: &Json) -> String {
+    let _sp = tarr_trace::span("serve.encode");
+    to_string(reply)
+}
+
 /// The WAL cursor: the open writer plus the id the next event gets.
 struct WalState {
     writer: WalWriter,
@@ -140,7 +210,7 @@ pub struct BootReport {
 /// The shared daemon state. See the module docs.
 #[derive(Default)]
 pub struct Engine {
-    clusters: RwLock<HashMap<String, Arc<SessionCore>>>,
+    clusters: RwLock<HashMap<String, Arc<Served>>>,
     stats: EngineStats,
     metrics: ServeMetrics,
     next_req: AtomicU64,
@@ -193,7 +263,14 @@ impl Engine {
             next_event_id: restore.state.last_event_id + 1,
         };
         let mut engine = Engine {
-            clusters: RwLock::new(restore.state.clusters.into_iter().collect()),
+            clusters: RwLock::new(
+                restore
+                    .state
+                    .clusters
+                    .into_iter()
+                    .map(|(name, core)| (name, Served::new(core)))
+                    .collect(),
+            ),
             ..Engine::default()
         };
         engine.metrics.set_wal_bytes(writer.bytes());
@@ -310,11 +387,25 @@ impl Engine {
 
     /// The core currently serving `name`.
     pub fn core(&self, name: &str) -> Option<Arc<SessionCore>> {
+        self.served(name).map(|s| s.core.clone())
+    }
+
+    fn served(&self, name: &str) -> Option<Arc<Served>> {
         self.clusters
             .read()
             .expect("cluster map poisoned")
             .get(name)
             .cloned()
+    }
+
+    /// `pick` of every served cluster, sorted by name.
+    fn sorted<T>(
+        map: &HashMap<String, Arc<Served>>,
+        pick: impl Fn(&Arc<Served>) -> T,
+    ) -> Vec<(String, T)> {
+        let mut v: Vec<_> = map.iter().map(|(k, s)| (k.clone(), pick(s))).collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
     }
 
     /// Process one raw request line into one serialized reply line,
@@ -328,8 +419,8 @@ impl Engine {
     /// Process one admitted request: `req_id` tags every span the request
     /// opens (via a [`tarr_trace::request_scope`]), `queue_wait` is the
     /// admission→dispatch delay measured by the caller, and RED metrics /
-    /// the slow-request log are fed from the dispatch→reply service time
-    /// measured here.
+    /// the slow-request log are fed from the service time measured here,
+    /// from dispatch to the encoded reply line.
     pub fn handle_request(&self, req_id: u64, queue_wait: Duration, line: &str) -> String {
         let started = Instant::now();
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -349,8 +440,11 @@ impl Engine {
         };
         let op_idx = op_index(op.unwrap_or("other"));
         self.metrics.begin(op_idx, cluster);
-        let reply = match &parsed {
-            Err(e) => err_reply(None, &format!("bad request: {e}")),
+        let (reply, ok) = match &parsed {
+            Err(e) => (
+                encode(&err_reply(None, &format!("bad request: {e}"))),
+                false,
+            ),
             Ok(req) => {
                 let mut sp = tarr_trace::span("serve.handle")
                     .arg("queue_wait_ns", queue_wait.as_nanos() as u64);
@@ -370,12 +464,12 @@ impl Engine {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     self.dispatch(req_id, req)
                 }));
-                match caught {
-                    Ok(Ok(reply)) => reply,
-                    Ok(Err(e)) => match e.code {
+                let outcome = match caught {
+                    Ok(Ok(line)) => Ok(line),
+                    Ok(Err(e)) => Err(match e.code {
                         Some(code) => err_reply_coded(Some(req), code, &e.msg),
                         None => err_reply(Some(req), &e.msg),
-                    },
+                    }),
                     Err(payload) => {
                         let what = payload
                             .downcast_ref::<&str>()
@@ -383,16 +477,19 @@ impl Engine {
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "non-string panic payload".to_string());
                         self.metrics.add_panic();
-                        err_reply_coded(
+                        Err(err_reply_coded(
                             Some(req),
                             "internal_error",
                             &format!("request handler panicked: {what}"),
-                        )
+                        ))
                     }
+                };
+                match outcome {
+                    Ok(line) => (line, true),
+                    Err(reply) => (encode(&reply), false),
                 }
             }
         };
-        let ok = !matches!(reply.get("ok"), Some(Json::Bool(false)));
         if !ok {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
             tarr_trace::counter_add!("serve.error", 1);
@@ -419,15 +516,17 @@ impl Engine {
             // Not slow: dropping the scope restores the previous request
             // without computing the breakdown.
         }
-        to_string(&reply)
+        reply
     }
 
-    fn dispatch(&self, req_id: u64, req: &Json) -> Result<Json, OpError> {
+    /// Run one op to its encoded reply line: `map`/`reorder` splice a
+    /// cached body, every other op serializes its reply tree.
+    fn dispatch(&self, req_id: u64, req: &Json) -> Result<String, OpError> {
         let op = need_str(req, "op")?;
-        match op {
+        let tree = match op {
+            "map" => return self.op_array(req, ArrayOp::Map).map_err(OpError::from),
+            "reorder" => return self.op_array(req, ArrayOp::Reorder).map_err(OpError::from),
             "ingest" => self.op_ingest(req_id, req),
-            "map" => self.op_map(req).map_err(OpError::from),
-            "reorder" => self.op_reorder(req).map_err(OpError::from),
             "price" => self.op_price(req).map_err(OpError::from),
             "fault" => self.op_fault(req_id, req),
             "snapshot" => self.op_snapshot(req),
@@ -441,16 +540,15 @@ impl Engine {
                  (ingest|map|reorder|price|fault|snapshot|compact|stats|metrics|debug|shutdown)"
             )
             .into()),
-        }
+        }?;
+        Ok(encode(&tree))
     }
 
-    /// A handle on the named cluster, or a client error.
-    fn handle_for(&self, req: &Json) -> Result<SessionHandle, String> {
+    /// The named cluster, or a client error.
+    fn served_for(&self, req: &Json) -> Result<Arc<Served>, String> {
         let name = need_str(req, "cluster")?;
-        let core = self
-            .core(name)
-            .ok_or_else(|| format!("unknown cluster \"{name}\" (ingest it first)"))?;
-        Ok(core.handle())
+        self.served(name)
+            .ok_or_else(|| format!("unknown cluster \"{name}\" (ingest it first)"))
     }
 
     /// Fold one finished request's handle accounting into the coalesce
@@ -539,45 +637,42 @@ impl Engine {
                 return Err(Self::cluster_exists(name));
             }
             self.log_event(req_id, &event)?;
-            map.insert(name.to_string(), Arc::new(core));
+            map.insert(name.to_string(), Served::new(Arc::new(core)));
         }
         Ok(ok_reply(req, "ingest", fields))
     }
 
-    fn op_map(&self, req: &Json) -> Result<Json, String> {
-        let mut h = self.handle_for(req)?;
+    /// A `map` or `reorder` reply. The core lookup runs on every request —
+    /// a cache hit once warm — so the core's hit/miss accounting and the
+    /// coalesce metric count array replies as before; only the encoding is
+    /// cached.
+    fn op_array(&self, req: &Json, op: ArrayOp) -> Result<String, String> {
+        const UNSUPPORTED: &str = "unsupported mapper/pattern for this cluster";
+        let served = self.served_for(req)?;
         let mapper = parse_mapper(need_str(req, "mapper")?)?;
         let pattern = parse_pattern(need_str(req, "pattern")?)?;
-        let info = h
-            .mapping(mapper, pattern)
-            .ok_or("unsupported mapper/pattern for this cluster")?;
-        let arr = info.mapping.iter().map(|&v| num(v as u64)).collect();
+        let key = (op, mapper, pattern);
+        let mut h = served.core.handle();
+        let line = match op {
+            ArrayOp::Map => {
+                let info = h.mapping(mapper, pattern).ok_or(UNSUPPORTED)?;
+                array_line(req, &served, key, || {
+                    int_array(info.mapping.iter().copied())
+                })
+            }
+            ArrayOp::Reorder => {
+                let comm = h.reordered_comm(mapper, pattern).ok_or(UNSUPPORTED)?;
+                array_line(req, &served, key, || {
+                    int_array(comm.cores().iter().map(|c| c.0))
+                })
+            }
+        };
         self.settle(&h);
-        Ok(ok_reply(
-            req,
-            "map",
-            vec![("mapping".to_string(), Json::Arr(arr))],
-        ))
-    }
-
-    fn op_reorder(&self, req: &Json) -> Result<Json, String> {
-        let mut h = self.handle_for(req)?;
-        let mapper = parse_mapper(need_str(req, "mapper")?)?;
-        let pattern = parse_pattern(need_str(req, "pattern")?)?;
-        let comm = h
-            .reordered_comm(mapper, pattern)
-            .ok_or("unsupported mapper/pattern for this cluster")?;
-        let arr = comm.cores().iter().map(|c| num(c.0 as u64)).collect();
-        self.settle(&h);
-        Ok(ok_reply(
-            req,
-            "reorder",
-            vec![("cores".to_string(), Json::Arr(arr))],
-        ))
+        Ok(line)
     }
 
     fn op_price(&self, req: &Json) -> Result<Json, String> {
-        let mut h = self.handle_for(req)?;
+        let mut h = self.served_for(req)?.core.handle();
         let scheme = parse_scheme(req)?;
         let msg = need_u64(req, "msg_bytes")?;
         let collective = need_str(req, "collective")?;
@@ -630,9 +725,12 @@ impl Engine {
                 .ok_or_else(|| format!("unknown cluster \"{name}\" (ingest it first)"))?;
             let (degraded, report) = fault_core(&core, &fault).map_err(unwrap_apply)?;
             let mut map = self.clusters.write().expect("cluster map poisoned");
-            if map.get(name).is_some_and(|cur| Arc::ptr_eq(cur, &core)) {
+            if map
+                .get(name)
+                .is_some_and(|cur| Arc::ptr_eq(&cur.core, &core))
+            {
                 self.log_event(req_id, &event)?;
-                map.insert(name.to_string(), Arc::new(degraded));
+                map.insert(name.to_string(), Served::new(Arc::new(degraded)));
                 break report;
             }
         };
@@ -684,9 +782,7 @@ impl Engine {
     fn snapshot_cut(&self, p: &Persist) -> (u64, Vec<(String, Arc<SessionCore>)>) {
         let map = self.clusters.read().expect("cluster map poisoned");
         let last_event_id = p.wal.lock().expect("wal poisoned").next_event - 1;
-        let mut cores: Vec<_> = map.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
-        cores.sort_by(|a, b| a.0.cmp(&b.0));
-        (last_event_id, cores)
+        (last_event_id, Self::sorted(&map, |s| s.core.clone()))
     }
 
     fn no_state_dir() -> OpError {
@@ -739,8 +835,7 @@ impl Engine {
         let map = self.clusters.read().expect("cluster map poisoned");
         let mut wal = p.wal.lock().expect("wal poisoned");
         let last_event_id = wal.next_event - 1;
-        let mut cores: Vec<_> = map.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
-        cores.sort_by(|a, b| a.0.cmp(&b.0));
+        let cores = Self::sorted(&map, |s| s.core.clone());
         let snap = EngineSnapshot::capture(last_event_id, &cores).map_err(Self::persist_error)?;
         let bytes = write_snapshot(&p.dir, &snap).map_err(Self::persist_error)?;
         let wal_bytes = wal.writer.reset().map_err(Self::persist_error)?;
@@ -768,14 +863,13 @@ impl Engine {
     /// `cluster_caches` breaks the shared-core caches down per cluster and
     /// per cache family (mapping/comm/sched/price), each as
     /// hit/miss/coalesced — the serving-side view of
-    /// [`SessionCore::cache_stats`].
+    /// [`SessionCore::cache_stats`] — plus `reply_body`, the cluster's
+    /// encoded `map`/`reorder` bodies.
     fn op_stats(&self, req: &Json) -> Json {
-        let cores: Vec<(String, Arc<SessionCore>)> = {
-            let map = self.clusters.read().expect("cluster map poisoned");
-            let mut v: Vec<_> = map.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
+        let served = Self::sorted(
+            &self.clusters.read().expect("cluster map poisoned"),
+            Arc::clone,
+        );
         let snap = |s: &tarr_mpi::CacheSnapshot| {
             Json::Obj(vec![
                 ("hit".to_string(), num(s.hits)),
@@ -783,10 +877,10 @@ impl Engine {
                 ("coalesced".to_string(), num(s.coalesced)),
             ])
         };
-        let caches: Vec<(String, Json)> = cores
+        let caches: Vec<(String, Json)> = served
             .iter()
-            .map(|(name, core)| {
-                let s = core.cache_stats();
+            .map(|(name, served)| {
+                let s = served.core.cache_stats();
                 (
                     name.clone(),
                     Json::Obj(vec![
@@ -794,6 +888,10 @@ impl Engine {
                         ("comm".to_string(), snap(&s.comms)),
                         ("sched".to_string(), snap(&s.scheds)),
                         ("price".to_string(), snap(&s.prices)),
+                        (
+                            "reply_body".to_string(),
+                            snap(&served.bodies.counters().snapshot()),
+                        ),
                     ]),
                 )
             })
@@ -802,7 +900,7 @@ impl Engine {
             req,
             "stats",
             vec![
-                ("clusters".to_string(), num(cores.len() as u64)),
+                ("clusters".to_string(), num(served.len() as u64)),
                 ("requests".to_string(), num(self.stats.requests())),
                 ("errors".to_string(), num(self.stats.errors())),
                 ("coalesce".to_string(), num(self.stats.coalesce())),

@@ -12,7 +12,8 @@
 //!
 //! - `stats` — engine-global request/error/coalesce totals plus
 //!   `cluster_caches`, a per-cluster hit/miss/coalesced breakdown of each
-//!   shared-core cache (mapping/comm/sched/price). Which request lands a
+//!   shared-core cache (mapping/comm/sched/price) and of the encoded
+//!   `map`/`reorder` reply bodies (`reply_body`). Which request lands a
 //!   hit vs. a miss vs. a coalesced share depends on worker interleaving
 //!   and cache luck, so the *totals* are stable for a scripted session but
 //!   the breakdown is not.
@@ -24,11 +25,15 @@
 //! connection), so neither may ever appear in a golden fixture.
 //!
 //! The parser is [`tarr_trace::json`] — the workspace's hand-rolled JSON —
-//! and this module adds the writer side plus typed field accessors.
+//! and this module adds the writer side plus typed field accessors. Most
+//! replies are built as a [`Json`] tree and serialized with [`to_string`].
+//! The integer arrays of `map` and `reorder` skip the tree: `int_array`
+//! writes them straight into text, and `array_reply` splices that text
+//! into a reply byte-identical to the tree's serialization.
 
 use tarr_core::{Mapper, PatternKind, Scheme};
 use tarr_mapping::{InitialMapping, OrderFix};
-use tarr_trace::json::{write_escaped, write_f64, Json};
+use tarr_trace::json::{write_escaped, write_f64, write_u64, Json};
 
 /// Serialize a [`Json`] value, fields in insertion order, no whitespace.
 pub fn write_json(out: &mut String, v: &Json) {
@@ -68,6 +73,48 @@ pub fn to_string(v: &Json) -> String {
     write_json(&mut s, v);
     s
 }
+
+/// Integers as a JSON array (`[3,0,1]`), written straight into a string
+/// pre-sized for six-digit values: no [`Json`] tree, no f64 formatting.
+pub(crate) fn int_array(values: impl ExactSizeIterator<Item = u32>) -> String {
+    let mut out = String::with_capacity(2 + 7 * values.len());
+    out.push('[');
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u64(&mut out, u64::from(v));
+    }
+    out.push(']');
+    out
+}
+
+/// An ok reply whose one result field is already-encoded JSON text:
+/// byte-identical to [`to_string`] of [`ok_reply`]`(req, op, [(field, v)])`
+/// where `body` is `v`'s encoding. One allocation sized for the body, a
+/// header of up to [`ARRAY_REPLY_HEAD`] bytes, and the line terminator; a
+/// longer `id` regrows it.
+pub(crate) fn array_reply(req: &Json, op: &str, field: &str, body: &str) -> String {
+    let mut out = String::with_capacity(ARRAY_REPLY_HEAD + body.len() + 2);
+    out.push('{');
+    if let Some(id) = req.get("id") {
+        out.push_str("\"id\":");
+        write_json(&mut out, id);
+        out.push(',');
+    }
+    out.push_str("\"ok\":true,\"op\":");
+    write_escaped(&mut out, op);
+    out.push(',');
+    write_escaped(&mut out, field);
+    out.push(':');
+    out.push_str(body);
+    out.push('}');
+    out
+}
+
+/// Header room [`array_reply`] reserves: `{"ok":true,"op":"reorder","cores":`
+/// is 34 bytes, leaving the rest for an `id`.
+const ARRAY_REPLY_HEAD: usize = 64;
 
 /// Required string field.
 pub fn need_str<'a>(req: &'a Json, key: &str) -> Result<&'a str, String> {

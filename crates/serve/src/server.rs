@@ -7,7 +7,8 @@
 //! backpressure, not rejection, so a fast client cannot balloon memory).
 //! Workers pop lines, run them through the [`Engine`], and hand
 //! `(seq, reply)` to the reorder buffer, which writes replies strictly in
-//! sequence order.
+//! sequence order, each with a single write of the line and its newline
+//! (TCP streams also set `TCP_NODELAY`).
 //!
 //! Reply *order* alone is not enough: `ingest` and `fault` mutate the
 //! engine, so a later request racing past one of them on another worker
@@ -264,7 +265,12 @@ impl<W: Write> OrderedOut<W> {
         }
     }
 
-    fn deliver(&self, seq: u64, reply: String) {
+    /// Queue `reply` (one line, no terminator) for slot `seq` and write
+    /// every reply that is now in order. Each goes out as one `write_all`
+    /// of the line plus its `\n`: two writes per reply would leave the
+    /// second waiting on the client's delayed ACK under Nagle's algorithm.
+    fn deliver(&self, seq: u64, mut reply: String) {
+        reply.push('\n');
         let mut st = self.state.lock().expect("output poisoned");
         st.pending.insert(seq, reply);
         loop {
@@ -275,7 +281,7 @@ impl<W: Write> OrderedOut<W> {
             st.next += 1;
             if st.error.is_none() {
                 let r = tarr_chaos::fail_io("conn.write")
-                    .and_then(|()| writeln!(st.sink, "{line}"))
+                    .and_then(|()| st.sink.write_all(line.as_bytes()))
                     .and_then(|()| st.sink.flush());
                 if let Err(e) = r {
                     st.error = Some(e);
@@ -685,13 +691,14 @@ pub fn serve_tcp(engine: &Engine, listener: TcpListener, opts: &ServeOpts) -> io
                 let mut stream = stream;
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let reply = to_string(&err_reply_retry(
+                let mut reply = to_string(&err_reply_retry(
                     None,
                     "conn_rejected",
                     "connection limit reached; retry later",
                     CONN_RETRY_MS,
                 ));
-                let _ = writeln!(stream, "{reply}");
+                reply.push('\n');
+                let _ = stream.write_all(reply.as_bytes());
                 continue;
             }
             active.fetch_add(1, Ordering::Relaxed);
@@ -700,6 +707,9 @@ pub fn serve_tcp(engine: &Engine, listener: TcpListener, opts: &ServeOpts) -> io
             conn_opts.client = peer.ip().to_string();
             scope.spawn(move || {
                 let _ = stream.set_nonblocking(false);
+                // Replies are whole lines written once; sending each at
+                // once beats coalescing it with a reply not yet computed.
+                let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(READ_TICK));
                 if let Some(wt) = conn_opts.write_timeout {
                     let _ = stream.set_write_timeout(Some(wt));

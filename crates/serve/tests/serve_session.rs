@@ -3,6 +3,7 @@
 //! agreement with a solo [`Session`] on the same cluster.
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use tarr_core::{DistanceBackend, Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_serve::{check_prometheus, serve_lines, serve_metrics, serve_tcp, Engine, ServeOpts};
@@ -178,19 +179,29 @@ fn shutdown_stops_the_stream() {
     assert!(text.lines().nth(1).unwrap().contains("\"op\":\"shutdown\""));
 }
 
+/// The CI golden session's request script, with its snapshot written to a
+/// per-test temp path (`tag` keeps concurrent tests apart). Returns the
+/// script and the path to remove afterwards.
+fn golden_script(tag: &str) -> (String, std::path::PathBuf) {
+    let (snapshot, warnings) =
+        tarr_ingest::ingest_snapshot(&fixture("gpc_node.xml"), &fixture("gpc_ib.txt")).unwrap();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let snap_path = std::env::temp_dir().join(format!(
+        "tarr_serve_golden_{tag}_{}.snap",
+        std::process::id()
+    ));
+    std::fs::write(&snap_path, snapshot.to_text()).unwrap();
+    let script = fixture("serve_session.txt").replace("/tmp/gpc.snap", snap_path.to_str().unwrap());
+    (script, snap_path)
+}
+
 #[test]
 fn golden_fixture_is_byte_identical_with_metrics_enabled() {
     // The CI golden fixture, run in-process: RED metrics record every
     // request (they are always on), and the reply stream must still be
     // byte-identical to the golden at any worker count — the proof that
     // observability never leaks into reply contents.
-    let (snapshot, warnings) =
-        tarr_ingest::ingest_snapshot(&fixture("gpc_node.xml"), &fixture("gpc_ib.txt")).unwrap();
-    assert!(warnings.is_empty(), "{warnings:?}");
-    let snap_path =
-        std::env::temp_dir().join(format!("tarr_serve_golden_{}.snap", std::process::id()));
-    std::fs::write(&snap_path, snapshot.to_text()).unwrap();
-    let script = fixture("serve_session.txt").replace("/tmp/gpc.snap", snap_path.to_str().unwrap());
+    let (script, snap_path) = golden_script("lines");
     let golden = fixture("serve_session.golden");
     for workers in [1, 8] {
         let engine = Engine::new();
@@ -410,4 +421,85 @@ fn slow_ms_zero_logs_every_request_to_stderr() {
     // Stage self-times come from the request scope even with the recorder
     // off — the breakdown names the serve.handle stage at minimum.
     assert!(slow[1].contains("serve.handle="), "{}", slow[1]);
+}
+
+/// A sink that keeps every `write` call's bytes separately.
+#[derive(Default)]
+struct WriteLog(Vec<Vec<u8>>);
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_reply_is_one_write() {
+    // A reply split over two writes stalls a TCP client: the second
+    // segment waits for the first one's delayed ACK. Large array replies
+    // and small tree replies, in parallel, must each leave as one write
+    // of the whole line and its newline.
+    let engine = Engine::new();
+    let mut log = WriteLog::default();
+    let served = serve_lines(
+        &engine,
+        SCRIPT.join("\n").as_bytes(),
+        &mut log,
+        &ServeOpts {
+            workers: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(served, SCRIPT.len() as u64);
+    assert_eq!(log.0.len(), SCRIPT.len(), "one write per reply");
+    for (i, write) in log.0.iter().enumerate() {
+        let text = std::str::from_utf8(write).unwrap();
+        assert!(
+            text.ends_with('\n'),
+            "write {i} is not a whole line: {text}"
+        );
+        assert_eq!(text.matches('\n').count(), 1, "write {i}: {text}");
+        let reply = parse(text.trim_end()).unwrap();
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+    }
+}
+
+#[test]
+fn golden_fixture_is_byte_identical_over_tcp() {
+    // The golden session over a loopback connection to the in-process
+    // TCP server: one write of the whole script, replies read to EOF (the
+    // script ends with `shutdown`, which closes the connection).
+    let (script, snap_path) = golden_script("tcp");
+    let engine = Engine::new();
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let replies = std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            serve_tcp(
+                &engine,
+                listener,
+                &ServeOpts {
+                    workers: 4,
+                    shutdown: Some(stop),
+                    ..Default::default()
+                },
+            )
+        });
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(script.as_bytes()).unwrap();
+        let mut replies = String::new();
+        stream.read_to_string(&mut replies).unwrap();
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+        replies
+    });
+    let _ = std::fs::remove_file(&snap_path);
+    assert_eq!(replies, fixture("serve_session.golden"));
 }

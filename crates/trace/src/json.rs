@@ -83,6 +83,40 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `DIGIT_PAIRS[2n..2n + 2]` spells `n` in two ASCII digits, for n < 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        t[2 * n] = b'0' + (n / 10) as u8;
+        t[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    t
+};
+
+/// Append `v` in decimal: two digits per step from a pair table into a
+/// stack buffer, without the `fmt` machinery.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
 /// Append a finite `f64` as a JSON number (non-finite values become `null`,
 /// which JSON cannot represent as a number).
 pub fn write_f64(out: &mut String, v: f64) {
@@ -402,5 +436,21 @@ mod tests {
         let mut s = String::new();
         write_f64(&mut s, 1.5);
         assert_eq!(s, "1.5");
+    }
+
+    #[test]
+    fn u64_writer_matches_display_at_digit_boundaries() {
+        let mut p = Some(1u64);
+        while let Some(q) = p {
+            for v in [q - 1, q, q + 1] {
+                let mut s = String::new();
+                write_u64(&mut s, v);
+                assert_eq!(s, v.to_string());
+            }
+            p = q.checked_mul(10);
+        }
+        let mut s = String::new();
+        write_u64(&mut s, u64::MAX);
+        assert_eq!(s, u64::MAX.to_string());
     }
 }
