@@ -78,11 +78,9 @@ const SIZES: [u64; 8] = [
 /// requests actually holds. Scale-safe at 65,536 ranks (bucketed mappers,
 /// compiled schedules), warms every cache kind the snapshot serializes
 /// (mapping, communicator, schedule, price), and renders floats as bit
-/// patterns so "equal" means bit-identical. `bcast`/`allreduce` are
-/// deliberately absent: their schedules carry the byte count and are
-/// size-dependent, hence uncacheable by design (same as the solo
-/// session) — they cost the same warm or cold and measure nothing about
-/// restore.
+/// patterns so "equal" means bit-identical. `bcast`/`allreduce` take the
+/// same cached path but are left out, so the probe work matches the
+/// committed `BENCH_replay.json` baseline.
 fn probes(core: &Arc<SessionCore>) -> Vec<String> {
     let mut h = core.handle();
     let mut out = Vec::new();

@@ -13,9 +13,11 @@
 //! * the **communicator cache** — the reordered [`Communicator`] per
 //!   (mapper, pattern), so repeated `*_time` calls stop rebuilding an O(P)
 //!   permutation per call;
-//! * the **schedule cache** — size-independent compiled [`TimedSchedule`]s,
-//!   so a message-size sweep prices each unique stage once per size instead
-//!   of re-merging and re-hashing O(P) operations per stage per call.
+//! * the **schedule cache** — size-independent compiled [`TimedSchedule`]s
+//!   for every collective (allgather, gather, broadcast and both allreduce
+//!   algorithms), so a message-size sweep prices each unique stage once per
+//!   size instead of re-merging and re-hashing O(P) operations per stage per
+//!   call.
 //!
 //! The distance backend is selectable: the dense [`DistanceMatrix`]
 //! (reference/validation path) or the O(P)-memory
@@ -44,7 +46,7 @@ use tarr_mapping::{
     init_comm_schedule, rdmh, rdmh_bucketed, reorder, ring_placement, rmh, rmh_bucketed,
     scotch_like_map_with, InitialMapping, OrderFix, ScotchVariant,
 };
-use tarr_mpi::{time_schedule, Communicator, FunctionalState, Schedule, TimedSchedule};
+use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule};
 use tarr_netsim::{NetParams, StageModel};
 use tarr_topo::{
     Cluster, CoreId, DistanceConfig, DistanceMatrix, ExtractionCostModel, ImplicitDistance, Rank,
@@ -255,6 +257,23 @@ pub enum SchedKey {
     Hier(InterAlg, IntraPattern, Option<Mapper>),
     /// Hierarchical phases over reordered groups, initComm-prefixed.
     HierInit(InterAlg, IntraPattern, Mapper),
+    /// The binomial broadcast from rank 0.
+    Bcast,
+    /// The recursive-doubling allreduce (power-of-two `p` only).
+    AllreduceRd,
+    /// Rabenseifner's allreduce (power-of-two `p` only).
+    AllreduceRabenseifner,
+}
+
+impl SchedKey {
+    /// The allreduce schedule key for the chosen algorithm.
+    fn allreduce(rabenseifner: bool) -> SchedKey {
+        if rabenseifner {
+            SchedKey::AllreduceRabenseifner
+        } else {
+            SchedKey::AllreduceRd
+        }
+    }
 }
 
 /// Which communicator a cached stage-price vector was computed over.
@@ -462,7 +481,7 @@ impl Session {
 
     /// Compile (once) and cache the [`TimedSchedule`] for `key`. Returns
     /// `None` when the key needs a mapping or node grouping the session
-    /// cannot produce.
+    /// cannot produce, or is an allreduce over a non-power-of-two `p`.
     fn ensure_sched(&mut self, key: SchedKey) -> Option<()> {
         if self.sched_cache.contains_key(&key) {
             self.stats.sched_hits += 1;
@@ -477,6 +496,9 @@ impl Session {
             // O(P²) operations. The analytic constructor builds the compiled
             // form directly in O(P).
             SchedKey::Flat(AllgatherAlg::Ring) => TimedSchedule::ring_allgather(p),
+            SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner => {
+                size_only_schedule(key, p)?
+            }
             SchedKey::Flat(alg) => TimedSchedule::compile(&alg.schedule(p)),
             SchedKey::FlatInit(alg, mapper) => {
                 let m = self
@@ -773,40 +795,37 @@ impl Session {
     /// recursive-doubling XOR pattern, so reordering uses the RDMH mapping;
     /// allreduce output is identical on every rank, so no §V-B ordering
     /// machinery is needed.
+    ///
+    /// # Panics
+    /// Panics unless the communicator size is a power of two.
     pub fn allreduce_time(&mut self, vector_bytes: u64, rabenseifner: bool, scheme: Scheme) -> f64 {
-        let p = self.size() as u32;
-        // The schedule's payloads depend on the vector size, so it is not
-        // cacheable across sizes; the reordered communicator still is.
-        let sched = if rabenseifner {
-            tarr_collectives::allreduce::rabenseifner_allreduce(p, vector_bytes)
-        } else {
-            tarr_collectives::allreduce::rd_allreduce(p, vector_bytes)
-        };
-        match scheme {
-            Scheme::Default => time_schedule(&sched, &self.comm, &self.model(), vector_bytes),
-            Scheme::Reordered { mapper, .. } => {
-                self.ensure_reordered(mapper, PatternKind::Rd)
-                    .expect("flat mappings are always available");
-                let comm2 = &self.comm_cache[&(mapper, PatternKind::Rd)];
-                time_schedule(&sched, comm2, &self.model(), vector_bytes)
-            }
-        }
+        let key = SchedKey::allreduce(rabenseifner);
+        self.ensure_sched(key)
+            .expect("allreduce needs a power-of-two communicator");
+        let ck = self.scalar_comm(scheme, PatternKind::Rd);
+        self.priced_time(key, ck, vector_bytes)
     }
 
     /// Simulated latency of a binomial `MPI_Bcast` of `bytes` from rank 0 —
     /// the BBMH use case.
     pub fn bcast_time(&mut self, bytes: u64, scheme: Scheme) -> f64 {
-        let p = self.size() as u32;
-        // Payloads carry the byte count: size-dependent, not cacheable.
-        let sched = tarr_collectives::bcast::binomial_bcast(p, Rank(0), bytes);
+        self.ensure_sched(SchedKey::Bcast)
+            .expect("the broadcast schedule is always available");
+        let ck = self.scalar_comm(scheme, PatternKind::BinomialBcast);
+        self.priced_time(SchedKey::Bcast, ck, bytes)
+    }
+
+    /// The communicator a broadcast or allreduce runs over under `scheme`.
+    /// Their output is the same buffer on every rank, so reordering needs no
+    /// §V-B ordering machinery: the reordered communicator of `pattern`'s
+    /// mapping is used as is, whatever the fix.
+    fn scalar_comm(&mut self, scheme: Scheme, pattern: PatternKind) -> CommKey {
         match scheme {
-            Scheme::Default => time_schedule(&sched, &self.comm, &self.model(), bytes),
+            Scheme::Default => CommKey::Default,
             Scheme::Reordered { mapper, .. } => {
-                // Broadcast output is a scalar buffer: no ordering machinery.
-                self.ensure_reordered(mapper, PatternKind::BinomialBcast)
+                self.ensure_reordered(mapper, pattern)
                     .expect("flat mappings are always available");
-                let comm2 = &self.comm_cache[&(mapper, PatternKind::BinomialBcast)];
-                time_schedule(&sched, comm2, &self.model(), bytes)
+                CommKey::Reordered(mapper, pattern)
             }
         }
     }
@@ -1188,6 +1207,21 @@ fn torus_snake_mapping(cluster: &Cluster, comm: &Communicator) -> Option<Vec<u32
     }
     debug_assert!(tarr_mapping::is_permutation(&m));
     Some(m)
+}
+
+/// The analytic compiled form of a schedule whose structure depends only on
+/// `p` and that carries one size-parametric unit per op: the broadcast and
+/// both allreduce algorithms. `None` for an allreduce over a
+/// non-power-of-two `p`, which neither algorithm supports.
+fn size_only_schedule(key: SchedKey, p: u32) -> Option<TimedSchedule> {
+    match key {
+        SchedKey::Bcast => Some(TimedSchedule::binomial_bcast(p)),
+        SchedKey::AllreduceRd if p.is_power_of_two() => Some(TimedSchedule::rd_allreduce(p)),
+        SchedKey::AllreduceRabenseifner if p.is_power_of_two() => {
+            Some(TimedSchedule::rabenseifner_allreduce(p))
+        }
+        _ => None,
+    }
 }
 
 fn flat_schedule(pattern: PatternKind, p: u32) -> Schedule {

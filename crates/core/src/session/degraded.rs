@@ -5,7 +5,9 @@
 //! The invalidation is keyed, not a flush. What survives a fault:
 //!
 //! * compiled schedules whose structure depends only on the process count —
-//!   every [`SchedKey::Flat`] and the plain [`SchedKey::Gather`];
+//!   every [`SchedKey::Flat`], the plain [`SchedKey::Gather`], the
+//!   [`SchedKey::Bcast`] broadcast and both allreduce schedules
+//!   ([`SchedKey::AllreduceRd`], [`SchedKey::AllreduceRabenseifner`]);
 //! * anything derived from the MVAPICH cyclic reorder, which reads only
 //!   `(p, cores_per_node)` — its mapping always, its initComm-prefixed
 //!   schedules always, its reordered communicator as long as no rank moved;
@@ -242,7 +244,11 @@ impl Session {
 
             let n = self.sched_cache.len();
             self.sched_cache.retain(|key, _| match key {
-                SchedKey::Flat(_) | SchedKey::Gather => true,
+                SchedKey::Flat(_)
+                | SchedKey::Gather
+                | SchedKey::Bcast
+                | SchedKey::AllreduceRd
+                | SchedKey::AllreduceRabenseifner => true,
                 SchedKey::FlatInit(_, Mapper::MvapichCyclic)
                 | SchedKey::GatherInit(Mapper::MvapichCyclic) => true,
                 SchedKey::Hier(_, _, None) => migrated == 0,

@@ -18,7 +18,11 @@
 //! A cache hit costs a shard read-lock plus an `Arc` clone. A miss installs
 //! a once-cell, so N concurrent identical requests share **one** compute —
 //! the coalescing that makes a warm core cheap under a thundering herd of
-//! identical (pattern, size, mapper) requests.
+//! identical (pattern, size, mapper) requests. Every collective except
+//! allgatherv takes this path: allgather, gather, broadcast and both
+//! allreduce algorithms compile one size-parametric schedule per core and
+//! price each `(schedule, communicator, bytes)` once; allgatherv's per-rank
+//! sizes still go through the sized executor on every call.
 //!
 //! Every number a handle produces is **bit-identical** to a solo [`Session`]
 //! on the same inputs: mappings run through the same [`compute_mapping`],
@@ -39,8 +43,9 @@
 //! requests see the degraded one.
 
 use super::{
-    compute_mapping, CacheStats, CommKey, DegradationReport, Mapper, MappingInfo, PatternKind,
-    ProbePoint, SchedKey, Scheme, Session, SessionConfig, SessionDistance,
+    compute_mapping, size_only_schedule, CacheStats, CommKey, DegradationReport, Mapper,
+    MappingInfo, PatternKind, ProbePoint, SchedKey, Scheme, Session, SessionConfig,
+    SessionDistance,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +56,7 @@ use tarr_collectives::{select_allgather, AllgatherAlg};
 use tarr_faults::{FaultError, FaultSet};
 use tarr_mapping::{init_comm_schedule, OrderFix};
 use tarr_mpi::cache::{CacheSnapshot, Lookup, ShardedOnceMap};
-use tarr_mpi::{time_schedule, Communicator, TimedSchedule};
+use tarr_mpi::{Communicator, TimedSchedule};
 use tarr_netsim::StageModel;
 use tarr_topo::{Cluster, Rank};
 
@@ -571,7 +576,11 @@ impl SessionCore {
             self.mapping_entry(mapper, pattern, sc)
         };
         let mapping: Option<Arc<MappingInfo>> = match key {
-            SchedKey::Flat(_) | SchedKey::Gather => None,
+            SchedKey::Flat(_)
+            | SchedKey::Gather
+            | SchedKey::Bcast
+            | SchedKey::AllreduceRd
+            | SchedKey::AllreduceRabenseifner => None,
             SchedKey::FlatInit(alg, mapper) => Some(dep(mapper, PatternKind::of_alg(alg), sc)?),
             SchedKey::GatherInit(mapper) => Some(dep(mapper, PatternKind::BinomialGather, sc)?),
             SchedKey::Hier(inter, intra, reorderer) => match reorderer {
@@ -584,8 +593,11 @@ impl SessionCore {
         };
         let (v, outcome) = self.scheds.get_or_compute(&key, || {
             let ts = match key {
-                // The analytic O(P) construction, as in the solo session.
+                // The analytic constructions, as in the solo session.
                 SchedKey::Flat(AllgatherAlg::Ring) => TimedSchedule::ring_allgather(p),
+                SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner => {
+                    size_only_schedule(key, p)?
+                }
                 SchedKey::Flat(alg) => TimedSchedule::compile(&alg.schedule(p)),
                 SchedKey::FlatInit(alg, _) => {
                     let m = &mapping.as_ref().expect("resolved above").mapping;
@@ -757,19 +769,9 @@ impl SessionCore {
     }
 
     fn bcast_time(&self, bytes: u64, scheme: Scheme, sc: &mut HandleScratch) -> f64 {
-        let p = self.size() as u32;
-        // Payloads carry the byte count: size-dependent, not cacheable —
-        // exactly as in the solo session.
-        let sched = tarr_collectives::bcast::binomial_bcast(p, Rank(0), bytes);
-        match scheme {
-            Scheme::Default => time_schedule(&sched, &self.comm, &self.model(), bytes),
-            Scheme::Reordered { mapper, .. } => {
-                let comm2 = self
-                    .comm_entry(mapper, PatternKind::BinomialBcast, sc)
-                    .expect("flat mappings are always available");
-                time_schedule(&sched, &comm2, &self.model(), bytes)
-            }
-        }
+        let ck = scalar_comm(scheme, PatternKind::BinomialBcast);
+        self.priced_time(SchedKey::Bcast, ck, bytes, sc)
+            .expect("flat mappings are always available")
     }
 
     fn allreduce_time(
@@ -779,21 +781,9 @@ impl SessionCore {
         scheme: Scheme,
         sc: &mut HandleScratch,
     ) -> f64 {
-        let p = self.size() as u32;
-        let sched = if rabenseifner {
-            tarr_collectives::allreduce::rabenseifner_allreduce(p, vector_bytes)
-        } else {
-            tarr_collectives::allreduce::rd_allreduce(p, vector_bytes)
-        };
-        match scheme {
-            Scheme::Default => time_schedule(&sched, &self.comm, &self.model(), vector_bytes),
-            Scheme::Reordered { mapper, .. } => {
-                let comm2 = self
-                    .comm_entry(mapper, PatternKind::Rd, sc)
-                    .expect("flat mappings are always available");
-                time_schedule(&sched, &comm2, &self.model(), vector_bytes)
-            }
-        }
+        let key = SchedKey::allreduce(rabenseifner);
+        self.priced_time(key, scalar_comm(scheme, PatternKind::Rd), vector_bytes, sc)
+            .expect("allreduce needs a power-of-two communicator")
     }
 
     fn allgatherv_time(&self, sizes: &[u64], scheme: Scheme, sc: &mut HandleScratch) -> f64 {
@@ -816,6 +806,15 @@ impl SessionCore {
                 tarr_mpi::time_schedule_sized(&sched, &comm2, &self.model(), &permuted)
             }
         }
+    }
+}
+
+/// The communicator key a broadcast or allreduce prices over (see
+/// `Session::scalar_comm`).
+fn scalar_comm(scheme: Scheme, pattern: PatternKind) -> CommKey {
+    match scheme {
+        Scheme::Default => CommKey::Default,
+        Scheme::Reordered { mapper, .. } => CommKey::Reordered(mapper, pattern),
     }
 }
 

@@ -60,7 +60,12 @@ fn probe_sweep(s: &mut Session) -> Vec<f64> {
             out.push(s.allgather_time(msg, scheme));
         }
     }
-    out.push(s.bcast_time(4096, Scheme::hrstc(OrderFix::InPlace)));
+    for scheme in [Scheme::Default, Scheme::hrstc(OrderFix::InPlace)] {
+        out.push(s.bcast_time(4096, scheme));
+        for rabenseifner in [false, true] {
+            out.push(s.allreduce_time(65536, rabenseifner, scheme));
+        }
+    }
     out.push(s.gather_time(4096, Scheme::hrstc(OrderFix::InitComm)));
     out.push(
         s.hierarchical_allgather_time(4096, hcfg, Scheme::Default)
@@ -104,9 +109,10 @@ fn faulted_session_matches_cold_session_p512() {
 }
 
 /// Minimality: the entries `apply_faults` promises to keep — size-only flat
-/// schedules, the plain gather, everything MVAPICH-cyclic, default-order
-/// hierarchical phases — are *reused* after a link-only fault (cache hits,
-/// zero misses), while a topology-aware scheme recomputes from scratch.
+/// schedules, the plain gather, the broadcast and both allreduce schedules,
+/// everything MVAPICH-cyclic, default-order hierarchical phases — are
+/// *reused* after a link-only fault (cache hits, zero misses), while a
+/// topology-aware scheme recomputes from scratch.
 #[test]
 fn kept_entries_are_reused_after_link_fault() {
     let base = Cluster::gpc(64);
@@ -126,29 +132,31 @@ fn kept_entries_are_reused_after_link_fault() {
         512,
         SessionConfig::default(),
     );
-    // Warm the keepable keys: Flat(Rd), Flat(Ring), Gather, the MVAPICH
-    // mapping + communicator + FlatInit(Rd, MvapichCyclic), Hier(.., None).
-    s.allgather_time(512, Scheme::Default);
-    s.allgather_time(65536, Scheme::Default);
-    s.gather_time(4096, Scheme::Default);
-    s.allgather_time(512, mv);
-    s.hierarchical_allgather_time(4096, hcfg, Scheme::Default)
-        .unwrap();
+    // Warm the keepable keys: Flat(Rd), Flat(Ring), Gather, Bcast,
+    // AllreduceRd, AllreduceRabenseifner, the MVAPICH mapping + communicator
+    // + FlatInit(Rd, MvapichCyclic), Hier(.., None).
+    let keepable = |s: &mut Session| {
+        s.allgather_time(512, Scheme::Default);
+        s.allgather_time(65536, Scheme::Default);
+        s.gather_time(4096, Scheme::Default);
+        s.bcast_time(4096, Scheme::Default);
+        s.allreduce_time(4096, false, Scheme::Default);
+        s.allreduce_time(4096, true, Scheme::Default);
+        s.allgather_time(512, mv);
+        s.hierarchical_allgather_time(4096, hcfg, Scheme::Default)
+            .unwrap();
+    };
+    keepable(&mut s);
     // And one droppable key: a topology-aware mapping + its schedule.
     s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm));
 
     let report = s.apply_faults(&set, &[]).unwrap();
-    assert!(report.scheds_kept >= 5, "kept {}", report.scheds_kept);
+    assert!(report.scheds_kept >= 8, "kept {}", report.scheds_kept);
     assert!(report.mappings_dropped >= 1);
 
     // Re-pricing the kept keys must be pure cache hits.
     let baseline = s.cache_stats();
-    s.allgather_time(512, Scheme::Default);
-    s.allgather_time(65536, Scheme::Default);
-    s.gather_time(4096, Scheme::Default);
-    s.allgather_time(512, mv);
-    s.hierarchical_allgather_time(4096, hcfg, Scheme::Default)
-        .unwrap();
+    keepable(&mut s);
     let delta = s.cache_stats_since(baseline);
     assert_eq!(
         delta.sched_misses, 0,
@@ -156,7 +164,7 @@ fn kept_entries_are_reused_after_link_fault() {
     );
     assert_eq!(delta.mapping_misses, 0, "MVAPICH mapping recomputed");
     assert_eq!(delta.comm_misses, 0, "MVAPICH communicator rebuilt");
-    assert!(delta.sched_hits >= 5);
+    assert!(delta.sched_hits >= 8);
 
     // The topology-aware scheme was invalidated: it must recompute on the
     // degraded oracle (mapping miss + schedule recompile).
@@ -259,7 +267,12 @@ fn compound_fault_at_p4096_matches_cold_session() {
     let probes = [
         ProbePoint::allgather(512, Scheme::Default),
         ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
+        ProbePoint::bcast(4096, Scheme::hrstc(OrderFix::InPlace)),
     ];
+    // Warm both allreduce schedules so they ride through the fault.
+    for rabenseifner in [false, true] {
+        warm.allreduce_time(4096, rabenseifner, Scheme::Default);
+    }
     let report = warm.apply_faults(&set, &probes).unwrap();
     assert_eq!(report.ranks_migrated, 8);
     assert!(report.summary.fabric_rebuilt);
@@ -281,6 +294,18 @@ fn compound_fault_at_p4096_matches_cold_session() {
             cold.allgather_time(512, scheme),
             "{scheme:?}"
         );
+        assert_eq!(
+            warm.bcast_time(4096, scheme),
+            cold.bcast_time(4096, scheme),
+            "bcast {scheme:?}"
+        );
+        for rabenseifner in [false, true] {
+            assert_eq!(
+                warm.allreduce_time(4096, rabenseifner, scheme),
+                cold.allreduce_time(4096, rabenseifner, scheme),
+                "allreduce rabenseifner={rabenseifner} {scheme:?}"
+            );
+        }
     }
     assert_eq!(m, cold.mapping(Mapper::Hrstc, PatternKind::Rd).mapping);
 }

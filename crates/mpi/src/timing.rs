@@ -9,6 +9,18 @@
 //!   [`TimedSchedule::ring_allgather`] builds that form analytically in
 //!   O(P), never materializing the O(P²)-op dense schedule at all. A
 //!   compiled schedule is reusable across message sizes and communicators.
+//! * **Size-parametric payloads.** A merged op carries `blocks` units of a
+//!   per-stage quantity plus literal `raw` bytes; the unit becomes bytes
+//!   only at pricing time. For allgather and gather the unit is the block
+//!   size itself. Broadcast and allreduce move one unit per op, and each
+//!   unique stage carries a *halving shift* `s`: its unit is the request's
+//!   byte count `b` for `s = 0`, and `max(b >> s, 1)` otherwise — the
+//!   `1/2^s` share of the vector that Rabenseifner's reduce-scatter and
+//!   allgather stages exchange. [`TimedSchedule::binomial_bcast`],
+//!   [`TimedSchedule::rd_allreduce`] and
+//!   [`TimedSchedule::rabenseifner_allreduce`] build those compiled forms
+//!   analytically in O(P log P), so every collective compiles once and is
+//!   priced at any size.
 //! * [`time_schedule`] — synchronized-stage pricing on the analytic
 //!   [`StageModel`]; compiles on the fly. Callers pricing the same schedule
 //!   repeatedly (figure sweeps, refinement loops) should compile once and
@@ -31,15 +43,17 @@ use tarr_topo::{Hop, Rank};
 use tarr_trace::counter_add;
 
 /// One merged per-stage transfer: everything rank `from` sends to rank `to`
-/// within the stage, expressed size-independently (`blocks` allgather blocks
-/// plus `raw` literal bytes — resolved to bytes only at pricing time).
+/// within the stage, expressed size-independently (`blocks` units plus `raw`
+/// literal bytes — resolved to bytes only at pricing time, see
+/// [`TimedSchedule::stage_shifts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MergedOp {
     /// Sending rank.
     pub from: u32,
     /// Receiving rank.
     pub to: u32,
-    /// Number of allgather blocks carried (bytes = `blocks · block_bytes`).
+    /// Number of units carried (bytes = `blocks · unit`, where the unit is
+    /// the priced size resolved through the stage's halving shift).
     pub blocks: u64,
     /// Raw payload bytes carried (broadcast/reduction traffic).
     pub raw: u64,
@@ -55,6 +69,9 @@ pub struct TimedSchedule {
     p: u32,
     /// The distinct merged stages, in first-appearance order.
     uniq: Vec<Vec<MergedOp>>,
+    /// Per unique stage, the halving shift that resolves the priced size to
+    /// the stage's unit (see [`TimedSchedule::stage_shifts`]).
+    shift: Vec<u8>,
     /// For every original stage, the index into `uniq` (or [`EMPTY_STAGE`]).
     order: Vec<u32>,
 }
@@ -198,6 +215,7 @@ impl TimedSchedule {
         }
         TimedSchedule {
             p: schedule.p,
+            shift: vec![0; uniq.len()],
             uniq,
             order,
         }
@@ -214,33 +232,109 @@ impl TimedSchedule {
             return TimedSchedule {
                 p,
                 uniq: Vec::new(),
+                shift: Vec::new(),
                 order: Vec::new(),
             };
         }
-        let stage: Vec<MergedOp> = (0..p)
-            .map(|i| MergedOp {
-                from: i,
-                to: (i + 1) % p,
-                blocks: 1,
-                raw: 0,
-            })
-            .collect();
+        let stage: Vec<MergedOp> = (0..p).map(|i| unit_op(i, (i + 1) % p)).collect();
         TimedSchedule {
             p,
             uniq: vec![stage],
+            shift: vec![0],
             order: vec![0; (p - 1) as usize],
         }
     }
 
+    /// The compiled binomial broadcast from rank 0 (the halving tree of
+    /// `tarr_collectives::bcast::binomial_bcast`), built in O(P) without a
+    /// materialized schedule. Every op carries one unit and every stage has
+    /// shift 0, so pricing at `b` bytes sends `b` bytes per op.
+    pub fn binomial_bcast(p: u32) -> Self {
+        counter_add!("mpi.compile.analytic_bcast", 1);
+        let levels = p.next_power_of_two().trailing_zeros();
+        let uniq: Vec<Vec<MergedOp>> = (0..levels)
+            .map(|k| {
+                let step = 1u32 << (levels - 1 - k);
+                (0..p - step)
+                    .step_by(2 * step as usize)
+                    .map(|r| unit_op(r, r + step))
+                    .collect()
+            })
+            .collect();
+        TimedSchedule {
+            p,
+            shift: vec![0; uniq.len()],
+            order: (0..uniq.len() as u32).collect(),
+            uniq,
+        }
+    }
+
+    /// The compiled recursive-doubling allreduce: stage `k` exchanges the
+    /// whole vector (shift 0) with the XOR partner at distance `2^k`.
+    ///
+    /// # Panics
+    /// Panics unless `p` is a power of two.
+    pub fn rd_allreduce(p: u32) -> Self {
+        assert!(
+            p.is_power_of_two(),
+            "recursive doubling needs a power-of-two p"
+        );
+        counter_add!("mpi.compile.analytic_allreduce", 1);
+        let log_p = p.trailing_zeros();
+        TimedSchedule {
+            p,
+            uniq: (0..log_p).map(|k| xor_stage(p, 1 << k)).collect(),
+            shift: vec![0; log_p as usize],
+            order: (0..log_p).collect(),
+        }
+    }
+
+    /// The compiled Rabenseifner allreduce: a recursive-halving
+    /// reduce-scatter whose stage `k` exchanges `1/2^(k+1)` of the vector
+    /// with the XOR partner at distance `p/2^(k+1)`, then the mirrored
+    /// recursive-doubling allgather. Allgather stage `j` repeats
+    /// reduce-scatter stage `log p − 1 − j` exactly — same partners, same
+    /// share — so the schedule holds `log p` unique stages, unique stage `k`
+    /// with shift `k + 1`, priced at `max(b >> (k + 1), 1)` bytes per op.
+    ///
+    /// # Panics
+    /// Panics unless `p` is a power of two.
+    pub fn rabenseifner_allreduce(p: u32) -> Self {
+        assert!(p.is_power_of_two(), "Rabenseifner needs a power-of-two p");
+        counter_add!("mpi.compile.analytic_allreduce", 1);
+        let log_p = p.trailing_zeros();
+        TimedSchedule {
+            p,
+            uniq: (0..log_p).map(|k| xor_stage(p, p >> (k + 1))).collect(),
+            shift: (1..=log_p as u8).collect(),
+            order: (0..log_p).chain((0..log_p).rev()).collect(),
+        }
+    }
+
     /// Reassemble a compiled schedule from its exported parts (the
-    /// persistence path: `unique_stages()` + `stage_order()` round-trip
-    /// through a snapshot and come back through here). Validates the
-    /// invariants `compile` guarantees by construction — every `order`
-    /// entry indexes a unique stage (or is [`EMPTY_STAGE`]) and every
-    /// operand rank is below `p` — so a corrupted snapshot surfaces as a
-    /// typed error here instead of an out-of-bounds panic at pricing time.
-    pub fn from_parts(p: u32, uniq: Vec<Vec<MergedOp>>, order: Vec<u32>) -> Result<Self, String> {
+    /// persistence path: `unique_stages()`, `stage_shifts()` and
+    /// `stage_order()` round-trip through a snapshot and come back through
+    /// here). Validates the invariants the constructors guarantee — one
+    /// shift below 64 per unique stage, every `order` entry indexes a
+    /// unique stage (or is [`EMPTY_STAGE`]) and every operand rank is below
+    /// `p` — so a corrupted snapshot surfaces as a typed error here instead
+    /// of an out-of-bounds panic at pricing time.
+    pub fn from_parts(
+        p: u32,
+        uniq: Vec<Vec<MergedOp>>,
+        shift: Vec<u8>,
+        order: Vec<u32>,
+    ) -> Result<Self, String> {
         let n = uniq.len() as u32;
+        if shift.len() != uniq.len() {
+            return Err(format!(
+                "{} stage shifts for {n} unique stages",
+                shift.len()
+            ));
+        }
+        if let Some(k) = shift.iter().position(|&s| s >= 64) {
+            return Err(format!("unique stage {k} has shift {} ≥ 64", shift[k]));
+        }
         for (si, stage) in uniq.iter().enumerate() {
             if stage.is_empty() {
                 return Err(format!(
@@ -263,7 +357,12 @@ impl TimedSchedule {
                 ));
             }
         }
-        Ok(TimedSchedule { p, uniq, order })
+        Ok(TimedSchedule {
+            p,
+            uniq,
+            shift,
+            order,
+        })
     }
 
     /// Communicator size the schedule was compiled for.
@@ -286,6 +385,24 @@ impl TimedSchedule {
     /// refers to.
     pub fn unique_stages(&self) -> &[Vec<MergedOp>] {
         &self.uniq
+    }
+
+    /// Per unique stage, the halving shift `s` that turns the priced size
+    /// `b` into the stage's unit: `b` itself for `s = 0` (every allgather,
+    /// gather and broadcast stage, and recursive-doubling allreduce), and
+    /// `max(b >> s, 1)` otherwise (Rabenseifner's `1/2^s` vector shares).
+    /// An op carries `blocks` units plus `raw` bytes.
+    pub fn stage_shifts(&self) -> &[u8] {
+        &self.shift
+    }
+
+    /// The byte size of one unit of unique stage `k` priced at `b` bytes.
+    #[inline]
+    fn unit(&self, k: usize, b: u64) -> u64 {
+        match self.shift[k] {
+            0 => b,
+            s => (b >> s).max(1),
+        }
     }
 
     /// For every original stage, the unique-stage id it deduplicated to, or
@@ -354,11 +471,12 @@ impl TimedSchedule {
     /// Resolve unique stage `k` to messages under `comm` and `block_bytes`.
     fn resolve(&self, k: u32, comm: &Communicator, block_bytes: u64, msgs: &mut Vec<Message>) {
         msgs.clear();
+        let unit = self.unit(k as usize, block_bytes);
         for m in &self.uniq[k as usize] {
             msgs.push(Message::new(
                 comm.core_of(Rank(m.from)),
                 comm.core_of(Rank(m.to)),
-                m.blocks * block_bytes + m.raw,
+                m.blocks * unit + m.raw,
             ));
         }
     }
@@ -428,12 +546,14 @@ impl TimedSchedule {
         let per_uniq: Vec<TrafficBreakdown> = self
             .uniq
             .iter()
-            .map(|stage| {
+            .enumerate()
+            .map(|(k, stage)| {
+                let unit = self.unit(k, block_bytes);
                 let mut out = TrafficBreakdown::default();
                 for m in stage {
                     let src = comm.core_of(Rank(m.from));
                     let dst = comm.core_of(Rank(m.to));
-                    out.add_class(hop_class(cluster, src, dst), m.blocks * block_bytes + m.raw);
+                    out.add_class(hop_class(cluster, src, dst), m.blocks * unit + m.raw);
                 }
                 out
             })
@@ -532,6 +652,22 @@ pub fn time_schedule_sized(
         total += t;
     }
     total
+}
+
+/// A merged op carrying one unit from `from` to `to`.
+fn unit_op(from: u32, to: u32) -> MergedOp {
+    MergedOp {
+        from,
+        to,
+        blocks: 1,
+        raw: 0,
+    }
+}
+
+/// One XOR-exchange stage: every rank `i` sends one unit to `i ^ step`, in
+/// rank order (the op order of the materialized allreduce schedules).
+fn xor_stage(p: u32, step: u32) -> Vec<MergedOp> {
+    (0..p).map(|i| unit_op(i, i ^ step)).collect()
 }
 
 /// The part of a [`SendOp`](crate::schedule::SendOp) that survives merging:
@@ -1128,6 +1264,35 @@ mod tests {
             analytic.time(&comm, &model, 4096),
             reference::time_schedule(&tarr_ring(24), &comm, &model, 4096)
         );
+    }
+
+    #[test]
+    fn from_parts_validates_stage_shifts() {
+        let stage = vec![unit_op(0, 1)];
+        assert!(TimedSchedule::from_parts(2, vec![stage.clone()], vec![3], vec![0, 0]).is_ok());
+        let wrong_len = TimedSchedule::from_parts(2, vec![stage.clone()], vec![], vec![0]);
+        assert!(wrong_len.unwrap_err().contains("stage shifts"));
+        let too_big = TimedSchedule::from_parts(2, vec![stage], vec![64], vec![0]);
+        assert!(too_big.unwrap_err().contains("shift 64"));
+    }
+
+    #[test]
+    fn shifted_stages_halve_the_priced_size_down_to_one_byte() {
+        let cluster = Cluster::gpc(1);
+        let comm = line_comm(8);
+        let model = StageModel::new(&cluster, NetParams::default());
+        let ts = TimedSchedule::rabenseifner_allreduce(8);
+        assert_eq!(ts.stage_shifts(), &[1, 2, 3]);
+        assert_eq!(ts.stage_order(), &[0, 1, 2, 2, 1, 0]);
+        let mut msgs = Vec::new();
+        // Unique stage 0: partner distance 4, half of 6 bytes.
+        ts.price_unique_stage(0, &comm, &model, 6, &mut msgs);
+        assert_eq!(msgs[0], Message::new(CoreId(0), CoreId(4), 3));
+        assert!(msgs.iter().all(|m| m.bytes == 3), "{msgs:?}");
+        // Unique stage 2: partner distance 1, 6 >> 3 = 0 clamps to 1 byte.
+        ts.price_unique_stage(2, &comm, &model, 6, &mut msgs);
+        assert_eq!(msgs[0], Message::new(CoreId(0), CoreId(1), 1));
+        assert!(msgs.iter().all(|m| m.bytes == 1), "{msgs:?}");
     }
 
     #[test]

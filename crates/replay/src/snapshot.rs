@@ -21,11 +21,14 @@
 //! written. Decoding dispatches on the stored version: every version ever
 //! shipped keeps its decoder forever, and each old decoder *migrates
 //! forward* into the current in-memory [`EngineSnapshot`] (V1 → V2 fills
-//! the then-nonexistent `meta` section with its V2 default). A version
+//! the then-nonexistent `meta` section with its V2 default; V2 → V3 gives
+//! every compiled stage the halving shift 0, which is what every V2
+//! schedule had). V3 added the size-parametric broadcast and allreduce
+//! schedule keys and one shift byte per unique stage. A version
 //! newer than [`SNAP_VERSION`] is a typed [`ReplayError::UnsupportedVersion`].
 //! `encode_with_version` can still write old versions — that is how the
 //! committed migration fixtures were generated and how the policy is
-//! tested.
+//! tested — and refuses, typed, state an old version cannot represent.
 //!
 //! **Determinism.** Cache entries are sorted by their encoded key bytes
 //! and all wall-clock metadata is excluded, so two engines with identical
@@ -47,7 +50,7 @@ use tarr_mpi::{MergedOp, TimedSchedule};
 pub const SNAP_MAGIC: &[u8; 8] = b"TARRSNAP";
 
 /// Current (and only ever written) snapshot version.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Default snapshot file name inside a state directory.
 pub const SNAP_FILE: &str = "snapshot.tsnap";
@@ -239,7 +242,18 @@ fn enc_sched_key(e: &mut Enc, k: SchedKey) {
             enc_intra(e, intra);
             enc_mapper(e, m);
         }
+        SchedKey::Bcast => e.u8(6),
+        SchedKey::AllreduceRd => e.u8(7),
+        SchedKey::AllreduceRabenseifner => e.u8(8),
     }
+}
+
+/// Whether `k` exists only from snapshot V3 on.
+fn is_v3_sched_key(k: SchedKey) -> bool {
+    matches!(
+        k,
+        SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner
+    )
 }
 
 fn dec_sched_key(d: &mut Dec) -> Result<SchedKey, WireError> {
@@ -266,6 +280,9 @@ fn dec_sched_key(d: &mut Dec) -> Result<SchedKey, WireError> {
             SchedKey::Hier(inter, intra, m)
         }
         5 => SchedKey::HierInit(dec_inter(d)?, dec_intra(d)?, dec_mapper(d)?),
+        6 => SchedKey::Bcast,
+        7 => SchedKey::AllreduceRd,
+        8 => SchedKey::AllreduceRabenseifner,
         _ => {
             return Err(WireError {
                 offset: at,
@@ -392,11 +409,16 @@ fn dec_cfg(d: &mut Dec) -> Result<SessionConfig, WireError> {
 // schedules
 // ---------------------------------------------------------------------------
 
-fn enc_schedule(e: &mut Enc, ts: &TimedSchedule) {
+/// A compiled schedule; from V3 on each unique stage leads with its
+/// halving shift.
+fn enc_schedule(e: &mut Enc, ts: &TimedSchedule, version: u32) {
     e.u32(ts.p());
     let uniq = ts.unique_stages();
     e.u32(uniq.len() as u32);
-    for stage in uniq {
+    for (stage, &shift) in uniq.iter().zip(ts.stage_shifts()) {
+        if version >= 3 {
+            e.u8(shift);
+        }
         e.u32(stage.len() as u32);
         for op in stage {
             e.u32(op.from);
@@ -408,12 +430,19 @@ fn enc_schedule(e: &mut Enc, ts: &TimedSchedule) {
     e.vec_u32(ts.stage_order());
 }
 
-fn dec_schedule(d: &mut Dec) -> Result<TimedSchedule, WireError> {
+fn dec_schedule(d: &mut Dec, version: u32) -> Result<TimedSchedule, WireError> {
     let at = d.pos();
     let p = d.u32("schedule p")?;
     let n = d.u32("schedule unique count")? as usize;
     let mut uniq = Vec::new();
+    let mut shift = Vec::new();
     for _ in 0..n {
+        // V1/V2 schedules were all unshifted.
+        shift.push(if version >= 3 {
+            d.u8("schedule stage shift")?
+        } else {
+            0
+        });
         let m = d.u32("schedule stage op count")? as usize;
         let mut stage = Vec::new();
         for _ in 0..m {
@@ -427,7 +456,7 @@ fn dec_schedule(d: &mut Dec) -> Result<TimedSchedule, WireError> {
         uniq.push(stage);
     }
     let order = d.vec_u32("schedule order")?;
-    TimedSchedule::from_parts(p, uniq, order).map_err(|_| WireError {
+    TimedSchedule::from_parts(p, uniq, shift, order).map_err(|_| WireError {
         offset: at,
         what: "schedule invariants",
     })
@@ -493,7 +522,23 @@ impl ClusterState {
             .map_err(|what| ReplayError::BadSnapshot { what })
     }
 
-    fn encode(&self, e: &mut Enc) {
+    /// Whether the state holds anything only snapshot V3 can encode: a
+    /// broadcast or allreduce schedule key, or a stage with a nonzero
+    /// halving shift.
+    fn needs_v3(&self) -> bool {
+        self.state.scheds.iter().any(|(k, ts)| {
+            is_v3_sched_key(*k)
+                || ts
+                    .as_ref()
+                    .is_some_and(|ts| ts.stage_shifts().iter().any(|&s| s != 0))
+        }) || self
+            .state
+            .prices
+            .iter()
+            .any(|((k, _, _), _)| is_v3_sched_key(*k))
+    }
+
+    fn encode(&self, e: &mut Enc, version: u32) {
         e.str(&self.cluster_text);
         enc_cfg(e, &self.cfg);
         e.vec_u32(&self.state.cores);
@@ -528,7 +573,7 @@ impl ClusterState {
                 None => e.u8(0),
                 Some(ts) => {
                     e.u8(1);
-                    enc_schedule(e, ts);
+                    enc_schedule(e, ts, version);
                 }
             }
         }
@@ -541,7 +586,7 @@ impl ClusterState {
         }
     }
 
-    fn decode(d: &mut Dec) -> Result<ClusterState, WireError> {
+    fn decode(d: &mut Dec, version: u32) -> Result<ClusterState, WireError> {
         let cluster_text = d.str("cluster text")?;
         let cfg = dec_cfg(d)?;
         let cores = d.vec_u32("binding")?;
@@ -572,7 +617,7 @@ impl ClusterState {
             let at = d.pos();
             let v = match d.u8("sched entry flag")? {
                 0 => None,
-                1 => Some(dec_schedule(d)?),
+                1 => Some(dec_schedule(d, version)?),
                 _ => {
                     return Err(WireError {
                         offset: at,
@@ -613,9 +658,10 @@ impl EngineSnapshot {
     }
 
     /// Encode at an explicit version — the migration-fixture generator and
-    /// the version-policy tests. V1 predates `meta`, so encoding a
-    /// snapshot that carries metadata at V1 is a typed refusal rather than
-    /// silent data loss.
+    /// the version-policy tests. V1 predates `meta` and V1/V2 predate the
+    /// broadcast/allreduce schedule keys and stage shifts, so encoding state
+    /// an old version cannot hold is a typed refusal rather than silent
+    /// data loss.
     pub fn encode_with_version(&self, version: u32) -> Result<Vec<u8>, ReplayError> {
         if version == 0 || version > SNAP_VERSION {
             return Err(ReplayError::UnsupportedVersion(version));
@@ -624,6 +670,16 @@ impl EngineSnapshot {
             return Err(ReplayError::BadSnapshot {
                 what: format!("metadata requires snapshot v2, asked to encode v{version}"),
             });
+        }
+        if version < 3 {
+            if let Some((name, _)) = self.clusters.iter().find(|(_, cs)| cs.needs_v3()) {
+                return Err(ReplayError::BadSnapshot {
+                    what: format!(
+                        "cluster \"{name}\" holds broadcast/allreduce schedules, which \
+                         require snapshot v3, asked to encode v{version}"
+                    ),
+                });
+            }
         }
         let mut body = Enc::new();
         body.u64(self.last_event_id);
@@ -639,7 +695,7 @@ impl EngineSnapshot {
         body.u32(clusters.len() as u32);
         for (name, cs) in clusters {
             body.str(name);
-            cs.encode(&mut body);
+            cs.encode(&mut body, version);
         }
         let body = body.into_bytes();
         let mut e = Enc::new();
@@ -695,7 +751,7 @@ impl EngineSnapshot {
         let mut clusters = Vec::new();
         for _ in 0..n {
             let name = d.str("cluster name").map_err(wire)?;
-            clusters.push((name, ClusterState::decode(&mut d).map_err(wire)?));
+            clusters.push((name, ClusterState::decode(&mut d, version).map_err(wire)?));
         }
         d.finish("snapshot trailing bytes").map_err(wire)?;
         Ok(EngineSnapshot {
@@ -876,6 +932,58 @@ mod tests {
         );
     }
 
+    /// Broadcast and allreduce prices ride through a snapshot like every
+    /// other collective: a restored core answers the warm ones from its
+    /// price cache, bit-identically, and prices a new size through the
+    /// restored (shifted) schedules without recompiling them.
+    #[test]
+    fn restored_core_answers_bcast_and_allreduce_from_the_cache() {
+        type Ask = fn(&mut tarr_core::SessionHandle, u64, tarr_core::Scheme) -> f64;
+        let asks: [Ask; 3] = [
+            |h, b, sc| h.bcast_time(b, sc),
+            |h, b, sc| h.allreduce_time(b, false, sc),
+            |h, b, sc| h.allreduce_time(b, true, sc),
+        ];
+        let schemes = [tarr_core::Scheme::Default, scheme(Mapper::Hrstc)];
+        let sweep = |core: &Arc<SessionCore>, sizes: &[u64]| -> Vec<u64> {
+            let mut h = core.handle();
+            let mut out = Vec::new();
+            for ask in asks {
+                for sc in schemes {
+                    for &b in sizes {
+                        out.push(ask(&mut h, b, sc).to_bits());
+                    }
+                }
+            }
+            out
+        };
+        let core = warm_core();
+        let warm = sweep(&core, &[1, 4096, 1 << 20]);
+        let snap = EngineSnapshot::capture(1, &[("gpc".into(), core.clone())]).unwrap();
+        for old in [1, 2] {
+            assert!(
+                matches!(
+                    snap.encode_with_version(old),
+                    Err(ReplayError::BadSnapshot { .. })
+                ),
+                "v{old} cannot hold broadcast/allreduce schedules"
+            );
+        }
+        let bytes = snap.encode().unwrap();
+        let restored = EngineSnapshot::decode(&bytes).unwrap().clusters[0]
+            .1
+            .restore()
+            .unwrap();
+        let restored = Arc::new(restored);
+        assert_eq!(sweep(&restored, &[1, 4096, 1 << 20]), warm);
+        let stats = restored.cache_stats();
+        assert_eq!(stats.misses(), 0, "warm prices recomputed: {stats:?}");
+        assert_eq!(stats.prices.hits, warm.len() as u64);
+        // A size never priced before: a price miss over restored schedules.
+        assert_eq!(sweep(&restored, &[7]), sweep(&core, &[7]));
+        assert_eq!(restored.cache_stats().since(stats).scheds.misses, 0);
+    }
+
     #[test]
     fn v1_snapshots_migrate_forward() {
         let core = warm_core();
@@ -887,8 +995,18 @@ mod tests {
         assert_eq!(decoded.clusters.len(), 1);
         decoded.clusters[0].1.restore().unwrap();
         // Re-encoding a migrated snapshot writes the current version.
-        let v2 = decoded.encode().unwrap();
-        assert_eq!(&v2[8..12], &SNAP_VERSION.to_le_bytes());
+        let current = decoded.encode().unwrap();
+        assert_eq!(&current[8..12], &SNAP_VERSION.to_le_bytes());
+    }
+
+    #[test]
+    fn v2_snapshots_migrate_forward_with_unshifted_stages() {
+        let snap = EngineSnapshot::capture(3, &[("gpc".into(), warm_core())]).unwrap();
+        let v2 = snap.encode_with_version(2).unwrap();
+        let decoded = EngineSnapshot::decode(&v2).unwrap();
+        // V2 stored no shifts; every stage it held was unshifted, so the
+        // migrated snapshot re-encodes exactly as a direct V3 encode.
+        assert_eq!(decoded.encode().unwrap(), snap.encode().unwrap());
     }
 
     #[test]

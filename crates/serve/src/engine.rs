@@ -682,6 +682,15 @@ impl Engine {
             "bcast" => h.bcast_time(msg, scheme),
             "allreduce" => {
                 let raben = opt_bool(req, "rabenseifner")?.unwrap_or(true);
+                // Both algorithms exchange with XOR partners, which exist
+                // only at a power-of-two rank count.
+                if !h.size().is_power_of_two() {
+                    return Err(format!(
+                        "unsupported collective allreduce for this cluster: needs a \
+                         power-of-two rank count, the cluster has {}",
+                        h.size()
+                    ));
+                }
                 h.allreduce_time(msg, raben, scheme)
             }
             other => {

@@ -128,6 +128,37 @@ fn errors_are_typed_not_fatal() {
     assert!(ok.contains("\"ok\":true"));
 }
 
+/// Allreduce at a non-power-of-two rank count (24 ranks) is a typed client
+/// error, not a caught panic: neither algorithm has XOR partners there. The
+/// other collectives still price on the same cluster, and allreduce still
+/// prices on a power-of-two one.
+#[test]
+fn allreduce_at_24_ranks_is_an_unsupported_collective() {
+    let engine = Engine::new();
+    let script = [
+        r#"{"id":1,"op":"ingest","cluster":"p24","gpc_nodes":3}"#,
+        r#"{"id":2,"op":"price","cluster":"p24","collective":"allreduce","msg_bytes":4096}"#,
+        r#"{"id":3,"op":"price","cluster":"p24","collective":"allreduce","msg_bytes":4096,"rabenseifner":false,"mapper":"hrstc"}"#,
+        r#"{"id":4,"op":"price","cluster":"p24","collective":"bcast","msg_bytes":4096,"mapper":"hrstc"}"#,
+        r#"{"id":5,"op":"ingest","cluster":"p32","gpc_nodes":4}"#,
+        r#"{"id":6,"op":"price","cluster":"p32","collective":"allreduce","msg_bytes":4096}"#,
+    ];
+    let replies = run_script(&engine, &script);
+    for reply in &replies[1..3] {
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+        assert_eq!(reply.get("code"), None, "a client error, not internal: {reply:?}");
+        let msg = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            msg.starts_with("unsupported collective allreduce for this cluster"),
+            "{msg:?}"
+        );
+    }
+    for i in [0, 3, 4, 5] {
+        assert_eq!(replies[i].get("ok"), Some(&Json::Bool(true)), "{:?}", replies[i]);
+    }
+    assert_eq!(engine.stats().errors(), 2);
+}
+
 #[test]
 fn worker_count_does_not_change_the_output_stream() {
     // The script interleaves mutating ops (ingest, fault) with requests
