@@ -169,7 +169,10 @@ fn eval_seed(
         // recomputed on the degraded oracle must still be a bijection of
         // the surviving job.
         assert_eq!(report.ranks_migrated, 0, "link faults drained a core");
-        let m = &session.mapping(Mapper::Hrstc, case.pattern).mapping;
+        let info = session
+            .mapping(Mapper::Hrstc, case.pattern)
+            .expect("flat mappings are always available");
+        let m = &info.mapping;
         assert!(
             is_permutation(m),
             "{} mapping not bijective at rate {rate} seed {seed:#x}",

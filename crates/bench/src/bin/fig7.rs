@@ -66,7 +66,7 @@ fn main() {
 
         let info = session
             .mapping(Mapper::ScotchLike, PatternKind::Ring)
-            .clone();
+            .expect("flat mappings are always available");
         println!(
             "{:>8}  {:>14.4}  {:>14.4}  {:>18.4}",
             p,

@@ -1,8 +1,9 @@
 //! # tarr-core — the public topology-aware rank-reordering API
 //!
 //! Ties the workspace together into the framework of §IV of the paper: a
-//! [`Session`] owns a cluster, an initial process layout and the extracted
-//! distance matrix; per collective-communication pattern it computes (once,
+//! [`SessionCore`] holds a cluster, an initial process layout and the
+//! extracted distance structure, and a [`Session`] is one client's handle
+//! onto it; per collective-communication pattern the core computes (once,
 //! lazily) a reordered communicator with the appropriate mapping heuristic or
 //! baseline mapper, and prices collectives under any [`Scheme`] on the
 //! network model — with the §V-B output-ordering machinery (initComm /

@@ -1,23 +1,28 @@
 //! The [`Session`] — the paper's run-time rank-reordering framework (§IV).
 //!
-//! A session owns the cluster model, the initial rank→core binding and the
-//! extracted distance structure. Reordered communicators are created lazily
-//! and **once** per (mapper, communication pattern) — "the whole rank
-//! reordering process happens only once at run-time; any subsequent calls to
-//! the corresponding collective … will be conducted over the reordered copy
-//! of the given communicator."
+//! A session works over one job: the cluster model, the initial rank→core
+//! binding and the extracted distance structure.
+//! Reordered communicators are created lazily and **once** per (mapper,
+//! communication pattern) — "the whole rank reordering process happens only
+//! once at run-time; any subsequent calls to the corresponding collective …
+//! will be conducted over the reordered copy of the given communicator."
 //!
-//! Three caches back that promise:
+//! The state lives in a [`SessionCore`] (see `session/shared.rs`), which
+//! is meant to sit in an `Arc` and serve any number of threads. A
+//! [`Session`] is one client's handle onto a core: the `Arc` plus the
+//! client's own [`CacheStats`]. Handles are cheap; create one per client or
+//! per request. Four caches on the core back the compute-once promise:
 //!
 //! * the **mapping cache** — one [`MappingInfo`] per (mapper, pattern);
 //! * the **communicator cache** — the reordered [`Communicator`] per
 //!   (mapper, pattern), so repeated `*_time` calls stop rebuilding an O(P)
 //!   permutation per call;
 //! * the **schedule cache** — size-independent compiled [`TimedSchedule`]s
-//!   for every collective (allgather, gather, broadcast and both allreduce
-//!   algorithms), so a message-size sweep prices each unique stage once per
-//!   size instead of re-merging and re-hashing O(P) operations per stage per
-//!   call.
+//!   for every collective except allgatherv (allgather, gather, broadcast
+//!   and both allreduce algorithms);
+//! * the **price cache** — the total latency of each (schedule,
+//!   communicator, message size), next to its per-unique-stage prices so a
+//!   fault re-prices only the stages it reaches.
 //!
 //! The distance backend is selectable: the dense [`DistanceMatrix`]
 //! (reference/validation path) or the O(P)-memory
@@ -29,11 +34,10 @@ mod degraded;
 mod shared;
 
 pub use degraded::{DegradationReport, ProbeCollective, ProbeOutcome, ProbePoint};
-pub use shared::{CoreCacheStats, CoreState, SessionCore, SessionHandle};
+pub use shared::{CoreCacheStats, CoreState, SessionCore};
 
 use crate::hier::{hierarchical_mapping, reordered_groups, HierMapper};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use tarr_collectives::allgather::{
     groups_by_node, hierarchical, HierarchicalConfig, InterAlg, IntraPattern,
@@ -46,8 +50,9 @@ use tarr_mapping::{
     init_comm_schedule, rdmh, rdmh_bucketed, reorder, ring_placement, rmh, rmh_bucketed,
     scotch_like_map_with, InitialMapping, OrderFix, ScotchVariant,
 };
+use tarr_mpi::cache::Lookup;
 use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule};
-use tarr_netsim::{NetParams, StageModel};
+use tarr_netsim::NetParams;
 use tarr_topo::{
     Cluster, CoreId, DistanceConfig, DistanceMatrix, ExtractionCostModel, ImplicitDistance, Rank,
 };
@@ -204,10 +209,12 @@ pub struct MappingInfo {
     pub graph_build: Duration,
 }
 
-/// Hit/miss counts of the session's three caches (one pair per cache,
-/// counted per lookup). Mirrored onto the `session.cache.*` trace counters
-/// when tracing is enabled; these per-session fields stay exact under
-/// parallel test runs where the global counters aggregate across sessions.
+/// One client's lookup outcomes on the session caches (one pair per cache,
+/// counted per lookup; a lookup that shared another thread's in-flight
+/// compute counts as a hit). Mirrored onto the `session.cache.*` trace
+/// counters when tracing is enabled; these per-handle fields stay exact
+/// under parallel test runs where the global counters aggregate across
+/// sessions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Mapping-cache lookups that found a [`MappingInfo`] already computed.
@@ -222,10 +229,10 @@ pub struct CacheStats {
     pub sched_hits: u64,
     /// Compiled-schedule cache misses (schedule compiled).
     pub sched_misses: u64,
-    /// Unique-stage prices reused from the stage-price cache across `*_time`
+    /// Unique-stage prices reused from the price cache across `*_time`
     /// calls (each would have been a full stage re-simulation without it).
     pub price_reused: u64,
-    /// Unique-stage prices simulated and inserted into the stage-price cache.
+    /// Unique-stage prices simulated and inserted into the price cache.
     pub price_computed: u64,
 }
 
@@ -234,6 +241,20 @@ pub struct CacheStats {
 enum SessionDistance {
     Dense(DistanceMatrix),
     Implicit(ImplicitDistance),
+}
+
+impl SessionDistance {
+    /// Extract the structure `cfg.backend` names for `cores` on `cluster`.
+    fn build(cluster: &Cluster, cores: &[CoreId], cfg: &SessionConfig) -> Self {
+        match cfg.backend {
+            DistanceBackend::Dense => {
+                SessionDistance::Dense(DistanceMatrix::build(cluster, cores, &cfg.dist))
+            }
+            DistanceBackend::Implicit => {
+                SessionDistance::Implicit(ImplicitDistance::build(cluster, cores, &cfg.dist))
+            }
+        }
+    }
 }
 
 /// Key of one compiled [`TimedSchedule`] in the schedule cache. Schedules
@@ -274,9 +295,23 @@ impl SchedKey {
             SchedKey::AllreduceRd
         }
     }
+
+    /// The (mapper, pattern) whose mapping this schedule is compiled from,
+    /// if any.
+    fn dependency(self) -> Option<(Mapper, PatternKind)> {
+        match self {
+            SchedKey::FlatInit(alg, mapper) => Some((mapper, PatternKind::of_alg(alg))),
+            SchedKey::GatherInit(mapper) => Some((mapper, PatternKind::BinomialGather)),
+            SchedKey::Hier(inter, intra, Some(mapper))
+            | SchedKey::HierInit(inter, intra, mapper) => {
+                Some((mapper, PatternKind::Hier(inter, intra)))
+            }
+            _ => None,
+        }
+    }
 }
 
-/// Which communicator a cached stage-price vector was computed over.
+/// Which communicator a cached price was computed over.
 ///
 /// Public for the same reason as [`SchedKey`]: snapshot/restore round-trips
 /// price-cache entries under their live keys.
@@ -288,53 +323,36 @@ pub enum CommKey {
     Reordered(Mapper, PatternKind),
 }
 
-/// The rank-reordering framework bound to one job.
-pub struct Session {
-    cluster: Cluster,
-    cfg: SessionConfig,
-    comm: Communicator,
-    d: SessionDistance,
-    dist_build: Duration,
-    cache: HashMap<(Mapper, PatternKind), MappingInfo>,
-    comm_cache: HashMap<(Mapper, PatternKind), Communicator>,
-    sched_cache: HashMap<SchedKey, TimedSchedule>,
-    /// Per-unique-stage prices of a compiled schedule over one communicator
-    /// at one block size, aligned with `unique_stages()`; `NaN` = unpriced.
-    /// Repeated `*_time` calls sum cached entries instead of re-simulating,
-    /// and [`Session::apply_faults`] re-prices **selectively**: only stages
-    /// whose operand ranks moved or whose routes crossed repaired fabric.
-    price_cache: HashMap<(SchedKey, CommKey, u64), Vec<f64>>,
-    stats: CacheStats,
+/// Which cache a lookup went to, for the per-handle accounting.
+#[derive(Debug, Clone, Copy)]
+enum Cache {
+    Mapping,
+    Comm,
+    Sched,
+    /// A price lookup; a cached total stands in for every unique stage of
+    /// its schedule.
+    Price {
+        stages: u64,
+    },
 }
+
+/// The rank-reordering framework bound to one job: a handle onto a shared
+/// [`SessionCore`] plus this client's own cache accounting. See the module
+/// docs.
+pub struct Session {
+    core: Arc<SessionCore>,
+    stats: CacheStats,
+    coalesced: u64,
+}
+
+/// Another name for [`Session`], kept because the benchmark crate
+/// (`loadgen/`) names it.
+pub type SessionHandle = Session;
 
 impl Session {
     /// Create a session over an explicit rank→core binding.
     pub fn new(cluster: Cluster, cores: Vec<CoreId>, cfg: SessionConfig) -> Self {
-        let comm = Communicator::new(cores);
-        let sp = tarr_trace::timed_span("session.distance_build").arg("p", comm.size());
-        let d = match cfg.backend {
-            DistanceBackend::Dense => {
-                SessionDistance::Dense(DistanceMatrix::build(&cluster, comm.cores(), &cfg.dist))
-            }
-            DistanceBackend::Implicit => SessionDistance::Implicit(ImplicitDistance::build(
-                &cluster,
-                comm.cores(),
-                &cfg.dist,
-            )),
-        };
-        let dist_build = sp.finish();
-        Session {
-            cluster,
-            cfg,
-            comm,
-            d,
-            dist_build,
-            cache: HashMap::new(),
-            comm_cache: HashMap::new(),
-            sched_cache: HashMap::new(),
-            price_cache: HashMap::new(),
-            stats: CacheStats::default(),
-        }
+        Arc::new(SessionCore::new(cluster, cores, cfg)).handle()
     }
 
     /// Create a session with one of the four standard initial layouts.
@@ -344,8 +362,7 @@ impl Session {
         p: usize,
         cfg: SessionConfig,
     ) -> Self {
-        let cores = layout.layout(&cluster, p);
-        Session::new(cluster, cores, cfg)
+        Arc::new(SessionCore::from_layout(cluster, layout, p, cfg)).handle()
     }
 
     /// Create a session from a `topo-ingest` cluster snapshot (the text
@@ -359,30 +376,32 @@ impl Session {
         p: Option<usize>,
         cfg: SessionConfig,
     ) -> Result<Self, tarr_ingest::IngestError> {
-        let snap = tarr_ingest::ClusterSnapshot::parse(text)?;
-        let cluster = snap.to_cluster()?;
-        let p = p.unwrap_or_else(|| cluster.total_cores());
-        Ok(Session::from_layout(cluster, layout, p, cfg))
+        Ok(Arc::new(SessionCore::from_snapshot_text(text, layout, p, cfg)?).handle())
+    }
+
+    /// The shared core this handle reads.
+    pub fn core(&self) -> &Arc<SessionCore> {
+        &self.core
     }
 
     /// Number of processes.
     pub fn size(&self) -> usize {
-        self.comm.size()
+        self.core.size()
     }
 
     /// The cluster model.
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        self.core.cluster()
     }
 
     /// The initial communicator.
     pub fn comm(&self) -> &Communicator {
-        &self.comm
+        self.core.comm()
     }
 
     /// The distance backend in effect.
     pub fn backend(&self) -> DistanceBackend {
-        self.cfg.backend
+        self.core.config().backend
     }
 
     /// The extracted dense distance matrix.
@@ -391,7 +410,7 @@ impl Session {
     /// Panics on the [`DistanceBackend::Implicit`] backend, which never
     /// builds one — that is its point.
     pub fn distance_matrix(&self) -> &DistanceMatrix {
-        match &self.d {
+        match &*self.core.d {
             SessionDistance::Dense(d) => d,
             SessionDistance::Implicit(_) => {
                 panic!("implicit-backend session has no dense distance matrix")
@@ -399,192 +418,153 @@ impl Session {
         }
     }
 
-    /// Wall-clock time spent building the distance structure (real,
-    /// measured).
+    /// Wall-clock time spent building (and, across faults, rebuilding) the
+    /// distance structure (real, measured).
     pub fn dist_build_time(&self) -> Duration {
-        self.dist_build
+        self.core.dist_build_time()
     }
 
-    /// Hit/miss counts of the mapping, reordered-communicator and
-    /// compiled-schedule caches since the session was created.
+    /// This handle's hit/miss counts on the mapping, reordered-communicator,
+    /// compiled-schedule and price caches since it was created (coalesced
+    /// lookups count as hits here and are also reported by
+    /// [`Session::coalesced`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Cache hit/miss deltas between two [`CacheStats`] snapshots — sugar
+    /// for asserting reuse across a fault (see the degraded-session tests).
+    pub fn cache_stats_since(&self, baseline: CacheStats) -> CacheStats {
+        let s = self.stats;
+        CacheStats {
+            mapping_hits: s.mapping_hits - baseline.mapping_hits,
+            mapping_misses: s.mapping_misses - baseline.mapping_misses,
+            comm_hits: s.comm_hits - baseline.comm_hits,
+            comm_misses: s.comm_misses - baseline.comm_misses,
+            sched_hits: s.sched_hits - baseline.sched_hits,
+            sched_misses: s.sched_misses - baseline.sched_misses,
+            price_reused: s.price_reused - baseline.price_reused,
+            price_computed: s.price_computed - baseline.price_computed,
+        }
+    }
+
+    /// How many of this handle's lookups blocked on (and then shared)
+    /// another thread's in-flight compute.
+    pub fn coalesced(&self) -> u64 {
+        self.coalesced
     }
 
     /// Modelled on-system extraction time (hwloc + IB tools probing), per the
     /// calibrated Fig. 7(a) model.
     pub fn extraction_model_seconds(&self) -> f64 {
-        self.cfg.extraction.seconds(self.size())
+        self.core.config().extraction.seconds(self.size())
     }
 
-    fn model(&self) -> StageModel<'_> {
-        StageModel::new(&self.cluster, self.cfg.net.clone())
+    /// Count one lookup in this handle's stats and, when tracing, on the
+    /// `session.cache.*` / `session.price.*` counters.
+    fn record(&mut self, cache: Cache, outcome: Lookup) {
+        if outcome == Lookup::Coalesced {
+            self.coalesced += 1;
+        }
+        let s = &mut self.stats;
+        let (hits, misses, n) = match cache {
+            Cache::Mapping => (&mut s.mapping_hits, &mut s.mapping_misses, 1),
+            Cache::Comm => (&mut s.comm_hits, &mut s.comm_misses, 1),
+            Cache::Sched => (&mut s.sched_hits, &mut s.sched_misses, 1),
+            Cache::Price { stages } => (&mut s.price_reused, &mut s.price_computed, stages),
+        };
+        *if outcome == Lookup::Miss {
+            misses
+        } else {
+            hits
+        } += n;
+        if tarr_trace::enabled() {
+            trace_lookup(cache, outcome);
+        }
     }
 
     /// The mapping (and its overhead record) for a mapper/pattern pair —
-    /// computed once, then cached, as in §IV.
-    ///
-    /// # Panics
-    /// Panics on configurations [`Session::try_mapping`] reports as
-    /// unsupported (e.g. hierarchical patterns over non-node-contiguous
-    /// layouts).
-    pub fn mapping(&mut self, mapper: Mapper, pattern: PatternKind) -> &MappingInfo {
-        self.try_mapping(mapper, pattern)
-            .expect("unsupported mapper/pattern configuration")
+    /// computed once per core, then cached, as in §IV. `None` when the
+    /// configuration is unsupported: hierarchical patterns need
+    /// node-contiguous ranks, and recursive doubling (flat, or between
+    /// hierarchical leaders) a power-of-two process count.
+    pub fn mapping(&mut self, mapper: Mapper, pattern: PatternKind) -> Option<Arc<MappingInfo>> {
+        let core = &*self.core;
+        let (v, outcome) = core.mappings.get_or_compute(&(mapper, pattern), || {
+            compute_mapping(
+                &core.d,
+                &core.cluster,
+                &core.comm,
+                &core.cfg,
+                mapper,
+                pattern,
+            )
+            .map(Arc::new)
+        });
+        self.record(Cache::Mapping, outcome);
+        v
     }
 
-    /// The mapping for a mapper/pattern pair, or `None` when the
-    /// configuration is unsupported (hierarchical patterns need
-    /// node-contiguous ranks, and recursive doubling a power-of-two leader
-    /// count). Shared cache-fill path for every caller.
-    pub fn try_mapping(&mut self, mapper: Mapper, pattern: PatternKind) -> Option<&MappingInfo> {
-        let Session {
-            cache,
-            d,
-            cluster,
-            comm,
-            cfg,
-            stats,
-            ..
-        } = self;
-        match cache.entry((mapper, pattern)) {
-            Entry::Occupied(e) => {
-                stats.mapping_hits += 1;
-                tarr_trace::counter_add!("session.cache.mapping.hit", 1);
-                Some(e.into_mut())
-            }
-            Entry::Vacant(e) => {
-                stats.mapping_misses += 1;
-                tarr_trace::counter_add!("session.cache.mapping.miss", 1);
-                let info = compute_mapping(d, cluster, comm, cfg, mapper, pattern)?;
-                Some(e.insert(info))
-            }
-        }
+    /// The reordered communicator for a mapper/pattern pair — built once
+    /// per core, then cached. `None` when the mapping is unsupported.
+    pub fn reordered_comm(
+        &mut self,
+        mapper: Mapper,
+        pattern: PatternKind,
+    ) -> Option<Arc<Communicator>> {
+        let key = (mapper, pattern);
+        // Resolve the mapping outside the communicator cell, and only when
+        // the communicator is not cached yet, so the two caches never nest
+        // their coalescing waits.
+        let info = match self.core.comms.get(&key) {
+            Some(_) => None,
+            None => self.mapping(mapper, pattern),
+        };
+        let core = &*self.core;
+        let (v, outcome) = core.comms.get_or_compute(&key, || {
+            info.map(|info| Arc::new(core.comm.reordered(&info.mapping)))
+        });
+        self.record(Cache::Comm, outcome);
+        v
     }
 
-    /// The reordered communicator for a mapper/pattern pair — built once,
-    /// then cached (tentpole: every `*_time` call used to rebuild the O(P)
-    /// permutation).
-    fn ensure_reordered(&mut self, mapper: Mapper, pattern: PatternKind) -> Option<()> {
-        if self.comm_cache.contains_key(&(mapper, pattern)) {
-            self.stats.comm_hits += 1;
-            tarr_trace::counter_add!("session.cache.comm.hit", 1);
-        } else {
-            self.stats.comm_misses += 1;
-            tarr_trace::counter_add!("session.cache.comm.miss", 1);
-            let m = self.try_mapping(mapper, pattern)?.mapping.clone();
-            let comm2 = self.comm.reordered(&m);
-            self.comm_cache.insert((mapper, pattern), comm2);
-        }
-        Some(())
-    }
-
-    /// Compile (once) and cache the [`TimedSchedule`] for `key`. Returns
+    /// The compiled [`TimedSchedule`] for `key`, compiled once per core.
     /// `None` when the key needs a mapping or node grouping the session
     /// cannot produce, or is an allreduce over a non-power-of-two `p`.
-    fn ensure_sched(&mut self, key: SchedKey) -> Option<()> {
-        if self.sched_cache.contains_key(&key) {
-            self.stats.sched_hits += 1;
-            tarr_trace::counter_add!("session.cache.sched.hit", 1);
-            return Some(());
-        }
-        self.stats.sched_misses += 1;
-        tarr_trace::counter_add!("session.cache.sched.miss", 1);
-        let p = self.size() as u32;
-        let ts = match key {
-            // The ring is the scaling hazard: materializing its schedule is
-            // O(P²) operations. The analytic constructor builds the compiled
-            // form directly in O(P).
-            SchedKey::Flat(AllgatherAlg::Ring) => TimedSchedule::ring_allgather(p),
-            SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner => {
-                size_only_schedule(key, p)?
-            }
-            SchedKey::Flat(alg) => TimedSchedule::compile(&alg.schedule(p)),
-            SchedKey::FlatInit(alg, mapper) => {
-                let m = self
-                    .try_mapping(mapper, PatternKind::of_alg(alg))?
-                    .mapping
-                    .clone();
-                TimedSchedule::compile(&init_comm_schedule(&m).then(alg.schedule(p)))
-            }
-            SchedKey::Gather => TimedSchedule::compile(&binomial_gather(p, Rank(0))),
-            SchedKey::GatherInit(mapper) => {
-                let m = self
-                    .try_mapping(mapper, PatternKind::BinomialGather)?
-                    .mapping
-                    .clone();
-                TimedSchedule::compile(&init_comm_schedule(&m).then(binomial_gather(p, Rank(0))))
-            }
-            SchedKey::Hier(inter, intra, reorderer) => {
-                let groups = self.node_groups()?;
-                let hcfg = HierarchicalConfig { inter, intra };
-                let sched = match reorderer {
-                    None => hierarchical(p, &groups, hcfg),
-                    Some(mapper) => {
-                        let m = self
-                            .try_mapping(mapper, PatternKind::Hier(inter, intra))?
-                            .mapping
-                            .clone();
-                        hierarchical(p, &reordered_groups(&groups, &m), hcfg)
-                    }
-                };
-                TimedSchedule::compile(&sched)
-            }
-            SchedKey::HierInit(inter, intra, mapper) => {
-                let groups = self.node_groups()?;
-                let hcfg = HierarchicalConfig { inter, intra };
-                let m = self
-                    .try_mapping(mapper, PatternKind::Hier(inter, intra))?
-                    .mapping
-                    .clone();
-                let sched = hierarchical(p, &reordered_groups(&groups, &m), hcfg);
-                TimedSchedule::compile(&init_comm_schedule(&m).then(sched))
-            }
+    fn sched(&mut self, key: SchedKey) -> Option<Arc<TimedSchedule>> {
+        // As in `reordered_comm`: the mapping dependency is resolved before
+        // entering the schedule cell.
+        let mapping = match (self.core.scheds.get(&key), key.dependency()) {
+            (None, Some((mapper, pattern))) => Some(self.mapping(mapper, pattern)?),
+            _ => None,
         };
-        self.sched_cache.insert(key, ts);
-        Some(())
+        let core = &*self.core;
+        let (v, outcome) = core.scheds.get_or_compute(&key, || {
+            core.compile(key, mapping.as_ref().map(|info| &info.mapping[..]))
+                .map(Arc::new)
+        });
+        self.record(Cache::Sched, outcome);
+        v
     }
 
-    fn node_groups(&self) -> Option<Vec<(u32, u32)>> {
-        groups_by_node(&self.comm, &self.cluster)
-    }
-
-    /// Price the compiled schedule `key` over the communicator `ck` names,
-    /// through the stage-price cache: stages already priced (same schedule,
-    /// communicator and block size) are summed as-is, `NaN` entries are
-    /// simulated and filled in. Summation follows `stage_order()`, so the
-    /// result is bit-identical to an uncached [`TimedSchedule::time`] call.
-    ///
-    /// The schedule (and, for [`CommKey::Reordered`], the communicator) must
-    /// already be cached.
-    fn priced_time(&mut self, key: SchedKey, ck: CommKey, block_bytes: u64) -> f64 {
-        let Session {
-            sched_cache,
-            comm_cache,
-            comm,
-            cluster,
-            cfg,
-            price_cache,
-            stats,
-            ..
-        } = self;
-        let ts = &sched_cache[&key];
-        let c = match ck {
-            CommKey::Default => &*comm,
-            CommKey::Reordered(mapper, pattern) => &comm_cache[&(mapper, pattern)],
+    /// Price the compiled schedule `key` over the communicator `ck` names at
+    /// `block_bytes`, once per core. Summation follows `stage_order()`, so
+    /// the result is bit-identical to an uncached [`TimedSchedule::time`]
+    /// call. `None` when the schedule or communicator is unsupported.
+    fn priced_time(&mut self, key: SchedKey, ck: CommKey, block_bytes: u64) -> Option<f64> {
+        let comm = match ck {
+            CommKey::Default => None,
+            CommKey::Reordered(mapper, pattern) => Some(self.reordered_comm(mapper, pattern)?),
         };
-        let model = StageModel::new(cluster, cfg.net.clone());
-        let cache = price_cache
-            .entry((key, ck, block_bytes))
-            .or_insert_with(|| vec![f64::NAN; ts.unique_stages().len()]);
-        let missing = cache.iter().filter(|v| v.is_nan()).count() as u64;
-        stats.price_computed += missing;
-        stats.price_reused += cache.len() as u64 - missing;
-        if tarr_trace::enabled() {
-            tarr_trace::counter_add!("session.price.stages_computed", missing);
-            tarr_trace::counter_add!("session.price.stages_reused", cache.len() as u64 - missing);
-        }
-        ts.time_with_cache(c, &model, block_bytes, cache)
+        let ts = self.sched(key)?;
+        let core = &*self.core;
+        let (priced, outcome) = core.prices.get_or_compute(&(key, ck, block_bytes), || {
+            let c = comm.as_deref().unwrap_or(&core.comm);
+            core.price(&ts, c, block_bytes, vec![f64::NAN; ts.num_unique_stages()])
+        });
+        let stages = ts.num_unique_stages() as u64;
+        self.record(Cache::Price { stages }, outcome);
+        Some(priced.total)
     }
 
     /// Simulated latency of one non-hierarchical `MPI_Allgather` with
@@ -594,24 +574,22 @@ impl Session {
         let p = self.size() as u32;
         let alg = select_allgather(p, msg_bytes);
         match scheme {
-            Scheme::Default => {
-                self.ensure_sched(SchedKey::Flat(alg)).unwrap();
-                self.priced_time(SchedKey::Flat(alg), CommKey::Default, msg_bytes)
-            }
+            Scheme::Default => self
+                .priced_time(SchedKey::Flat(alg), CommKey::Default, msg_bytes)
+                .expect("flat schedules are always available"),
             Scheme::Reordered { mapper, fix } => {
                 let pattern = PatternKind::of_alg(alg);
-                self.ensure_reordered(mapper, pattern)
-                    .expect("flat mappings are always available");
                 // The ring stores blocks in place: no fix cost (§V-B).
                 let key = match (alg, fix) {
                     (AllgatherAlg::Ring, _) => SchedKey::Flat(alg),
                     (_, OrderFix::InitComm) => SchedKey::FlatInit(alg, mapper),
                     (_, OrderFix::EndShuffle | OrderFix::InPlace) => SchedKey::Flat(alg),
                 };
-                self.ensure_sched(key).unwrap();
-                let t = self.priced_time(key, CommKey::Reordered(mapper, pattern), msg_bytes);
+                let t = self
+                    .priced_time(key, CommKey::Reordered(mapper, pattern), msg_bytes)
+                    .expect("flat mappings are always available");
                 if alg != AllgatherAlg::Ring && fix == OrderFix::EndShuffle {
-                    t + self.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
+                    t + self.core.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
                 } else {
                     t
                 }
@@ -629,36 +607,45 @@ impl Session {
         scheme: Scheme,
     ) -> Option<f64> {
         let p = self.size() as u32;
-        let groups = self.node_groups()?;
+        let groups = self.core.node_groups()?;
         if hcfg.inter == InterAlg::RecursiveDoubling && !groups.len().is_power_of_two() {
             return None;
         }
         match scheme {
             Scheme::Default => {
                 let key = SchedKey::Hier(hcfg.inter, hcfg.intra, None);
-                self.ensure_sched(key)?;
-                Some(self.priced_time(key, CommKey::Default, msg_bytes))
+                self.priced_time(key, CommKey::Default, msg_bytes)
             }
             Scheme::Reordered { mapper, fix } => {
                 if !matches!(mapper, Mapper::Hrstc | Mapper::ScotchLike) {
                     return None;
                 }
                 let pattern = PatternKind::Hier(hcfg.inter, hcfg.intra);
-                self.ensure_reordered(mapper, pattern)?;
                 let key = match fix {
                     OrderFix::InitComm => SchedKey::HierInit(hcfg.inter, hcfg.intra, mapper),
                     OrderFix::EndShuffle | OrderFix::InPlace => {
                         SchedKey::Hier(hcfg.inter, hcfg.intra, Some(mapper))
                     }
                 };
-                self.ensure_sched(key)?;
-                let t = self.priced_time(key, CommKey::Reordered(mapper, pattern), msg_bytes);
+                let t = self.priced_time(key, CommKey::Reordered(mapper, pattern), msg_bytes)?;
                 Some(if fix == OrderFix::EndShuffle {
-                    t + self.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
+                    t + self.core.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
                 } else {
                     t
                 })
             }
+        }
+    }
+
+    /// The reordered communicator the flat allgather runs over under
+    /// `scheme`; `None` = the initial communicator.
+    fn allgather_comm(&mut self, alg: AllgatherAlg, scheme: Scheme) -> Option<Arc<Communicator>> {
+        match scheme {
+            Scheme::Default => None,
+            Scheme::Reordered { mapper, .. } => Some(
+                self.reordered_comm(mapper, PatternKind::of_alg(alg))
+                    .expect("flat mappings are always available"),
+            ),
         }
     }
 
@@ -672,19 +659,9 @@ impl Session {
     ) -> tarr_mpi::TrafficBreakdown {
         let p = self.size() as u32;
         let alg = select_allgather(p, msg_bytes);
-        let sched = alg.schedule(p);
-        match scheme {
-            Scheme::Default => {
-                tarr_mpi::traffic_breakdown(&sched, &self.comm, &self.cluster, msg_bytes)
-            }
-            Scheme::Reordered { mapper, .. } => {
-                let pattern = PatternKind::of_alg(alg);
-                self.ensure_reordered(mapper, pattern)
-                    .expect("flat mappings are always available");
-                let comm2 = &self.comm_cache[&(mapper, pattern)];
-                tarr_mpi::traffic_breakdown(&sched, comm2, &self.cluster, msg_bytes)
-            }
-        }
+        let comm = self.allgather_comm(alg, scheme);
+        let c = comm.as_deref().unwrap_or(self.comm());
+        tarr_mpi::traffic_breakdown(&alg.schedule(p), c, self.cluster(), msg_bytes)
     }
 
     /// Per-stage traffic breakdowns of the non-hierarchical allgather under
@@ -701,19 +678,12 @@ impl Session {
     ) -> Vec<tarr_mpi::TrafficBreakdown> {
         let p = self.size() as u32;
         let alg = select_allgather(p, msg_bytes);
-        let key = SchedKey::Flat(alg);
-        self.ensure_sched(key).unwrap();
-        let comm = match scheme {
-            Scheme::Default => &self.comm,
-            Scheme::Reordered { mapper, .. } => {
-                let pattern = PatternKind::of_alg(alg);
-                self.ensure_reordered(mapper, pattern)
-                    .expect("flat mappings are always available");
-                &self.comm_cache[&(mapper, pattern)]
-            }
-        };
-        let ts = &self.sched_cache[&key];
-        let stages = ts.traffic_breakdown_stages(comm, &self.cluster, msg_bytes);
+        let ts = self
+            .sched(SchedKey::Flat(alg))
+            .expect("flat schedules are always available");
+        let comm = self.allgather_comm(alg, scheme);
+        let c = comm.as_deref().unwrap_or(self.comm());
+        let stages = ts.traffic_breakdown_stages(c, self.cluster(), msg_bytes);
         if tarr_trace::enabled() {
             let mut total = tarr_mpi::TrafficBreakdown::default();
             let mut worst = (0usize, 0u64);
@@ -751,18 +721,23 @@ impl Session {
         let sched = AllgatherAlg::Ring.schedule(p);
         match scheme {
             Scheme::Default => {
-                let model = self.model();
-                tarr_mpi::time_schedule_sized(&sched, &self.comm, &model, sizes)
+                tarr_mpi::time_schedule_sized(&sched, self.comm(), &self.core.model(), sizes)
             }
             Scheme::Reordered { mapper, .. } => {
-                self.ensure_reordered(mapper, PatternKind::Ring)
+                let comm2 = self
+                    .reordered_comm(mapper, PatternKind::Ring)
                     .expect("flat mappings are always available");
-                let m = &self.cache[&(mapper, PatternKind::Ring)].mapping;
+                let info = self
+                    .mapping(mapper, PatternKind::Ring)
+                    .expect("ring mapping exists once the communicator does");
                 // Block `b` of the reordered communicator is the contribution
                 // of original rank `m[b]`.
-                let permuted: Vec<u64> = m.iter().map(|&old| sizes[old as usize]).collect();
-                let comm2 = &self.comm_cache[&(mapper, PatternKind::Ring)];
-                tarr_mpi::time_schedule_sized(&sched, comm2, &self.model(), &permuted)
+                let permuted: Vec<u64> = info
+                    .mapping
+                    .iter()
+                    .map(|&old| sizes[old as usize])
+                    .collect();
+                tarr_mpi::time_schedule_sized(&sched, &comm2, &self.core.model(), &permuted)
             }
         }
     }
@@ -800,34 +775,16 @@ impl Session {
     /// Panics unless the communicator size is a power of two.
     pub fn allreduce_time(&mut self, vector_bytes: u64, rabenseifner: bool, scheme: Scheme) -> f64 {
         let key = SchedKey::allreduce(rabenseifner);
-        self.ensure_sched(key)
-            .expect("allreduce needs a power-of-two communicator");
-        let ck = self.scalar_comm(scheme, PatternKind::Rd);
-        self.priced_time(key, ck, vector_bytes)
+        self.priced_time(key, scalar_comm(scheme, PatternKind::Rd), vector_bytes)
+            .expect("allreduce needs a power-of-two communicator")
     }
 
     /// Simulated latency of a binomial `MPI_Bcast` of `bytes` from rank 0 —
     /// the BBMH use case.
     pub fn bcast_time(&mut self, bytes: u64, scheme: Scheme) -> f64 {
-        self.ensure_sched(SchedKey::Bcast)
-            .expect("the broadcast schedule is always available");
-        let ck = self.scalar_comm(scheme, PatternKind::BinomialBcast);
+        let ck = scalar_comm(scheme, PatternKind::BinomialBcast);
         self.priced_time(SchedKey::Bcast, ck, bytes)
-    }
-
-    /// The communicator a broadcast or allreduce runs over under `scheme`.
-    /// Their output is the same buffer on every rank, so reordering needs no
-    /// §V-B ordering machinery: the reordered communicator of `pattern`'s
-    /// mapping is used as is, whatever the fix.
-    fn scalar_comm(&mut self, scheme: Scheme, pattern: PatternKind) -> CommKey {
-        match scheme {
-            Scheme::Default => CommKey::Default,
-            Scheme::Reordered { mapper, .. } => {
-                self.ensure_reordered(mapper, pattern)
-                    .expect("flat mappings are always available");
-                CommKey::Reordered(mapper, pattern)
-            }
-        }
+            .expect("flat mappings are always available")
     }
 
     /// Simulated latency of a binomial `MPI_Gather` of `msg_bytes` per rank
@@ -835,26 +792,21 @@ impl Session {
     pub fn gather_time(&mut self, msg_bytes: u64, scheme: Scheme) -> f64 {
         let p = self.size() as u32;
         match scheme {
-            Scheme::Default => {
-                self.ensure_sched(SchedKey::Gather).unwrap();
-                self.priced_time(SchedKey::Gather, CommKey::Default, msg_bytes)
-            }
+            Scheme::Default => self
+                .priced_time(SchedKey::Gather, CommKey::Default, msg_bytes)
+                .expect("the gather schedule is always available"),
             Scheme::Reordered { mapper, fix } => {
-                self.ensure_reordered(mapper, PatternKind::BinomialGather)
-                    .expect("flat mappings are always available");
                 let key = match fix {
                     OrderFix::InitComm => SchedKey::GatherInit(mapper),
                     OrderFix::EndShuffle | OrderFix::InPlace => SchedKey::Gather,
                 };
-                self.ensure_sched(key).unwrap();
-                let t = self.priced_time(
-                    key,
-                    CommKey::Reordered(mapper, PatternKind::BinomialGather),
-                    msg_bytes,
-                );
+                let ck = CommKey::Reordered(mapper, PatternKind::BinomialGather);
+                let t = self
+                    .priced_time(key, ck, msg_bytes)
+                    .expect("flat mappings are always available");
                 if fix == OrderFix::EndShuffle {
                     // Only the root shuffles its gathered buffer.
-                    t + self.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
+                    t + self.core.cfg.net.memcpy.shuffle_time(p as usize, msg_bytes)
                 } else {
                     t
                 }
@@ -876,28 +828,29 @@ impl Session {
             }
             Scheme::Reordered { mapper, fix } => {
                 let pattern = PatternKind::of_alg(alg);
-                let m = self.mapping(mapper, pattern).mapping.clone();
+                let info = self.mapping(mapper, pattern).ok_or(UNSUPPORTED)?;
+                let m = &info.mapping;
                 match alg {
                     AllgatherAlg::Ring => {
                         let sched = tarr_collectives::allgather::ring_with_placement(
                             p,
-                            Some(&ring_placement(&m)),
+                            Some(&ring_placement(m)),
                         );
-                        let mut st = reorder::reordered_init_state(&m, true);
+                        let mut st = reorder::reordered_init_state(m, true);
                         st.run(&sched).map_err(|e| e.to_string())?;
                         st.verify_allgather_identity()
                     }
                     _ => match fix {
                         OrderFix::InitComm => {
-                            let sched = init_comm_schedule(&m).then(alg.schedule(p));
-                            let mut st = reorder::reordered_init_state(&m, false);
+                            let sched = init_comm_schedule(m).then(alg.schedule(p));
+                            let mut st = reorder::reordered_init_state(m, false);
                             st.run(&sched).map_err(|e| e.to_string())?;
                             st.verify_allgather_identity()
                         }
                         OrderFix::EndShuffle => {
-                            let mut st = reorder::reordered_init_state(&m, false);
+                            let mut st = reorder::reordered_init_state(m, false);
                             st.run(&alg.schedule(p)).map_err(|e| e.to_string())?;
-                            st.shuffle_outputs(&end_shuffle_perm(&m));
+                            st.shuffle_outputs(&end_shuffle_perm(m));
                             st.verify_allgather_identity()
                         }
                         OrderFix::InPlace => {
@@ -922,8 +875,8 @@ impl Session {
                 // Reordering changes which *process* is rank 0; the schedule
                 // is unchanged, so functional coverage is the same — but the
                 // mapping must still be a valid permutation to build it.
-                self.ensure_reordered(mapper, PatternKind::BinomialBcast)
-                    .expect("flat mappings are always available");
+                self.reordered_comm(mapper, PatternKind::BinomialBcast)
+                    .ok_or(UNSUPPORTED)?;
             }
         }
         st.run(&sched).map_err(|e| e.to_string())?;
@@ -943,21 +896,21 @@ impl Session {
                 st.verify_gather_at(Rank(0), &expected)
             }
             Scheme::Reordered { mapper, fix } => {
-                let m = self
+                let info = self
                     .mapping(mapper, PatternKind::BinomialGather)
-                    .mapping
-                    .clone();
-                let mut st = reorder::reordered_init_state(&m, false);
+                    .ok_or(UNSUPPORTED)?;
+                let m = &info.mapping;
+                let mut st = reorder::reordered_init_state(m, false);
                 match fix {
                     OrderFix::InitComm => {
-                        st.run(&init_comm_schedule(&m).then(sched))
+                        st.run(&init_comm_schedule(m).then(sched))
                             .map_err(|e| e.to_string())?;
                         // Root is the process with *new* rank 0.
                         st.verify_gather_at(Rank(0), &expected)
                     }
                     OrderFix::EndShuffle => {
                         st.run(&sched).map_err(|e| e.to_string())?;
-                        st.shuffle_outputs(&end_shuffle_perm(&m));
+                        st.shuffle_outputs(&end_shuffle_perm(m));
                         st.verify_gather_at(Rank(0), &expected)
                     }
                     OrderFix::InPlace => {
@@ -976,7 +929,7 @@ impl Session {
         scheme: Scheme,
     ) -> Option<Result<(), String>> {
         let p = self.size() as u32;
-        let groups = self.node_groups()?;
+        let groups = self.core.node_groups()?;
         if hcfg.inter == InterAlg::RecursiveDoubling && !groups.len().is_power_of_two() {
             return None;
         }
@@ -992,21 +945,19 @@ impl Session {
                 if !matches!(mapper, Mapper::Hrstc | Mapper::ScotchLike) {
                     return None;
                 }
-                let m = self
-                    .try_mapping(mapper, PatternKind::Hier(hcfg.inter, hcfg.intra))?
-                    .mapping
-                    .clone();
-                let new_groups = reordered_groups(&groups, &m);
+                let info = self.mapping(mapper, PatternKind::Hier(hcfg.inter, hcfg.intra))?;
+                let m = &info.mapping;
+                let new_groups = reordered_groups(&groups, m);
                 let sched = hierarchical(p, &new_groups, hcfg);
-                let mut st = reorder::reordered_init_state(&m, false);
+                let mut st = reorder::reordered_init_state(m, false);
                 let run = match fix {
-                    OrderFix::InitComm => st.run(&init_comm_schedule(&m).then(sched)),
+                    OrderFix::InitComm => st.run(&init_comm_schedule(m).then(sched)),
                     OrderFix::EndShuffle | OrderFix::InPlace => st.run(&sched),
                 };
                 match run {
                     Ok(()) => {
                         if fix == OrderFix::EndShuffle {
-                            st.shuffle_outputs(&end_shuffle_perm(&m));
+                            st.shuffle_outputs(&end_shuffle_perm(m));
                         }
                         if fix == OrderFix::InPlace {
                             // Hierarchical gather needs contiguous blocks;
@@ -1024,10 +975,23 @@ impl Session {
     }
 }
 
+/// The error a `verify_*` call returns for an unsupported mapper/pattern.
+const UNSUPPORTED: &str = "unsupported mapper/pattern configuration";
+
+/// The communicator key a broadcast or allreduce prices over under
+/// `scheme`. Their output is the same buffer on every rank, so reordering
+/// needs no §V-B ordering machinery: the reordered communicator of
+/// `pattern`'s mapping is used as is, whatever the fix.
+fn scalar_comm(scheme: Scheme, pattern: PatternKind) -> CommKey {
+    match scheme {
+        Scheme::Default => CommKey::Default,
+        Scheme::Reordered { mapper, .. } => CommKey::Reordered(mapper, pattern),
+    }
+}
+
 /// Compute the mapping for one (mapper, pattern) pair over whichever
-/// distance backend the session extracted. Free function over the session's
-/// sibling fields so the cache's `entry` borrow and the computation cannot
-/// conflict. `None` = unsupported configuration.
+/// distance backend the session extracted. `None` = unsupported
+/// configuration.
 fn compute_mapping(
     d: &SessionDistance,
     cluster: &Cluster,
@@ -1038,6 +1002,12 @@ fn compute_mapping(
 ) -> Option<MappingInfo> {
     let p = comm.size() as u32;
     let seed = cfg.seed;
+    // Recursive doubling pairs ranks by XOR: every topology-aware mapper
+    // needs a power-of-two process count for it. The MVAPICH reorder reads
+    // no pattern.
+    if pattern == PatternKind::Rd && !p.is_power_of_two() && mapper != Mapper::MvapichCyclic {
+        return None;
+    }
     match mapper {
         Mapper::Hrstc => {
             let (mapping, compute) = timed_compute(mapper, p, || {
@@ -1209,21 +1179,6 @@ fn torus_snake_mapping(cluster: &Cluster, comm: &Communicator) -> Option<Vec<u32
     Some(m)
 }
 
-/// The analytic compiled form of a schedule whose structure depends only on
-/// `p` and that carries one size-parametric unit per op: the broadcast and
-/// both allreduce algorithms. `None` for an allreduce over a
-/// non-power-of-two `p`, which neither algorithm supports.
-fn size_only_schedule(key: SchedKey, p: u32) -> Option<TimedSchedule> {
-    match key {
-        SchedKey::Bcast => Some(TimedSchedule::binomial_bcast(p)),
-        SchedKey::AllreduceRd if p.is_power_of_two() => Some(TimedSchedule::rd_allreduce(p)),
-        SchedKey::AllreduceRabenseifner if p.is_power_of_two() => {
-            Some(TimedSchedule::rabenseifner_allreduce(p))
-        }
-        _ => None,
-    }
-}
-
 fn flat_schedule(pattern: PatternKind, p: u32) -> Schedule {
     match pattern {
         PatternKind::Rd => AllgatherAlg::RecursiveDoubling.schedule(p),
@@ -1232,6 +1187,44 @@ fn flat_schedule(pattern: PatternKind, p: u32) -> Schedule {
         PatternKind::BinomialBcast => tarr_collectives::bcast::binomial_bcast(p, Rank(0), 1),
         PatternKind::BinomialGather => binomial_gather(p, Rank(0)),
         PatternKind::Hier(..) => unreachable!("hierarchical handled separately"),
+    }
+}
+
+/// Mirror one lookup onto the `session.cache.*` trace counters (and, for a
+/// price, the `session.price.stages_*` counters).
+fn trace_lookup(cache: Cache, outcome: Lookup) {
+    match (cache, outcome) {
+        (Cache::Mapping, Lookup::Hit) => tarr_trace::counter_add!("session.cache.mapping.hit", 1),
+        (Cache::Mapping, Lookup::Miss) => tarr_trace::counter_add!("session.cache.mapping.miss", 1),
+        (Cache::Mapping, Lookup::Coalesced) => {
+            tarr_trace::counter_add!("session.cache.mapping.coalesce", 1)
+        }
+        (Cache::Comm, Lookup::Hit) => tarr_trace::counter_add!("session.cache.comm.hit", 1),
+        (Cache::Comm, Lookup::Miss) => tarr_trace::counter_add!("session.cache.comm.miss", 1),
+        (Cache::Comm, Lookup::Coalesced) => {
+            tarr_trace::counter_add!("session.cache.comm.coalesce", 1)
+        }
+        (Cache::Sched, Lookup::Hit) => tarr_trace::counter_add!("session.cache.sched.hit", 1),
+        (Cache::Sched, Lookup::Miss) => tarr_trace::counter_add!("session.cache.sched.miss", 1),
+        (Cache::Sched, Lookup::Coalesced) => {
+            tarr_trace::counter_add!("session.cache.sched.coalesce", 1)
+        }
+        (Cache::Price { .. }, Lookup::Hit) => {
+            tarr_trace::counter_add!("session.cache.price.hit", 1)
+        }
+        (Cache::Price { .. }, Lookup::Miss) => {
+            tarr_trace::counter_add!("session.cache.price.miss", 1)
+        }
+        (Cache::Price { .. }, Lookup::Coalesced) => {
+            tarr_trace::counter_add!("session.cache.price.coalesce", 1)
+        }
+    }
+    if let Cache::Price { stages } = cache {
+        if outcome == Lookup::Miss {
+            tarr_trace::counter_add!("session.price.stages_computed", stages);
+        } else {
+            tarr_trace::counter_add!("session.price.stages_reused", stages);
+        }
     }
 }
 
@@ -1275,10 +1268,18 @@ mod tests {
     #[test]
     fn mapping_is_cached() {
         let mut s = session(InitialMapping::BLOCK_BUNCH, 4);
-        let a = s.mapping(Mapper::Hrstc, PatternKind::Ring).mapping.clone();
-        let b = s.mapping(Mapper::Hrstc, PatternKind::Ring).mapping.clone();
+        let a = s
+            .mapping(Mapper::Hrstc, PatternKind::Ring)
+            .unwrap()
+            .mapping
+            .clone();
+        let b = s
+            .mapping(Mapper::Hrstc, PatternKind::Ring)
+            .unwrap()
+            .mapping
+            .clone();
         assert_eq!(a, b);
-        assert_eq!(s.cache.len(), 1);
+        assert_eq!(s.core.mappings.len(), 1);
     }
 
     #[test]
@@ -1286,12 +1287,12 @@ mod tests {
         let mut s = session(InitialMapping::CYCLIC_BUNCH, 4);
         let scheme = Scheme::hrstc(OrderFix::InitComm);
         let a = s.allgather_time(512, scheme);
-        assert_eq!(s.comm_cache.len(), 1);
-        let n_scheds = s.sched_cache.len();
+        assert_eq!(s.core.comms.len(), 1);
+        let n_scheds = s.core.scheds.len();
         // A second size in the same (RD) region reuses both caches.
         let b = s.allgather_time(768, scheme);
-        assert_eq!(s.comm_cache.len(), 1);
-        assert_eq!(s.sched_cache.len(), n_scheds);
+        assert_eq!(s.core.comms.len(), 1);
+        assert_eq!(s.core.scheds.len(), n_scheds);
         assert!(a > 0.0 && b > a, "monotone in size: {a} vs {b}");
     }
 
@@ -1423,7 +1424,7 @@ mod tests {
         let mut s = Session::new(cluster, cores, SessionConfig::default());
         let info = s
             .mapping(Mapper::Hrstc, PatternKind::BinomialGather)
-            .clone();
+            .unwrap();
         let g = pattern_graph(&binomial_gather(64, Rank(0)), 8192);
         let ident: Vec<u32> = (0..64).collect();
         let before = tarr_mapping::mapping_cost(&g, s.distance_matrix(), &ident);
@@ -1536,7 +1537,11 @@ mod tests {
     fn snake_mapping_only_on_full_torus_allocations() {
         // Fat-tree: no snake; falls back to RMH (permutation fixing rank 0).
         let mut s = session(InitialMapping::CYCLIC_BUNCH, 4);
-        let m = s.mapping(Mapper::Hrstc, PatternKind::Ring).mapping.clone();
+        let m = s
+            .mapping(Mapper::Hrstc, PatternKind::Ring)
+            .unwrap()
+            .mapping
+            .clone();
         assert_eq!(m[0], 0, "RMH fixes rank 0");
 
         // Full torus allocation: the snake is used (covers all nodes in
@@ -1549,7 +1554,11 @@ mod tests {
             p,
             SessionConfig::default(),
         );
-        let m = t.mapping(Mapper::Hrstc, PatternKind::Ring).mapping.clone();
+        let m = t
+            .mapping(Mapper::Hrstc, PatternKind::Ring)
+            .unwrap()
+            .mapping
+            .clone();
         assert!(tarr_mapping::is_permutation(&m));
         // Consecutive new ranks within the first node share that node.
         let cores: Vec<_> = (0..8)
@@ -1567,9 +1576,9 @@ mod tests {
         let mut s = session(InitialMapping::BLOCK_BUNCH, 4);
         assert!(s.dist_build_time() > Duration::ZERO);
         assert!(s.extraction_model_seconds() > 0.0);
-        let info = s.mapping(Mapper::ScotchLike, PatternKind::Ring).clone();
+        let info = s.mapping(Mapper::ScotchLike, PatternKind::Ring).unwrap();
         assert!(info.graph_build > Duration::ZERO);
-        let info_h = s.mapping(Mapper::Hrstc, PatternKind::Ring).clone();
+        let info_h = s.mapping(Mapper::Hrstc, PatternKind::Ring).unwrap();
         assert_eq!(info_h.graph_build, Duration::ZERO);
     }
 
@@ -1617,8 +1626,9 @@ mod tests {
                 assert_eq!(a, b, "{msg} {scheme:?}");
             }
         }
-        for (k, info) in &dense.cache {
-            assert_eq!(info.mapping, implicit.cache[k].mapping, "{k:?}");
+        for (k, info) in dense.core.mappings.entries() {
+            let other = implicit.core.mappings.get(&k).flatten().unwrap();
+            assert_eq!(info.unwrap().mapping, other.mapping, "{k:?}");
         }
     }
 }

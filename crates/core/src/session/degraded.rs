@@ -1,8 +1,10 @@
-//! Session-level fault resilience: [`Session::apply_faults`] degrades the
-//! cluster in place, migrates displaced ranks, and invalidates **exactly**
-//! the cached state the faults touched.
+//! Fault resilience: [`SessionCore::apply_faults`] mints the degraded core
+//! — degraded cluster, displaced ranks migrated, distance structure
+//! repaired or rebuilt — and carries over **exactly** the cached state the
+//! faults did not touch, as the same `Arc`s. [`Session::apply_faults`]
+//! swaps a handle onto that core.
 //!
-//! The invalidation is keyed, not a flush. What survives a fault:
+//! The carry-over is keyed, not a flush. What survives a fault:
 //!
 //! * compiled schedules whose structure depends only on the process count —
 //!   every [`SchedKey::Flat`], the plain [`SchedKey::Gather`], the
@@ -13,23 +15,27 @@
 //!   schedules always, its reordered communicator as long as no rank moved;
 //! * default-order hierarchical schedules ([`SchedKey::Hier`] with no
 //!   mapper), which read the node grouping of the initial communicator —
-//!   kept as long as no rank moved.
+//!   kept as long as no rank moved;
+//! * prices over a surviving schedule and communicator, with only the
+//!   stages the fault reaches re-priced (stage-selective repair),
+//!   so the new core holds complete entries only.
 //!
 //! Everything that reads the distance structure (every topology-aware
 //! mapping and whatever was compiled from it) is dropped, because the
 //! degraded fabric answers different distances. The result is guaranteed
-//! bit-identical to a cold session built directly on the degraded cluster:
+//! bit-identical to a cold core built directly on the degraded cluster:
 //! every kept entry is a deterministic function of inputs the fault did not
 //! change.
 
-use super::{
-    CacheStats, CommKey, DistanceBackend, Mapper, SchedKey, Scheme, Session, SessionDistance,
-};
+use super::{CommKey, Mapper, SchedKey, Scheme, Session, SessionCore, SessionDistance};
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Arc;
 use std::time::Duration;
 use tarr_faults::{DegradationSummary, FabricDelta, FaultError, FaultSet};
+use tarr_mpi::cache::ShardedOnceMap;
 use tarr_mpi::Communicator;
-use tarr_topo::{CoreId, DistanceMatrix, Hop, ImplicitDistance, IrregularFabric, Rank};
+use tarr_topo::{CoreId, Hop, IrregularFabric, Rank};
 
 /// Which collective a [`ProbePoint`] prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,15 +125,17 @@ impl ProbeOutcome {
     }
 }
 
-/// What [`Session::apply_faults`] did: damage accounting, rank migration,
-/// exact cache invalidation, and the priced degradation per probe.
+/// What a fault application did: damage accounting, rank migration, exact
+/// cache invalidation, and (from [`Session::apply_faults`]) the priced
+/// degradation per probe.
 #[derive(Debug, Clone)]
 pub struct DegradationReport {
     /// Hardware damage accounting from the fault application.
     pub summary: DegradationSummary,
     /// Ranks whose core died and that were migrated to spare live cores.
     pub ranks_migrated: usize,
-    /// Mapping-cache entries invalidated (topology-aware mappings).
+    /// Computed mapping-cache entries invalidated (topology-aware mappings).
+    /// Cached "unsupported" outcomes are not counted here or below.
     pub mappings_dropped: usize,
     /// Reordered-communicator cache entries invalidated.
     pub comms_dropped: usize,
@@ -135,10 +143,11 @@ pub struct DegradationReport {
     pub scheds_dropped: usize,
     /// Compiled-schedule cache entries that survived the fault.
     pub scheds_kept: usize,
-    /// Stage-price cache entries dropped whole (their schedule or
-    /// communicator was invalidated, or the rebuild was not fault-local).
+    /// Price-cache entries dropped whole (their schedule or communicator
+    /// was invalidated, the rebuild was not fault-local, or the entry was
+    /// restored from a snapshot without its stage prices).
     pub price_entries_dropped: usize,
-    /// Cached unique-stage prices invalidated selectively — stages whose
+    /// Cached unique-stage prices re-priced selectively — stages whose
     /// operand ranks migrated or whose routes crossed repaired fabric.
     pub price_stages_repriced: usize,
     /// Cached unique-stage prices that survived the fault untouched.
@@ -149,32 +158,28 @@ pub struct DegradationReport {
     /// Wall-clock time of the distance-structure rebuild or repair (zero
     /// when the fault changed neither the fabric nor any rank's placement).
     pub dist_rebuild: Duration,
-    /// Pre/post-fault timings, one per requested probe, in order.
+    /// Pre/post-fault timings, one per requested probe, in order (empty
+    /// from [`SessionCore::apply_faults`], which prices no probes).
     pub probes: Vec<ProbeOutcome>,
 }
 
-impl Session {
-    /// Apply a [`FaultSet`] to the running session: degrade the cluster,
-    /// migrate ranks whose cores died onto the lowest-numbered spare live
-    /// cores, rebuild the distance structure, and invalidate exactly the
-    /// cached mappings, communicators and compiled schedules the fault
-    /// touched. Each `probe` is priced before and after so the report
-    /// quantifies the degradation per scheme.
+impl SessionCore {
+    /// Apply a [`FaultSet`] *functionally*: degrade the cluster, migrate
+    /// ranks whose cores died onto the lowest-numbered spare live cores,
+    /// repair or rebuild the distance structure, and return a new core that
+    /// shares every cache entry the fault did not touch (see the module
+    /// docs). `self` is untouched — concurrent readers keep pricing the
+    /// pre-fault topology until the caller swaps its `Arc`.
     ///
-    /// On error — a fault set that partitions the fabric, references unknown
-    /// hardware, or leaves fewer live cores than the session has ranks —
-    /// the session is left **unchanged** and fully usable.
+    /// Fails — a fault set that partitions the fabric, references unknown
+    /// hardware, or leaves fewer live cores than the core has ranks — with
+    /// nothing changed.
     pub fn apply_faults(
-        &mut self,
+        &self,
         faults: &FaultSet,
-        probes: &[ProbePoint],
-    ) -> Result<DegradationReport, FaultError> {
-        let p = self.comm.size();
+    ) -> Result<(SessionCore, DegradationReport), FaultError> {
+        let p = self.size();
         let _span = tarr_trace::span("fault.session_apply").arg("p", p);
-
-        let before: Vec<f64> = probes.iter().map(|pr| pr.price(self)).collect();
-
-        // Everything fallible happens before the first mutation.
         let degraded = faults.apply(&self.cluster)?;
         let live = degraded.live_cores();
         if live.len() < p {
@@ -224,93 +229,87 @@ impl Session {
             .zip(&new_cores)
             .map(|(a, b)| a != b)
             .collect();
-
-        // Keyed invalidation. Every retained entry is a deterministic
-        // function of inputs the fault did not change (see module docs).
-        let inv = tarr_trace::span("fault.invalidate")
-            .arg("fabric_changed", fabric_changed)
-            .arg("migrated", migrated);
-        let (mut mappings_dropped, mut comms_dropped, mut scheds_dropped) = (0, 0, 0);
-        if stale {
-            let n = self.cache.len();
-            self.cache
-                .retain(|&(mapper, _), _| mapper == Mapper::MvapichCyclic);
-            mappings_dropped = n - self.cache.len();
-
-            let n = self.comm_cache.len();
-            self.comm_cache
-                .retain(|&(mapper, _), _| mapper == Mapper::MvapichCyclic && migrated == 0);
-            comms_dropped = n - self.comm_cache.len();
-
-            let n = self.sched_cache.len();
-            self.sched_cache.retain(|key, _| match key {
-                SchedKey::Flat(_)
-                | SchedKey::Gather
-                | SchedKey::Bcast
-                | SchedKey::AllreduceRd
-                | SchedKey::AllreduceRabenseifner => true,
-                SchedKey::FlatInit(_, Mapper::MvapichCyclic)
-                | SchedKey::GatherInit(Mapper::MvapichCyclic) => true,
-                SchedKey::Hier(_, _, None) => migrated == 0,
-                _ => false,
-            });
-            scheds_dropped = n - self.sched_cache.len();
-        }
-        let scheds_kept = self.sched_cache.len();
-        drop(inv);
-
-        let fabric_delta = degraded.fabric_delta;
-        self.cluster = degraded.cluster;
-        if migrated > 0 {
-            self.comm = Communicator::new(new_cores);
-        }
-
-        // Stage-selective price-cache repair: an entry survived schedule and
-        // communicator invalidation, so each of its cached stage prices is
-        // kept unless the fault provably reaches it — an operand rank moved,
-        // or a route of one of its messages crossed repaired fabric.
-        let (price_entries_dropped, price_stages_repriced, price_stages_reused) = if stale {
-            repair_price_cache(self, &moved, fabric_changed, fabric_delta.as_ref())
+        let comm = if migrated > 0 {
+            Communicator::new(new_cores)
         } else {
-            (0, 0, 0)
+            self.comm.clone()
         };
 
         let mut dist_rebuild = Duration::ZERO;
         let mut dist_slots_patched = 0usize;
-        if stale {
+        let d = if stale {
             let sp = tarr_trace::timed_span("fault.distance_rebuild").arg("p", p);
-            if !fabric_changed {
+            let d = if fabric_changed {
+                SessionDistance::build(&degraded.cluster, comm.cores(), &self.cfg)
+            } else {
                 // Drain-only migration: the cluster is untouched, so only
-                // the migrated slots' distances change — patch them in place
-                // (O(k·P) dense, O(k) implicit) instead of rebuilding.
+                // the migrated slots' distances change — patch them (O(k·P)
+                // dense, O(k) implicit) instead of rebuilding.
                 let changed: Vec<(usize, CoreId)> = moved
                     .iter()
                     .enumerate()
                     .filter(|&(_, &m)| m)
-                    .map(|(i, _)| (i, self.comm.cores()[i]))
+                    .map(|(i, _)| (i, comm.cores()[i]))
                     .collect();
                 dist_slots_patched = changed.len();
-                match &mut self.d {
+                let mut d = (*self.d).clone();
+                match &mut d {
                     SessionDistance::Dense(m) => {
-                        m.repair_slots(&self.cluster, &self.cfg.dist, &changed)
+                        m.repair_slots(&degraded.cluster, &self.cfg.dist, &changed)
                     }
                     SessionDistance::Implicit(o) => o.repair_slots(&changed),
                 }
-            } else {
-                self.d = match self.cfg.backend {
-                    DistanceBackend::Dense => SessionDistance::Dense(DistanceMatrix::build(
-                        &self.cluster,
-                        self.comm.cores(),
-                        &self.cfg.dist,
-                    )),
-                    DistanceBackend::Implicit => SessionDistance::Implicit(
-                        ImplicitDistance::build(&self.cluster, self.comm.cores(), &self.cfg.dist),
-                    ),
-                };
-            }
+                d
+            };
             dist_rebuild = sp.finish();
-            self.dist_build += dist_rebuild;
-        }
+            Arc::new(d)
+        } else {
+            Arc::clone(&self.d)
+        };
+        let new = SessionCore::with_distance(
+            degraded.cluster,
+            self.cfg.clone(),
+            comm,
+            d,
+            self.dist_build + dist_rebuild,
+        );
+
+        // Keyed carry-over. Every kept entry is a deterministic function of
+        // inputs the fault did not change (see module docs).
+        let inv = tarr_trace::span("fault.invalidate")
+            .arg("fabric_changed", fabric_changed)
+            .arg("migrated", migrated);
+        let (mappings_dropped, _) = carry(&self.mappings, &new.mappings, |&(mapper, _)| {
+            !stale || mapper == Mapper::MvapichCyclic
+        });
+        let (comms_dropped, _) = carry(&self.comms, &new.comms, |&(mapper, _)| {
+            !stale || (mapper == Mapper::MvapichCyclic && migrated == 0)
+        });
+        let (scheds_dropped, scheds_kept) = carry(&self.scheds, &new.scheds, |key| {
+            !stale
+                || match key {
+                    SchedKey::Flat(_)
+                    | SchedKey::Gather
+                    | SchedKey::Bcast
+                    | SchedKey::AllreduceRd
+                    | SchedKey::AllreduceRabenseifner => true,
+                    SchedKey::FlatInit(_, Mapper::MvapichCyclic)
+                    | SchedKey::GatherInit(Mapper::MvapichCyclic) => true,
+                    SchedKey::Hier(_, _, None) => migrated == 0,
+                    _ => false,
+                }
+        });
+        drop(inv);
+
+        let (price_entries_dropped, price_stages_repriced, price_stages_reused) = if stale {
+            let delta = degraded.fabric_delta.as_ref();
+            self.repair_prices(&new, &moved, fabric_changed, delta)
+        } else {
+            for (k, v) in self.prices.entries() {
+                new.prices.insert(k, v);
+            }
+            (0, 0, 0)
+        };
 
         tarr_trace::counter_add!("fault.ranks_migrated", migrated as u64);
         tarr_trace::counter_add!("fault.cache.mapping_dropped", mappings_dropped as u64);
@@ -321,17 +320,7 @@ impl Session {
         tarr_trace::counter_add!("fault.price.stages_reused", price_stages_reused as u64);
         tarr_trace::counter_add!("fault.distance.slots_patched", dist_slots_patched as u64);
 
-        let outcomes = probes
-            .iter()
-            .zip(before)
-            .map(|(pr, b)| ProbeOutcome {
-                probe: *pr,
-                before: b,
-                after: pr.price(self),
-            })
-            .collect();
-
-        Ok(DegradationReport {
+        let report = DegradationReport {
             summary: degraded.summary,
             ranks_migrated: migrated,
             mappings_dropped,
@@ -343,119 +332,151 @@ impl Session {
             price_stages_reused,
             dist_slots_patched,
             dist_rebuild,
-            probes: outcomes,
-        })
+            probes: Vec::new(),
+        };
+        Ok((new, report))
     }
 
-    /// Cache hit/miss deltas between two [`CacheStats`] snapshots — sugar
-    /// for asserting reuse across a fault (see the degraded-session tests).
-    pub fn cache_stats_since(&self, baseline: CacheStats) -> CacheStats {
-        let s = self.stats;
-        CacheStats {
-            mapping_hits: s.mapping_hits - baseline.mapping_hits,
-            mapping_misses: s.mapping_misses - baseline.mapping_misses,
-            comm_hits: s.comm_hits - baseline.comm_hits,
-            comm_misses: s.comm_misses - baseline.comm_misses,
-            sched_hits: s.sched_hits - baseline.sched_hits,
-            sched_misses: s.sched_misses - baseline.sched_misses,
-            price_reused: s.price_reused - baseline.price_reused,
-            price_computed: s.price_computed - baseline.price_computed,
+    /// Carry this core's price entries into the degraded core `new`, whose
+    /// schedule and communicator caches are already filled. Returns
+    /// `(entries dropped, stage prices re-priced, stage prices kept)`.
+    ///
+    /// Entries whose schedule or communicator was invalidated are dropped
+    /// whole. For the survivors, each stage price is kept unless the fault
+    /// provably reaches it: an operand rank migrated, or (fabric repaired
+    /// under an identity renumbering) one of its messages routes through a
+    /// switch whose BFS row or adjacency the repair touched. Those stages
+    /// are re-priced on `new` now. A fabric rebuild without an identity
+    /// [`FabricDelta`] drops everything — renumbered switches leave no
+    /// per-row provenance to reason from — and so does an entry without
+    /// stage prices.
+    fn repair_prices(
+        &self,
+        new: &SessionCore,
+        moved: &[bool],
+        fabric_changed: bool,
+        delta: Option<&FabricDelta>,
+    ) -> (usize, usize, usize) {
+        let entries = self.prices.entries();
+        let _span = tarr_trace::span("fault.price_repair")
+            .arg("entries", entries.len())
+            .arg("identity_delta", delta.is_some());
+        if fabric_changed && delta.is_none() {
+            return (entries.len(), 0, 0);
         }
+        let cluster = &new.cluster;
+        let fabric = cluster.fabric().as_irregular();
+        // Route-stability memo, keyed (source switch, destination node): a
+        // cached price survives only if re-simulating would walk identical
+        // hops, i.e. the destination's BFS row is clean and no switch the
+        // route traverses had its adjacency (links or trunk counts) repaired.
+        let mut route_ok: HashMap<(u32, u32), bool> = HashMap::new();
+        let (mut dropped, mut repriced, mut reused) = (0usize, 0usize, 0usize);
+        for (key @ (sk, ck, bytes), priced) in entries {
+            let comm = match ck {
+                CommKey::Default => Some(None),
+                CommKey::Reordered(m, pat) => new.comms.get(&(m, pat)).flatten().map(Some),
+            };
+            let (Some(ts), Some(comm), Some(stages)) = (
+                new.scheds.get(&sk).flatten(),
+                comm,
+                priced.stages.as_deref(),
+            ) else {
+                dropped += 1;
+                continue;
+            };
+            let c = comm.as_deref().unwrap_or(&new.comm);
+            let mut fresh = stages.to_vec();
+            for (k, ops) in ts.unique_stages().iter().enumerate() {
+                let stable = ops.iter().all(|op| {
+                    if moved[op.from as usize] || moved[op.to as usize] {
+                        return false;
+                    }
+                    let Some(delta) = delta else { return true };
+                    let (ca, cb) = (c.core_of(Rank(op.from)), c.core_of(Rank(op.to)));
+                    if ca == cb {
+                        return true; // local copy: no fabric involved
+                    }
+                    let (na, nb) = (cluster.node_of(ca), cluster.node_of(cb));
+                    if na == nb {
+                        return true; // intra-node path: no fabric involved
+                    }
+                    let g = fabric.expect("identity delta implies an irregular fabric");
+                    let src_sw = g.switch_of(na);
+                    *route_ok
+                        .entry((src_sw, nb.idx() as u32))
+                        .or_insert_with(|| route_is_stable(g, delta, src_sw, na, nb))
+                });
+                if stable {
+                    reused += 1;
+                } else {
+                    fresh[k] = f64::NAN;
+                    repriced += 1;
+                }
+            }
+            let priced = if fresh.iter().any(|v| v.is_nan()) {
+                new.price(&ts, c, bytes, fresh)
+            } else {
+                priced
+            };
+            new.prices.insert(key, priced);
+        }
+        (dropped, repriced, reused)
     }
 }
 
-/// Selectively invalidate the session's stage-price cache after a fault.
-/// Returns `(entries dropped, stage prices invalidated, stage prices kept)`.
-///
-/// Entries whose schedule or communicator was invalidated are dropped whole.
-/// For the survivors, each cached stage price is kept unless the fault
-/// provably reaches it: an operand rank migrated, or (fabric repaired under
-/// an identity renumbering) one of its messages routes through a switch
-/// whose BFS row or adjacency the repair touched. A fabric rebuild without
-/// an identity [`FabricDelta`] flushes everything — renumbered switches
-/// leave no per-row provenance to reason from.
-fn repair_price_cache(
-    s: &mut Session,
-    moved: &[bool],
-    fabric_changed: bool,
-    delta: Option<&FabricDelta>,
-) -> (usize, usize, usize) {
-    let _span = tarr_trace::span("fault.price_repair")
-        .arg("entries", s.price_cache.len())
-        .arg("identity_delta", delta.is_some());
-    let before = s.price_cache.len();
-    {
-        let sched_cache = &s.sched_cache;
-        let comm_cache = &s.comm_cache;
-        s.price_cache.retain(|&(key, ck, _), _| {
-            sched_cache.contains_key(&key)
-                && match ck {
-                    CommKey::Default => true,
-                    CommKey::Reordered(m, pat) => comm_cache.contains_key(&(m, pat)),
-                }
-        });
+impl Session {
+    /// Apply a [`FaultSet`] to this handle: [`SessionCore::apply_faults`]
+    /// on its core, then point the handle at the degraded core. Each
+    /// `probe` is priced before and after so the report quantifies the
+    /// degradation per scheme. Other handles on the old core are
+    /// unaffected.
+    ///
+    /// On error the handle is left **unchanged** and fully usable.
+    pub fn apply_faults(
+        &mut self,
+        faults: &FaultSet,
+        probes: &[ProbePoint],
+    ) -> Result<DegradationReport, FaultError> {
+        let before: Vec<f64> = probes.iter().map(|pr| pr.price(self)).collect();
+        let (core, mut report) = self.core.apply_faults(faults)?;
+        self.core = Arc::new(core);
+        report.probes = probes
+            .iter()
+            .zip(before)
+            .map(|(pr, b)| ProbeOutcome {
+                probe: *pr,
+                before: b,
+                after: pr.price(self),
+            })
+            .collect();
+        Ok(report)
     }
-    let mut dropped = before - s.price_cache.len();
+}
 
-    if fabric_changed && delta.is_none() {
-        dropped += s.price_cache.len();
-        s.price_cache.clear();
-        return (dropped, 0, 0);
-    }
-
-    let Session {
-        price_cache,
-        sched_cache,
-        comm_cache,
-        comm,
-        cluster,
-        ..
-    } = s;
-    let fabric = cluster.fabric().as_irregular();
-    // Route-stability memo, keyed (source switch, destination node): a
-    // cached price survives only if re-simulating would walk identical hops,
-    // i.e. the destination's BFS row is clean and no switch the route
-    // traverses had its adjacency (links or trunk counts) repaired.
-    let mut route_ok: HashMap<(u32, u32), bool> = HashMap::new();
-    let (mut repriced, mut reused) = (0usize, 0usize);
-    for (&(key, ck, _), cache) in price_cache.iter_mut() {
-        let ts = &sched_cache[&key];
-        let c = match ck {
-            CommKey::Default => &*comm,
-            CommKey::Reordered(m, pat) => &comm_cache[&(m, pat)],
-        };
-        for (k, ops) in ts.unique_stages().iter().enumerate() {
-            if cache[k].is_nan() {
-                continue;
-            }
-            let stable = ops.iter().all(|op| {
-                if moved[op.from as usize] || moved[op.to as usize] {
-                    return false;
-                }
-                let Some(delta) = delta else { return true };
-                let (ca, cb) = (c.core_of(Rank(op.from)), c.core_of(Rank(op.to)));
-                if ca == cb {
-                    return true; // local copy: no fabric involved
-                }
-                let (na, nb) = (cluster.node_of(ca), cluster.node_of(cb));
-                if na == nb {
-                    return true; // intra-node path: no fabric involved
-                }
-                let g = fabric.expect("identity delta implies an irregular fabric");
-                let src_sw = g.switch_of(na);
-                *route_ok
-                    .entry((src_sw, nb.idx() as u32))
-                    .or_insert_with(|| route_is_stable(g, delta, src_sw, na, nb))
-            });
-            if stable {
-                reused += 1;
-            } else {
-                cache[k] = f64::NAN;
-                repriced += 1;
-            }
+/// Copy the entries of `from` that `keep` accepts into `to`, as the same
+/// values (`Arc`s stay shared). Returns the number of *computed* (`Some`)
+/// entries dropped and kept; cached "unsupported" outcomes are carried but
+/// not counted.
+fn carry<K, V: Clone>(
+    from: &ShardedOnceMap<K, Option<V>>,
+    to: &ShardedOnceMap<K, Option<V>>,
+    keep: impl Fn(&K) -> bool,
+) -> (usize, usize)
+where
+    K: Eq + Hash + Clone,
+{
+    let (mut dropped, mut kept) = (0, 0);
+    for (k, v) in from.entries() {
+        let computed = usize::from(v.is_some());
+        if keep(&k) {
+            kept += computed;
+            to.insert(k, v);
+        } else {
+            dropped += computed;
         }
     }
-    (dropped, repriced, reused)
+    (dropped, kept)
 }
 
 /// Whether re-routing `na → nb` on the repaired fabric walks hops identical
@@ -665,6 +686,82 @@ mod tests {
         );
         assert_eq!(report.dist_slots_patched, 0);
         assert_matches_cold(&mut s, &grid);
+    }
+
+    /// The fault path of a shared core (the one the serve daemon takes):
+    /// an identity-delta cable fault keeps the stage prices it does not
+    /// reach, every kept price is bit-identical to a cold core on the
+    /// degraded cluster, and the old core still answers pre-fault prices.
+    #[test]
+    fn core_fault_keeps_stage_prices_and_matches_cold() {
+        let core = Arc::new(SessionCore::from_layout(
+            irregular_cluster(),
+            InitialMapping::CYCLIC_BUNCH,
+            96,
+            SessionConfig::default(),
+        ));
+        let grid = warm(&mut core.handle());
+        let price_grid = |s: &mut Session| -> Vec<u64> {
+            let mut out: Vec<u64> = grid
+                .iter()
+                .map(|&(m, sc)| s.allgather_time(m, sc).to_bits())
+                .collect();
+            out.push(s.gather_time(4096, Scheme::Default).to_bits());
+            out
+        };
+        let before = price_grid(&mut core.handle());
+        let set = FaultSet {
+            failed_cables: vec![(2, 5, 2)],
+            ..FaultSet::default()
+        };
+        let (degraded, report) = core.apply_faults(&set).unwrap();
+        assert!(
+            report.price_stages_reused > 0,
+            "stages routing clear of the dead cable keep their price: {report:?}"
+        );
+        assert!(report.price_stages_repriced > 0, "{report:?}");
+        let degraded = Arc::new(degraded);
+
+        // The default-order prices were carried over (repaired), so the
+        // re-run prices nothing; the topology-aware ones were recomputed.
+        let mut h = degraded.handle();
+        let after = price_grid(&mut h);
+        let mut cold = Session::new(
+            degraded.cluster().clone(),
+            degraded.comm().cores().to_vec(),
+            SessionConfig::default(),
+        );
+        assert_eq!(after, price_grid(&mut cold), "degraded core vs cold");
+        let mut h = degraded.handle();
+        for m in [512u64, 65536] {
+            h.allgather_time(m, Scheme::Default);
+        }
+        h.gather_time(4096, Scheme::Default);
+        assert_eq!(h.cache_stats().price_computed, 0, "{:?}", h.cache_stats());
+
+        assert_eq!(price_grid(&mut core.handle()), before, "old core moved");
+
+        // An empty fault set shares everything: the same schedule `Arc`s,
+        // and a re-run that misses nothing.
+        let (same, report) = degraded.apply_faults(&FaultSet::default()).unwrap();
+        assert_eq!(report.scheds_dropped, 0);
+        let key = SchedKey::Flat(tarr_collectives::AllgatherAlg::Ring);
+        let old = degraded.scheds.get(&key).flatten().unwrap();
+        let kept = same.scheds.get(&key).flatten().unwrap();
+        assert!(Arc::ptr_eq(&old, &kept));
+        let mut h = Arc::new(same).handle();
+        assert_eq!(price_grid(&mut h), after);
+        let st = h.cache_stats();
+        assert_eq!(
+            (
+                st.mapping_misses,
+                st.comm_misses,
+                st.sched_misses,
+                st.price_computed
+            ),
+            (0, 0, 0, 0),
+            "{st:?}"
+        );
     }
 
     #[test]

@@ -100,8 +100,8 @@ fn faulted_session_matches_cold_session_p512() {
     for mapper in ALL_MAPPERS {
         for pattern in [PatternKind::Rd, PatternKind::Ring] {
             assert_eq!(
-                warm.mapping(mapper, pattern).mapping,
-                cold.mapping(mapper, pattern).mapping,
+                warm.mapping(mapper, pattern).unwrap().mapping,
+                cold.mapping(mapper, pattern).unwrap().mapping,
                 "{mapper:?}/{pattern:?}"
             );
         }
@@ -228,11 +228,11 @@ fn drained_hosts_non_uniform_occupancy_p512() {
     // identically on both backends.
     for mapper in ALL_MAPPERS {
         for pattern in [PatternKind::Rd, PatternKind::Ring] {
-            let m = dense.mapping(mapper, pattern).mapping.clone();
+            let m = dense.mapping(mapper, pattern).unwrap().mapping.clone();
             assert!(is_permutation(&m), "{mapper:?}/{pattern:?}");
             assert_eq!(
                 m,
-                implicit.mapping(mapper, pattern).mapping,
+                implicit.mapping(mapper, pattern).unwrap().mapping,
                 "{mapper:?}/{pattern:?}"
             );
         }
@@ -279,7 +279,11 @@ fn compound_fault_at_p4096_matches_cold_session() {
     for o in &report.probes {
         assert!(o.after.is_finite() && o.after > 0.0, "{:?}", o.probe);
     }
-    let m = warm.mapping(Mapper::Hrstc, PatternKind::Rd).mapping.clone();
+    let m = warm
+        .mapping(Mapper::Hrstc, PatternKind::Rd)
+        .unwrap()
+        .mapping
+        .clone();
     assert!(is_permutation(&m));
 
     let degraded = set.apply(&base).unwrap();
@@ -307,7 +311,12 @@ fn compound_fault_at_p4096_matches_cold_session() {
             );
         }
     }
-    assert_eq!(m, cold.mapping(Mapper::Hrstc, PatternKind::Rd).mapping);
+    assert_eq!(
+        m,
+        cold.mapping(Mapper::Hrstc, PatternKind::Rd)
+            .unwrap()
+            .mapping
+    );
 }
 
 proptest! {
@@ -350,7 +359,7 @@ proptest! {
                 for o in &report.probes {
                     prop_assert!(o.after.is_finite() && o.after > 0.0, "{:?}", o.probe);
                 }
-                let m = &s.mapping(Mapper::Hrstc, PatternKind::Rd).mapping;
+                let m = &s.mapping(Mapper::Hrstc, PatternKind::Rd).unwrap().mapping;
                 prop_assert!(is_permutation(m));
             }
             Err(

@@ -151,7 +151,7 @@ fn reference(s: &mut Session, coll: Coll, b: u64, scheme: Scheme) -> f64 {
     let comm: Communicator = match scheme {
         Scheme::Default => s.comm().clone(),
         Scheme::Reordered { mapper, .. } => {
-            let m = s.mapping(mapper, coll.pattern()).mapping.clone();
+            let m = s.mapping(mapper, coll.pattern()).unwrap().mapping.clone();
             s.comm().reordered(&m)
         }
     };

@@ -59,8 +59,8 @@ fn assert_flat_equal(dense: &mut Session, implicit: &mut Session, mappers: &[Map
     // Every mapping the sweep cached must be bit-identical.
     for &mapper in mappers {
         for pattern in [PatternKind::Rd, PatternKind::Ring] {
-            let a = dense.mapping(mapper, pattern).mapping.clone();
-            let b = implicit.mapping(mapper, pattern).mapping.clone();
+            let a = dense.mapping(mapper, pattern).unwrap().mapping.clone();
+            let b = implicit.mapping(mapper, pattern).unwrap().mapping.clone();
             assert_eq!(a, b, "{tag}: mapping {mapper:?}/{pattern:?}");
         }
     }
@@ -116,10 +116,12 @@ fn bruck_region_agrees_non_power_of_two() {
     }
     let a = dense
         .mapping(Mapper::Hrstc, PatternKind::Bruck)
+        .unwrap()
         .mapping
         .clone();
     let b = implicit
         .mapping(Mapper::Hrstc, PatternKind::Bruck)
+        .unwrap()
         .mapping
         .clone();
     assert_eq!(a, b);

@@ -1,15 +1,16 @@
-//! Differential validation of the shared-core split: a [`SessionCore`]
-//! behind any number of [`SessionHandle`]s — including N threads hammering
-//! one core concurrently — must be **bit-identical** to a solo [`Session`]
-//! on the same inputs, under exact `f64` equality. The coalesce counters
-//! must also prove that concurrent identical requests actually shared
-//! computes rather than racing past each other.
+//! Differential validation of one shared [`SessionCore`]: any number of
+//! [`Session`] handles on it — a second handle on a core another handle
+//! warmed, N threads hammering one cold core concurrently, a handle on a
+//! core minted by a fault — must be **bit-identical**, under exact `f64`
+//! equality, to a reference [`Session`] on its own fresh core driven by a
+//! single thread. The core must compute each unique artifact once however
+//! many handles ask, and the coalesce counters must prove that concurrent
+//! identical requests actually shared computes rather than racing past each
+//! other.
 
 use std::sync::{Arc, Barrier};
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
-use tarr_core::{
-    DistanceBackend, Mapper, ProbePoint, Scheme, Session, SessionConfig, SessionCore, SessionHandle,
-};
+use tarr_core::{DistanceBackend, Mapper, ProbePoint, Scheme, Session, SessionConfig, SessionCore};
 use tarr_faults::{FaultRates, FaultSet};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_topo::Cluster;
@@ -36,11 +37,11 @@ fn cfg(backend: DistanceBackend) -> SessionConfig {
     }
 }
 
-/// The mixed workload both sides execute: every collective surface of the
+/// The mixed workload every test runs: every collective surface of the
 /// session, across mappers, fixes and both allgather algorithm regions.
 /// Returns the result vector in request order (NaN encodes "unsupported",
 /// which must agree on both sides too).
-fn run_workload_solo(s: &mut Session) -> Vec<f64> {
+fn run_workload(s: &mut Session) -> Vec<f64> {
     let mut out = Vec::new();
     for msg in [256u64, 65536] {
         out.push(s.allgather_time(msg, Scheme::Default));
@@ -68,112 +69,88 @@ fn run_workload_solo(s: &mut Session) -> Vec<f64> {
     out
 }
 
-fn run_workload_handle(h: &mut SessionHandle) -> Vec<f64> {
-    let mut out = Vec::new();
-    for msg in [256u64, 65536] {
-        out.push(h.allgather_time(msg, Scheme::Default));
-        for mapper in MAPPERS {
-            for fix in FIXES {
-                out.push(h.allgather_time(msg, Scheme::Reordered { mapper, fix }));
-            }
-        }
-        out.push(
-            h.hierarchical_allgather_time(msg, HCFG, Scheme::Default)
-                .unwrap_or(f64::NAN),
-        );
-        out.push(
-            h.hierarchical_allgather_time(msg, HCFG, Scheme::hrstc(OrderFix::InitComm))
-                .unwrap_or(f64::NAN),
-        );
-        out.push(h.gather_time(msg, Scheme::Default));
-        out.push(h.gather_time(msg, Scheme::hrstc(OrderFix::EndShuffle)));
-        out.push(h.bcast_time(msg, Scheme::scotch(OrderFix::InitComm)));
-        out.push(h.allreduce_time(msg, true, Scheme::hrstc(OrderFix::InPlace)));
-    }
-    let sizes: Vec<u64> = (0..h.size() as u64).map(|r| 64 + (r % 7) * 128).collect();
-    out.push(h.allgatherv_time(&sizes, Scheme::Default));
-    out.push(h.allgatherv_time(&sizes, Scheme::hrstc(OrderFix::InPlace)));
-    out
-}
-
-fn assert_bitwise_eq(solo: &[f64], shared: &[f64], tag: &str) {
-    assert_eq!(solo.len(), shared.len(), "{tag}: result count");
-    for (i, (a, b)) in solo.iter().zip(shared.iter()).enumerate() {
+fn assert_bitwise_eq(reference: &[f64], shared: &[f64], tag: &str) {
+    assert_eq!(reference.len(), shared.len(), "{tag}: result count");
+    for (i, (a, b)) in reference.iter().zip(shared.iter()).enumerate() {
         assert!(
             (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits(),
-            "{tag}: request {i} diverged: solo {a:?} vs shared {b:?}"
+            "{tag}: request {i} diverged: reference {a:?} vs shared {b:?}"
         );
     }
 }
 
-/// Solo vs shared, single-threaded, both distance backends and all four
-/// initial layouts: every collective result bit-identical, including the
-/// `None` (unsupported) cases.
+/// A handle on a core built with `SessionCore::from_layout` agrees with a
+/// reference session on its own fresh core, both distance backends and all
+/// four initial layouts: every collective result bit-identical, including
+/// the `None` (unsupported) cases.
 #[test]
-fn shared_core_matches_solo_session() {
+fn handle_on_a_fresh_core_matches_reference_session() {
     for backend in [DistanceBackend::Dense, DistanceBackend::Implicit] {
         for layout in InitialMapping::ALL {
             let cluster = Cluster::gpc(4);
             let p = cluster.total_cores();
-            let mut solo = Session::from_layout(cluster.clone(), layout, p, cfg(backend));
+            let mut reference = Session::from_layout(cluster.clone(), layout, p, cfg(backend));
             let core = Arc::new(SessionCore::from_layout(cluster, layout, p, cfg(backend)));
             let mut handle = core.handle();
-            let a = run_workload_solo(&mut solo);
-            let b = run_workload_handle(&mut handle);
+            let a = run_workload(&mut reference);
+            let b = run_workload(&mut handle);
             assert_bitwise_eq(&a, &b, &format!("{backend:?}/{}", layout.name()));
             // The handle saw real cache traffic and the core computed each
             // unique artifact exactly once (the workload revisits keys).
             let stats = core.cache_stats();
             assert!(stats.hits() > 0, "warm revisits must hit: {stats:?}");
-            let solo_stats = solo.cache_stats();
+            let reference_stats = reference.cache_stats();
             assert_eq!(
-                stats.mappings.misses, solo_stats.mapping_misses,
-                "same unique mapping computes as solo"
+                stats.mappings.misses, reference_stats.mapping_misses,
+                "same unique mapping computes as the reference"
             );
         }
     }
 }
 
-/// A solo session warmed by the full workload and then frozen with
-/// `into_shared` must hand every artifact to the core: re-running the
-/// workload through a handle recomputes nothing and changes no result.
+/// A second handle on a core another handle warmed reads every artifact
+/// the first one computed: re-running the workload recomputes nothing and
+/// changes no result.
 #[test]
-fn into_shared_preserves_warm_state() {
+fn second_handle_reuses_the_warm_core() {
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
-    let mut solo = Session::from_layout(
+    let mut first = Session::from_layout(
         cluster,
         InitialMapping::BLOCK_BUNCH,
         p,
         cfg(DistanceBackend::Implicit),
     );
-    let expected = run_workload_solo(&mut solo);
-    let core = Arc::new(solo.into_shared());
-    let mut handle = core.handle();
-    let replay = run_workload_handle(&mut handle);
+    let expected = run_workload(&mut first);
+    let core = first.core().clone();
+    let warm = core.cache_stats();
+    let mut second = core.handle();
+    let replay = run_workload(&mut second);
     assert_bitwise_eq(&expected, &replay, "warm replay");
-    let stats = core.cache_stats();
+    let stats = core.cache_stats().since(warm);
+    assert_eq!(stats.mappings.misses, 0, "mappings were shared: {stats:?}");
+    assert_eq!(stats.comms.misses, 0, "comms were shared: {stats:?}");
+    assert_eq!(stats.scheds.misses, 0, "schedules were shared: {stats:?}");
+    assert_eq!(stats.prices.misses, 0, "prices were shared: {stats:?}");
+    let h = second.cache_stats();
     assert_eq!(
-        stats.mappings.misses, 0,
-        "mappings were pre-seeded: {stats:?}"
-    );
-    assert_eq!(stats.comms.misses, 0, "comms were pre-seeded: {stats:?}");
-    assert_eq!(
-        stats.scheds.misses, 0,
-        "schedules were pre-seeded: {stats:?}"
-    );
-    assert_eq!(
-        stats.prices.misses, 0,
-        "price totals were pre-seeded: {stats:?}"
+        (
+            h.mapping_misses,
+            h.comm_misses,
+            h.sched_misses,
+            h.price_computed
+        ),
+        (0, 0, 0, 0),
+        "the second handle computed nothing: {h:?}"
     );
 }
 
 /// N threads hammer one shared core with the same overlapping workload from
 /// a barrier start. Every thread's every result must be bit-identical to the
-/// solo reference, the core must have computed each unique artifact exactly
-/// once (misses equal the solo session's), and across retry rounds the
-/// coalesce counters must show at least one lookup that blocked on another
-/// thread's in-flight compute.
+/// single-threaded reference, the core must have computed each unique
+/// artifact exactly once (misses equal the reference session's), and across
+/// retry rounds the coalesce counters must show at least one lookup that
+/// blocked on another thread's in-flight compute.
 #[test]
 fn concurrent_hammering_is_bit_identical_and_coalesces() {
     const THREADS: usize = 8;
@@ -182,14 +159,14 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
     let backend = DistanceBackend::Implicit;
-    let mut solo = Session::from_layout(
+    let mut reference = Session::from_layout(
         cluster.clone(),
         InitialMapping::BLOCK_BUNCH,
         p,
         cfg(backend),
     );
-    let expected = run_workload_solo(&mut solo);
-    let solo_stats = solo.cache_stats();
+    let expected = run_workload(&mut reference);
+    let reference_stats = reference.cache_stats();
 
     let mut saw_coalesce = false;
     for round in 0..ROUNDS {
@@ -208,7 +185,7 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
                     scope.spawn(move || {
                         let mut h = core.handle();
                         barrier.wait();
-                        let r = run_workload_handle(&mut h);
+                        let r = run_workload(&mut h);
                         (r, h.coalesced())
                     })
                 })
@@ -220,13 +197,13 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
         }
         let stats = core.cache_stats();
         // Compute-once across all 8 threads: the shared core ran exactly as
-        // many mapping computes as the solo session did.
+        // many mapping computes as the single-threaded reference did.
         assert_eq!(
-            stats.mappings.misses, solo_stats.mapping_misses,
+            stats.mappings.misses, reference_stats.mapping_misses,
             "round {round}: one mapping compute per unique key: {stats:?}"
         );
         assert_eq!(
-            stats.scheds.misses, solo_stats.sched_misses,
+            stats.scheds.misses, reference_stats.sched_misses,
             "round {round}: one compile per unique schedule: {stats:?}"
         );
         if stats.coalesced() > 0 {
@@ -244,27 +221,21 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
     );
 }
 
-/// Fault application on a shared core (functional: old core untouched, new
-/// core minted) must agree with the solo `apply_faults` path: identical
-/// probe timings, identical post-fault collective results, and the pre-fault
-/// core still prices the pre-fault topology.
+/// A fault applied to a shared core is functional: `SessionCore::apply_faults`
+/// leaves the old core untouched and mints a new one. A handle on the new
+/// core must agree with a reference session that applied the same fault to
+/// itself (`Session::apply_faults`): identical post-fault collective
+/// results and probe timings, identical damage accounting — and the
+/// pre-fault core still prices the pre-fault topology.
 #[test]
-fn shared_fault_path_matches_solo() {
+fn core_fault_matches_reference_session_fault() {
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
     let backend = DistanceBackend::Implicit;
-    // Find a fault set both paths survive (no partition).
+    // Find a fault set that applies (no partition).
     let set = (0..50)
         .map(|s| FaultSet::random(&cluster, &FaultRates::links(0.05), 0xc0a1u64 << 8 | s))
-        .find(|set| {
-            let mut probe = Session::from_layout(
-                cluster.clone(),
-                InitialMapping::BLOCK_BUNCH,
-                p,
-                cfg(backend),
-            );
-            probe.apply_faults(set, &[]).is_ok()
-        })
+        .find(|set| set.apply(&cluster).is_ok())
         .expect("a survivable link-fault set exists");
 
     let probes = [
@@ -272,19 +243,26 @@ fn shared_fault_path_matches_solo() {
         ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
         ProbePoint::bcast(4096, Scheme::Default),
     ];
+    let price_probes = |s: &mut Session| {
+        vec![
+            s.allgather_time(512, Scheme::Default),
+            s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm)),
+            s.bcast_time(4096, Scheme::Default),
+        ]
+    };
 
-    // Solo: warm, fault, re-run.
-    let mut solo = Session::from_layout(
+    // Reference: warm, fault in place, re-run.
+    let mut reference = Session::from_layout(
         cluster.clone(),
         InitialMapping::BLOCK_BUNCH,
         p,
         cfg(backend),
     );
-    let pre = run_workload_solo(&mut solo);
-    let solo_report = solo.apply_faults(&set, &probes).unwrap();
-    let post_solo = run_workload_solo(&mut solo);
+    let pre = run_workload(&mut reference);
+    let reference_report = reference.apply_faults(&set, &probes).unwrap();
+    let post = run_workload(&mut reference);
 
-    // Shared: warm via handle, fault functionally, re-run on the new core.
+    // Shared: warm via a handle, fault functionally, re-run on the new core.
     let core = Arc::new(SessionCore::from_layout(
         cluster,
         InitialMapping::BLOCK_BUNCH,
@@ -292,25 +270,42 @@ fn shared_fault_path_matches_solo() {
         cfg(backend),
     ));
     let mut h = core.handle();
-    let pre_shared = run_workload_handle(&mut h);
+    let pre_shared = run_workload(&mut h);
     assert_bitwise_eq(&pre, &pre_shared, "pre-fault");
-    let (degraded, shared_report) = core.apply_faults(&set, &probes).unwrap();
+    let (degraded, shared_report) = core.apply_faults(&set).unwrap();
     let degraded = Arc::new(degraded);
     let mut h2 = degraded.handle();
-    let post_shared = run_workload_handle(&mut h2);
-    assert_bitwise_eq(&post_solo, &post_shared, "post-fault");
+    let post_shared = run_workload(&mut h2);
+    assert_bitwise_eq(&post, &post_shared, "post-fault");
 
-    // Probe outcomes agree exactly.
-    assert_eq!(solo_report.probes.len(), shared_report.probes.len());
-    for (a, b) in solo_report.probes.iter().zip(shared_report.probes.iter()) {
-        assert_eq!(a.before.to_bits(), b.before.to_bits(), "probe before");
-        assert_eq!(a.after.to_bits(), b.after.to_bits(), "probe after");
-    }
-    assert_eq!(solo_report.ranks_migrated, shared_report.ranks_migrated);
-    assert_eq!(solo_report.summary, shared_report.summary);
+    // Probe outcomes agree exactly with prices on the old and new cores.
+    let before: Vec<f64> = reference_report.probes.iter().map(|o| o.before).collect();
+    let after: Vec<f64> = reference_report.probes.iter().map(|o| o.after).collect();
+    assert_bitwise_eq(&before, &price_probes(&mut core.handle()), "probe before");
+    assert_bitwise_eq(&after, &price_probes(&mut degraded.handle()), "probe after");
+    assert!(shared_report.probes.is_empty());
+    assert_eq!(
+        reference_report.ranks_migrated,
+        shared_report.ranks_migrated
+    );
+    assert_eq!(reference_report.summary, shared_report.summary);
+    assert_eq!(
+        (
+            reference_report.mappings_dropped,
+            reference_report.comms_dropped,
+            reference_report.scheds_dropped,
+            reference_report.scheds_kept
+        ),
+        (
+            shared_report.mappings_dropped,
+            shared_report.comms_dropped,
+            shared_report.scheds_dropped,
+            shared_report.scheds_kept
+        )
+    );
 
     // The old core is untouched: it still prices the pre-fault topology.
     let mut h3 = core.handle();
-    let pre_again = run_workload_handle(&mut h3);
+    let pre_again = run_workload(&mut h3);
     assert_bitwise_eq(&pre, &pre_again, "old core after functional fault");
 }

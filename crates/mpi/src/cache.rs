@@ -172,8 +172,9 @@ where
         cell.get().cloned()
     }
 
-    /// Pre-seed `key` with `value` (used when a warm solo session is
-    /// converted into a shared core). Overwrites nothing: if the key already
+    /// Pre-seed `key` with `value` (used when a fault mints a new core that
+    /// shares the old one's surviving entries, and when a snapshot is
+    /// restored). Overwrites nothing: if the key already
     /// has an initialized cell, the existing value wins, preserving the
     /// compute-once guarantee.
     pub fn insert(&self, key: K, value: V) {

@@ -452,6 +452,11 @@ impl TimedSchedule {
     ) -> f64 {
         assert_eq!(self.p as usize, comm.size(), "schedule/comm size mismatch");
         assert_eq!(cache.len(), self.uniq.len(), "cache/schedule size mismatch");
+        let _span = tarr_trace::span("mpi.price")
+            .arg("p", self.p)
+            .arg("block_bytes", block_bytes)
+            .arg("stages", self.order.len())
+            .arg("unique_stages", self.uniq.len());
         let mut msgs: Vec<Message> = Vec::new();
         let mut total = 0.0;
         for &k in &self.order {
@@ -486,16 +491,9 @@ impl TimedSchedule {
     /// accumulation runs in original stage order, so the result is
     /// bit-identical to the reference executor's memoized sum.
     pub fn time(&self, comm: &Communicator, model: &StageModel<'_>, block_bytes: u64) -> f64 {
-        assert_eq!(self.p as usize, comm.size(), "schedule/comm size mismatch");
-        let span = tarr_trace::span("mpi.price")
-            .arg("p", self.p)
-            .arg("block_bytes", block_bytes)
-            .arg("stages", self.order.len())
-            .arg("unique_stages", self.uniq.len());
         let mut cache: Vec<f64> = vec![f64::NAN; self.uniq.len()];
         let total = self.time_with_cache(comm, model, block_bytes, &mut cache);
         counter_add!("mpi.price.calls", 1);
-        drop(span);
         total
     }
 

@@ -48,7 +48,7 @@ pub fn fault_core(
     fault: &FaultSpec,
 ) -> Result<(SessionCore, DegradationReport), ReplayError> {
     let set = FaultSet::random(core.cluster(), &fault.rates(), fault.seed);
-    core.apply_faults(&set, &[])
+    core.apply_faults(&set)
         .map_err(|e| ReplayError::Apply(e.to_string()))
 }
 

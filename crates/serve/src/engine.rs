@@ -1,7 +1,7 @@
 //! The request engine: named clusters, each an `Arc`-shared
 //! [`SessionCore`], with op dispatch and admission/coalesce accounting.
 //!
-//! Every request that touches a cluster runs on a fresh [`SessionHandle`] —
+//! Every request that touches a cluster runs on a fresh [`Session`] handle —
 //! handles are a pointer plus counters, so per-request creation is free —
 //! and all handles of one cluster share the core's sharded coalescing
 //! caches. A `fault` op never mutates a core in place: it computes the
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use tarr_core::{Mapper, PatternKind, SessionCore, SessionHandle};
+use tarr_core::{Mapper, PatternKind, Session, SessionCore};
 use tarr_mpi::{Lookup, ShardedOnceMap};
 use tarr_replay::{
     build_core, fault_core, restore_dir, write_snapshot, BackendKind, EngineSnapshot, Event,
@@ -553,7 +553,7 @@ impl Engine {
 
     /// Fold one finished request's handle accounting into the coalesce
     /// metric: any reuse of shared-core state counts once per request.
-    fn settle(&self, h: &SessionHandle) {
+    fn settle(&self, h: &Session) {
         let s = h.cache_stats();
         let reused = s.mapping_hits + s.comm_hits + s.sched_hits + s.price_reused + h.coalesced();
         if reused > 0 {

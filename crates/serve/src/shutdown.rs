@@ -52,19 +52,15 @@ mod tests {
         let flag = install_sigterm();
         assert!(!flag.load(Ordering::Relaxed));
         extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-            fn getpid() -> i32;
+            fn raise(sig: i32) -> i32;
         }
+        // `raise` signals the calling thread and returns only after the
+        // handler ran. `kill(getpid())` would let the kernel pick any test
+        // thread, whose handler can run after this thread checks the flag.
+        // SAFETY: raise(2) reads only its integer argument; the SIGTERM
+        // handler installed above does one atomic store.
         unsafe {
-            assert_eq!(kill(getpid(), 15), 0);
-        }
-        // Delivery is to this process; the handler runs before kill()
-        // returns on Linux for a self-signal, but spin briefly to be safe.
-        for _ in 0..1000 {
-            if flag.load(Ordering::Relaxed) {
-                break;
-            }
-            std::thread::yield_now();
+            assert_eq!(raise(15), 0);
         }
         assert!(flag.load(Ordering::Relaxed));
         // Reset for any other test that inspects the flag.

@@ -5,9 +5,7 @@
 
 use std::sync::Barrier;
 
-use tarr_serve::protocol::{
-    err_reply, err_reply_coded, num, ok_reply, parse_mapper, parse_pattern, to_string,
-};
+use tarr_serve::protocol::{err_reply, num, ok_reply, parse_mapper, parse_pattern, to_string};
 use tarr_serve::Engine;
 use tarr_trace::json::{parse, Json};
 
@@ -43,8 +41,8 @@ fn request(id: Option<&str>, op: &str, cluster: &str, mapper: &str, pattern: &st
 
 /// The reply as the tree-building engine serialized it: an ok reply whose
 /// array holds one `Json::Num` per element of the serving core's mapping
-/// or reordered cores, the unsupported-pair error, or — for a mapper that
-/// panics on this rank count — the engine's `internal_error`.
+/// or reordered cores, or the unsupported-pair error (which is also what a
+/// topology-aware mapper answers for `rd` at a non-power-of-two rank count).
 fn reference(engine: &Engine, line: &str) -> String {
     let req = parse(line).unwrap();
     let field = |k: &str| req.get(k).and_then(Json::as_str).unwrap();
@@ -56,19 +54,16 @@ fn reference(engine: &Engine, line: &str) -> String {
         "map" => ("map", "mapping"),
         _ => ("reorder", "cores"),
     };
-    let values = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
-        "map" => h.mapping(mapper, pattern).map(|info| {
-            info.mapping
-                .iter()
-                .map(|&v| u64::from(v))
-                .collect::<Vec<_>>()
-        }),
+    let values: Option<Vec<u64>> = match op {
+        "map" => h
+            .mapping(mapper, pattern)
+            .map(|info| info.mapping.iter().map(|&v| u64::from(v)).collect()),
         _ => h
             .reordered_comm(mapper, pattern)
             .map(|comm| comm.cores().iter().map(|c| u64::from(c.0)).collect()),
-    }));
+    };
     let tree = match values {
-        Ok(Some(values)) => ok_reply(
+        Some(values) => ok_reply(
             &req,
             op,
             vec![(
@@ -76,15 +71,7 @@ fn reference(engine: &Engine, line: &str) -> String {
                 Json::Arr(values.into_iter().map(num).collect()),
             )],
         ),
-        Ok(None) => err_reply(Some(&req), "unsupported mapper/pattern for this cluster"),
-        Err(payload) => {
-            let what = payload.downcast_ref::<&str>().expect("string panic");
-            err_reply_coded(
-                Some(&req),
-                "internal_error",
-                &format!("request handler panicked: {what}"),
-            )
-        }
+        None => err_reply(Some(&req), "unsupported mapper/pattern for this cluster"),
     };
     to_string(&tree)
 }
@@ -128,6 +115,32 @@ fn replies_equal_the_tree_encoding_at_24_and_512_ranks() {
     ingest(&engine, "p512", 64);
     assert_matches_reference(&engine, "p24", &MAPPERS, &IDS);
     assert_matches_reference(&engine, "p512", &MAPPERS, &IDS);
+}
+
+/// Recursive doubling needs a power-of-two rank count. At P = 24 every
+/// topology-aware mapper answers `rd` with the typed unsupported-pair
+/// error, never an `internal_error`; the MVAPICH reorder reads no pattern
+/// and keeps its mapping.
+#[test]
+fn rd_at_24_ranks_is_ok_or_unsupported_never_internal() {
+    let engine = Engine::new();
+    ingest(&engine, "p24", 3);
+    for op in OPS {
+        for mapper in MAPPERS {
+            let reply = engine.handle_line(&request(None, op, "p24", mapper, "rd"));
+            assert!(!reply.contains("internal_error"), "{reply}");
+            let tree = parse(&reply).unwrap();
+            if mapper == "mvapich" {
+                ok(&reply);
+            } else {
+                assert_eq!(
+                    tree.get("error").and_then(Json::as_str),
+                    Some("unsupported mapper/pattern for this cluster"),
+                    "{reply}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

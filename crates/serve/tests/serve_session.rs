@@ -92,6 +92,7 @@ fn engine_agrees_with_solo_session() {
         .collect();
     let solo_mapping: Vec<u64> = solo
         .mapping(Mapper::Hrstc, PatternKind::Ring)
+        .unwrap()
         .mapping
         .iter()
         .map(|&v| v as u64)
@@ -146,7 +147,11 @@ fn allreduce_at_24_ranks_is_an_unsupported_collective() {
     let replies = run_script(&engine, &script);
     for reply in &replies[1..3] {
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
-        assert_eq!(reply.get("code"), None, "a client error, not internal: {reply:?}");
+        assert_eq!(
+            reply.get("code"),
+            None,
+            "a client error, not internal: {reply:?}"
+        );
         let msg = reply.get("error").and_then(Json::as_str).unwrap();
         assert!(
             msg.starts_with("unsupported collective allreduce for this cluster"),
@@ -154,7 +159,12 @@ fn allreduce_at_24_ranks_is_an_unsupported_collective() {
         );
     }
     for i in [0, 3, 4, 5] {
-        assert_eq!(replies[i].get("ok"), Some(&Json::Bool(true)), "{:?}", replies[i]);
+        assert_eq!(
+            replies[i].get("ok"),
+            Some(&Json::Bool(true)),
+            "{:?}",
+            replies[i]
+        );
     }
     assert_eq!(engine.stats().errors(), 2);
 }

@@ -52,7 +52,9 @@ fn main() {
         PatternKind::Rd,
         PatternKind::BinomialBcast,
     ] {
-        let info = session.mapping(Mapper::Hrstc, pattern);
+        let info = session
+            .mapping(Mapper::Hrstc, pattern)
+            .expect("flat mappings are always available");
         println!(
             "  mapping {:?}: computed once in {:?}",
             pattern, info.compute

@@ -14,6 +14,7 @@ fn main() {
     );
     let m = s
         .mapping(Mapper::ScotchLike, PatternKind::Ring)
+        .expect("flat mappings are always available")
         .mapping
         .clone();
     let g = pattern_graph(&ring(p as u32), 4096);

@@ -81,10 +81,18 @@ fn hierarchical_all_phase_combinations_verify() {
 #[test]
 fn mappings_cached_once_per_pattern() {
     let mut s = session(InitialMapping::BLOCK_BUNCH, 2);
-    let a = s.mapping(Mapper::Hrstc, PatternKind::Rd).mapping.clone();
+    let a = s
+        .mapping(Mapper::Hrstc, PatternKind::Rd)
+        .unwrap()
+        .mapping
+        .clone();
     // Trigger through the timing API too; must reuse the same mapping.
     let _ = s.allgather_time(64, Scheme::hrstc(OrderFix::InitComm));
-    let b = s.mapping(Mapper::Hrstc, PatternKind::Rd).mapping.clone();
+    let b = s
+        .mapping(Mapper::Hrstc, PatternKind::Rd)
+        .unwrap()
+        .mapping
+        .clone();
     assert_eq!(a, b);
 }
 

@@ -223,7 +223,7 @@ fn fig7b_overhead_ordering() {
             tarr::core::Mapper::ScotchLike,
             tarr::core::PatternKind::Ring,
         )
-        .clone();
+        .unwrap();
     let scotch = info.compute + info.graph_build;
     // Unoptimized builds distort constant factors; only enforce the full
     // order-of-magnitude gap in release.
