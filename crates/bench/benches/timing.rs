@@ -265,7 +265,7 @@ fn fault_summary() -> String {
         cluster,
         InitialMapping::CYCLIC_BUNCH,
         ranks,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     // Warm the compiled-schedule and stage-price caches: the timed region
     // below is pure re-convergence, not first-touch compilation. The 512 B
@@ -305,7 +305,7 @@ fn fault_summary() -> String {
     let degraded = session.cluster().clone();
     let cores = session.comm().cores().to_vec();
     let t = Instant::now();
-    let mut cold = Session::new(degraded, cores, SessionConfig::implicit());
+    let mut cold = Session::new(degraded, cores, SessionConfig::default());
     let cold_big = cold.allgather_time(MSG, Scheme::Default);
     let cold_small = cold.allgather_time(512, Scheme::Default);
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -25,7 +25,7 @@ use tarr_mapping::rdmh::rdmh_with_cadence;
 use tarr_mapping::{bbmh_with_order, init_comm_schedule, InitialMapping, OrderFix, TraversalOrder};
 use tarr_mpi::{time_schedule, time_schedule_async};
 use tarr_netsim::{NetParams, StageModel};
-use tarr_topo::Rank;
+use tarr_topo::{DistanceMatrix, Rank};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -43,7 +43,11 @@ fn ablate_bbmh_order(opts: &HarnessOpts) {
     println!("\n== Ablation 1: BBMH traversal order (binomial bcast, cyclic-scatter) ==");
     let session = opts.session(InitialMapping::CYCLIC_SCATTER);
     let p = session.size() as u32;
-    let d = session.distance_matrix().clone();
+    let d = DistanceMatrix::build(
+        session.cluster(),
+        session.comm().cores(),
+        &session.core().config().dist,
+    );
     let model = StageModel::new(session.cluster(), NetParams::default());
     println!(
         "{:>8}  {:>12}  {:>14}  {:>14}",
@@ -70,7 +74,11 @@ fn ablate_rdmh_cadence(opts: &HarnessOpts) {
     println!("\n== Ablation 2: RDMH reference-update cadence (RD allgather, block-bunch) ==");
     let session = opts.session(InitialMapping::BLOCK_BUNCH);
     let p = session.size() as u32;
-    let d = session.distance_matrix().clone();
+    let d = DistanceMatrix::build(
+        session.cluster(),
+        session.comm().cores(),
+        &session.core().config().dist,
+    );
     let model = StageModel::new(session.cluster(), NetParams::default());
     let bytes = 512u64;
     let sched = recursive_doubling(p);
@@ -94,7 +102,11 @@ fn ablate_intra_mapping(opts: &HarnessOpts) {
         inter: InterAlg::Ring,
     };
     let groups_session = opts.session(InitialMapping::BLOCK_SCATTER);
-    let d = groups_session.distance_matrix().clone();
+    let d = DistanceMatrix::build(
+        groups_session.cluster(),
+        groups_session.comm().cores(),
+        &groups_session.core().config().dist,
+    );
     let cpn = groups_session.cluster().cores_per_node() as u32;
     let g = groups_session.size() as u32 / cpn;
     let groups: Vec<(u32, u32)> = (0..g).map(|i| (i * cpn, cpn)).collect();
@@ -160,7 +172,11 @@ fn ablate_stage_profile(opts: &HarnessOpts) {
     println!("\n== Ablation 6: RD per-stage latency before/after RDMH (block-bunch, 512 B) ==");
     let session = opts.session(InitialMapping::BLOCK_BUNCH);
     let p = session.size() as u32;
-    let d = session.distance_matrix().clone();
+    let d = DistanceMatrix::build(
+        session.cluster(),
+        session.comm().cores(),
+        &session.core().config().dist,
+    );
     let model = StageModel::new(session.cluster(), NetParams::default());
     let sched = recursive_doubling(p);
     let before = time_schedule_profile(&sched, session.comm(), &model, 512);

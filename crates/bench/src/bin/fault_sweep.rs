@@ -149,7 +149,7 @@ fn eval_seed(
             make_cluster(),
             InitialMapping::CYCLIC_BUNCH,
             ranks,
-            SessionConfig::implicit(),
+            SessionConfig::default(),
         );
         let probes = [
             (case.probe)(case.msg_bytes, Scheme::Default),
@@ -210,7 +210,7 @@ fn run_incremental(ranks: usize, trace: &TraceOpts) {
         cluster,
         InitialMapping::CYCLIC_BUNCH,
         ranks,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     // Warm the schedule and price caches: the timed region is pure
     // re-convergence, not first-touch compilation.

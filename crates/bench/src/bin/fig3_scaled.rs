@@ -2,8 +2,8 @@
 //! `Session` allgather surface at 65 536 processes.
 //!
 //! The dense `u16` distance matrix alone would need 8 GiB at this scale and
-//! the materialized ring schedule another P² ops; the implicit-oracle
-//! session backend ([`SessionConfig::implicit`]) plus the compiled
+//! the materialized ring schedule another P² ops; the session's O(P)
+//! implicit distance oracle plus the compiled
 //! [`TimedSchedule`](tarr_mpi::TimedSchedule) pipeline (with its analytic
 //! O(P) ring form) price both algorithm regions — recursive doubling below
 //! 1 KiB, ring above — in O(P) memory. This harness sweeps Default and
@@ -133,7 +133,7 @@ fn main() {
         cluster,
         InitialMapping::CYCLIC_BUNCH,
         procs,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     println!("session build: {:.3} s", t.elapsed().as_secs_f64());
 

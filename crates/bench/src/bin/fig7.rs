@@ -15,6 +15,7 @@ use std::time::Instant;
 use tarr_bench::HarnessOpts;
 use tarr_core::{Mapper, PatternKind, Session, SessionConfig};
 use tarr_mapping::{bbmh, bgmh, rdmh, rmh, InitialMapping};
+use tarr_topo::DistanceMatrix;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -30,7 +31,7 @@ fn main() {
         "{:>8}  {:>22}  {:>26}",
         "procs", "modelled on-system (s)", "measured matrix build (s)"
     );
-    let mut sessions: Vec<(usize, Session)> = Vec::new();
+    let mut sessions: Vec<(usize, Session, DistanceMatrix)> = Vec::new();
     for &p in &sizes {
         let cluster = opts.cluster_for(p);
         let s = Session::from_layout(
@@ -39,13 +40,16 @@ fn main() {
             p,
             SessionConfig::default(),
         );
+        let t0 = Instant::now();
+        let d = DistanceMatrix::build(s.cluster(), s.comm().cores(), &s.core().config().dist);
+        let build = t0.elapsed();
         println!(
             "{:>8}  {:>22.3}  {:>26.4}",
             p,
             s.extraction_model_seconds(),
-            s.dist_build_time().as_secs_f64()
+            build.as_secs_f64()
         );
-        sessions.push((p, s));
+        sessions.push((p, s, d));
     }
 
     println!("\nFig. 7(b) — mapping algorithm overhead (measured, seconds)");
@@ -53,15 +57,14 @@ fn main() {
         "{:>8}  {:>14}  {:>14}  {:>18}",
         "procs", "heuristics avg", "Scotch-like", "(graph build part)"
     );
-    for (p, session) in &mut sessions {
+    for (p, session, d) in &mut sessions {
         // Average the four heuristics' wall-clock, as the paper does
         // ("our heuristics have almost the same amount of overhead").
-        let d = session.distance_matrix().clone();
         let t0 = Instant::now();
-        let _ = rdmh(&d, 0);
-        let _ = rmh(&d, 0);
-        let _ = bbmh(&d, 0);
-        let _ = bgmh(&d, 0);
+        let _ = rdmh(d, 0);
+        let _ = rmh(d, 0);
+        let _ = bbmh(d, 0);
+        let _ = bgmh(d, 0);
         let heuristic_avg = t0.elapsed().as_secs_f64() / 4.0;
 
         let info = session

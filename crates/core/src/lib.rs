@@ -1,13 +1,14 @@
 //! # tarr-core — the public topology-aware rank-reordering API
 //!
 //! Ties the workspace together into the framework of §IV of the paper: a
-//! [`SessionCore`] holds a cluster, an initial process layout and the
-//! extracted distance structure, and a [`Session`] is one client's handle
-//! onto it; per collective-communication pattern the core computes (once,
-//! lazily) a reordered communicator with the appropriate mapping heuristic or
-//! baseline mapper, and prices collectives under any [`Scheme`] on the
-//! network model — with the §V-B output-ordering machinery (initComm /
-//! endShfl / in-place ring) both *timed* and *functionally verifiable*.
+//! [`SessionCore`] holds a cluster, an initial process layout and its O(P)
+//! distance oracle (`tarr_topo::ImplicitDistance`), and a [`Session`] is one
+//! client's handle onto it; per collective-communication pattern the core
+//! computes (once, lazily) a reordered communicator with the appropriate
+//! mapping heuristic or baseline mapper, and prices collectives under any
+//! [`Scheme`] on the network model — with the §V-B output-ordering
+//! machinery (initComm / endShfl / in-place ring) both *timed* and
+//! *functionally verifiable*.
 //!
 //! ```
 //! use tarr_core::{Scheme, Session, SessionConfig};
@@ -35,7 +36,7 @@ pub mod session;
 pub use hier::hierarchical_mapping;
 pub use refine::congestion_refine;
 pub use session::{
-    CacheStats, CommKey, CoreCacheStats, CoreState, DegradationReport, DistanceBackend, Mapper,
-    MappingInfo, PatternKind, ProbeCollective, ProbeOutcome, ProbePoint, SchedKey, Scheme, Session,
+    CacheStats, CommKey, CoreCacheStats, CoreState, DegradationReport, Mapper, MappingInfo,
+    PatternKind, ProbeCollective, ProbeOutcome, ProbePoint, SchedKey, Scheme, Session,
     SessionConfig, SessionCore, SessionHandle,
 };

@@ -1,7 +1,7 @@
 //! The [`Session`] — the paper's run-time rank-reordering framework (§IV).
 //!
 //! A session works over one job: the cluster model, the initial rank→core
-//! binding and the extracted distance structure.
+//! binding and the distance oracle built over it.
 //! Reordered communicators are created lazily and **once** per (mapper,
 //! communication pattern) — "the whole rank reordering process happens only
 //! once at run-time; any subsequent calls to the corresponding collective …
@@ -24,11 +24,12 @@
 //!   communicator, message size), next to its per-unique-stage prices so a
 //!   fault re-prices only the stages it reaches.
 //!
-//! The distance backend is selectable: the dense [`DistanceMatrix`]
-//! (reference/validation path) or the O(P)-memory
-//! [`ImplicitDistance`] oracle, which takes a 65,536-rank session from
-//! an 8 GiB dense extraction to a few MiBs. The two backends produce
-//! bit-identical mappings and timings.
+//! The distance structure is the O(P)-memory [`ImplicitDistance`] oracle,
+//! which takes a 65,536-rank session from an 8 GiB dense extraction to a
+//! few MiBs. The heuristics run in their bucketed O(P·L) form on it. The
+//! dense [`tarr_topo::DistanceMatrix`] and the linear-scan heuristics stay
+//! in `tarr-topo`/`tarr-mapping` as the reference the differential suites
+//! pin every session mapping against.
 
 mod degraded;
 mod shared;
@@ -46,16 +47,14 @@ use tarr_collectives::gather::binomial_gather;
 use tarr_collectives::{pattern_graph, pattern_graph_unweighted, select_allgather, AllgatherAlg};
 use tarr_mapping::initial::mvapich_cyclic_reorder;
 use tarr_mapping::{
-    bbmh, bbmh_bucketed, bgmh, bgmh_bucketed, bkmh, bkmh_bucketed, end_shuffle_perm, greedy_map,
-    init_comm_schedule, rdmh, rdmh_bucketed, reorder, ring_placement, rmh, rmh_bucketed,
-    scotch_like_map_with, InitialMapping, OrderFix, ScotchVariant,
+    bbmh_bucketed, bgmh_bucketed, bkmh_bucketed, end_shuffle_perm, greedy_map, init_comm_schedule,
+    rdmh_bucketed, reorder, ring_placement, rmh_bucketed, scotch_like_map_with, InitialMapping,
+    OrderFix, ScotchVariant,
 };
 use tarr_mpi::cache::Lookup;
 use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule};
 use tarr_netsim::NetParams;
-use tarr_topo::{
-    Cluster, CoreId, DistanceConfig, DistanceMatrix, ExtractionCostModel, ImplicitDistance, Rank,
-};
+use tarr_topo::{Cluster, CoreId, DistanceConfig, ExtractionCostModel, ImplicitDistance, Rank};
 
 /// Mapping engine choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,19 +146,6 @@ impl Scheme {
     }
 }
 
-/// Which distance structure the session extracts at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DistanceBackend {
-    /// The dense O(P²) [`DistanceMatrix`] — exact reference path; caps
-    /// sessions around 4096 ranks (8 GiB of `u16` at 65,536).
-    #[default]
-    Dense,
-    /// The O(P)-memory [`ImplicitDistance`] oracle; bit-identical distances,
-    /// sessions build in MiBs at 65,536 ranks. The fine-tuned heuristics run
-    /// through their bucketed O(P·L) variants on this backend.
-    Implicit,
-}
-
 /// Session-wide knobs.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -171,8 +157,6 @@ pub struct SessionConfig {
     pub dist: DistanceConfig,
     /// Wall-clock model of on-system distance extraction (Fig. 7a).
     pub extraction: ExtractionCostModel,
-    /// Distance structure to extract (dense reference vs O(P) oracle).
-    pub backend: DistanceBackend,
 }
 
 impl Default for SessionConfig {
@@ -182,17 +166,6 @@ impl Default for SessionConfig {
             net: NetParams::default(),
             dist: DistanceConfig::default(),
             extraction: ExtractionCostModel::default(),
-            backend: DistanceBackend::Dense,
-        }
-    }
-}
-
-impl SessionConfig {
-    /// The default configuration on the O(P) implicit-distance backend.
-    pub fn implicit() -> Self {
-        SessionConfig {
-            backend: DistanceBackend::Implicit,
-            ..SessionConfig::default()
         }
     }
 }
@@ -234,27 +207,6 @@ pub struct CacheStats {
     pub price_reused: u64,
     /// Unique-stage prices simulated and inserted into the price cache.
     pub price_computed: u64,
-}
-
-/// The extracted distance structure (dense table or O(P) oracle).
-#[derive(Clone)]
-enum SessionDistance {
-    Dense(DistanceMatrix),
-    Implicit(ImplicitDistance),
-}
-
-impl SessionDistance {
-    /// Extract the structure `cfg.backend` names for `cores` on `cluster`.
-    fn build(cluster: &Cluster, cores: &[CoreId], cfg: &SessionConfig) -> Self {
-        match cfg.backend {
-            DistanceBackend::Dense => {
-                SessionDistance::Dense(DistanceMatrix::build(cluster, cores, &cfg.dist))
-            }
-            DistanceBackend::Implicit => {
-                SessionDistance::Implicit(ImplicitDistance::build(cluster, cores, &cfg.dist))
-            }
-        }
-    }
 }
 
 /// Key of one compiled [`TimedSchedule`] in the schedule cache. Schedules
@@ -399,27 +351,8 @@ impl Session {
         self.core.comm()
     }
 
-    /// The distance backend in effect.
-    pub fn backend(&self) -> DistanceBackend {
-        self.core.config().backend
-    }
-
-    /// The extracted dense distance matrix.
-    ///
-    /// # Panics
-    /// Panics on the [`DistanceBackend::Implicit`] backend, which never
-    /// builds one — that is its point.
-    pub fn distance_matrix(&self) -> &DistanceMatrix {
-        match &*self.core.d {
-            SessionDistance::Dense(d) => d,
-            SessionDistance::Implicit(_) => {
-                panic!("implicit-backend session has no dense distance matrix")
-            }
-        }
-    }
-
     /// Wall-clock time spent building (and, across faults, rebuilding) the
-    /// distance structure (real, measured).
+    /// distance oracle (real, measured).
     pub fn dist_build_time(&self) -> Duration {
         self.core.dist_build_time()
     }
@@ -989,11 +922,10 @@ fn scalar_comm(scheme: Scheme, pattern: PatternKind) -> CommKey {
     }
 }
 
-/// Compute the mapping for one (mapper, pattern) pair over whichever
-/// distance backend the session extracted. `None` = unsupported
-/// configuration.
+/// Compute the mapping for one (mapper, pattern) pair over the session's
+/// distance oracle. `None` = unsupported configuration.
 fn compute_mapping(
-    d: &SessionDistance,
+    d: &ImplicitDistance,
     cluster: &Cluster,
     comm: &Communicator,
     cfg: &SessionConfig,
@@ -1012,40 +944,23 @@ fn compute_mapping(
         Mapper::Hrstc => {
             let (mapping, compute) = timed_compute(mapper, p, || {
                 Some(match pattern {
-                    // The fine-tuned heuristics dispatch per backend: the
-                    // linear-scan generic implementations over the dense
-                    // matrix (reference), the bucketed O(P·L) variants over
-                    // the implicit oracle — proven bit-identical by the
-                    // equivalence suites in tarr-mapping.
-                    PatternKind::Rd => match d {
-                        SessionDistance::Dense(d) => rdmh(d, seed),
-                        SessionDistance::Implicit(o) => rdmh_bucketed(o, seed),
-                    },
+                    // The fine-tuned heuristics run in their bucketed O(P·L)
+                    // form, proven bit-identical to the linear-scan
+                    // reference by the equivalence suites in tarr-mapping.
+                    PatternKind::Rd => rdmh_bucketed(d, seed),
                     // On torus fabrics the ring embeds exactly along the
                     // snake (Hamiltonian) order; the greedy RMH chain can
                     // strand itself on flat mesh geometry, so the
                     // fabric-specialized mapping is preferred when available.
                     PatternKind::Ring => {
-                        torus_snake_mapping(cluster, comm).unwrap_or_else(|| match d {
-                            SessionDistance::Dense(d) => rmh(d, seed),
-                            SessionDistance::Implicit(o) => rmh_bucketed(o, seed),
-                        })
+                        torus_snake_mapping(cluster, comm).unwrap_or_else(|| rmh_bucketed(d, seed))
                     }
-                    PatternKind::Bruck => match d {
-                        SessionDistance::Dense(d) => bkmh(d, seed),
-                        SessionDistance::Implicit(o) => bkmh_bucketed(o, seed),
-                    },
-                    PatternKind::BinomialBcast => match d {
-                        SessionDistance::Dense(d) => bbmh(d, seed),
-                        SessionDistance::Implicit(o) => bbmh_bucketed(o, seed),
-                    },
-                    PatternKind::BinomialGather => match d {
-                        SessionDistance::Dense(d) => bgmh(d, seed),
-                        SessionDistance::Implicit(o) => bgmh_bucketed(o, seed),
-                    },
+                    PatternKind::Bruck => bkmh_bucketed(d, seed),
+                    PatternKind::BinomialBcast => bbmh_bucketed(d, seed),
+                    PatternKind::BinomialGather => bgmh_bucketed(d, seed),
                     PatternKind::Hier(inter, intra) => {
                         let groups = groups_by_node(comm, cluster)?;
-                        hier_dispatch(d, &groups, inter, intra, HierMapper::Heuristic, seed)?
+                        hierarchical_mapping(d, &groups, inter, intra, HierMapper::Heuristic, seed)?
                     }
                 })
             })?;
@@ -1059,7 +974,7 @@ fn compute_mapping(
             PatternKind::Hier(inter, intra) => {
                 let groups = groups_by_node(comm, cluster)?;
                 let (mapping, compute) = timed_compute(mapper, p, || {
-                    hier_dispatch(d, &groups, inter, intra, HierMapper::ScotchLike, seed)
+                    hierarchical_mapping(d, &groups, inter, intra, HierMapper::ScotchLike, seed)
                 })?;
                 Some(MappingInfo {
                     mapping,
@@ -1080,12 +995,7 @@ fn compute_mapping(
                 };
                 let graph_build = tg.finish();
                 let (mapping, compute) = timed_compute(mapper, p, || {
-                    Some(match d {
-                        SessionDistance::Dense(d) => scotch_like_map_with(&graph, d, seed, variant),
-                        SessionDistance::Implicit(o) => {
-                            scotch_like_map_with(&graph, o, seed, variant)
-                        }
-                    })
+                    Some(scotch_like_map_with(&graph, d, seed, variant))
                 })?;
                 Some(MappingInfo {
                     mapping,
@@ -1099,12 +1009,7 @@ fn compute_mapping(
             let tg = tarr_trace::timed_span("session.mapping.graph_build").arg("p", p);
             let graph = pattern_graph(&sched, 1);
             let graph_build = tg.finish();
-            let (mapping, compute) = timed_compute(mapper, p, || {
-                Some(match d {
-                    SessionDistance::Dense(d) => greedy_map(&graph, d),
-                    SessionDistance::Implicit(o) => greedy_map(&graph, o),
-                })
-            })?;
+            let (mapping, compute) = timed_compute(mapper, p, || Some(greedy_map(&graph, d)))?;
             Some(MappingInfo {
                 mapping,
                 compute,
@@ -1140,21 +1045,6 @@ fn timed_compute(
     let mapping = f();
     let compute = sp.finish();
     mapping.map(|m| (m, compute))
-}
-
-/// Run [`hierarchical_mapping`] over whichever backend the session holds.
-fn hier_dispatch(
-    d: &SessionDistance,
-    groups: &[(u32, u32)],
-    inter: InterAlg,
-    intra: IntraPattern,
-    hm: HierMapper,
-    seed: u64,
-) -> Option<Vec<u32>> {
-    match d {
-        SessionDistance::Dense(d) => hierarchical_mapping(d, groups, inter, intra, hm, seed),
-        SessionDistance::Implicit(o) => hierarchical_mapping(o, groups, inter, intra, hm, seed),
-    }
 }
 
 /// The snake ring mapping for full-allocation torus jobs: consecutive
@@ -1427,8 +1317,9 @@ mod tests {
             .unwrap();
         let g = pattern_graph(&binomial_gather(64, Rank(0)), 8192);
         let ident: Vec<u32> = (0..64).collect();
-        let before = tarr_mapping::mapping_cost(&g, s.distance_matrix(), &ident);
-        let after = tarr_mapping::mapping_cost(&g, s.distance_matrix(), &info.mapping);
+        let d = tarr_topo::DistanceMatrix::build(s.cluster(), s.comm().cores(), &s.core.cfg.dist);
+        let before = tarr_mapping::mapping_cost(&g, &d, &ident);
+        let after = tarr_mapping::mapping_cost(&g, &d, &info.mapping);
         assert!(after < before, "gather cost before {before} after {after}");
         // The order-preserving fixes always add (non-negative) overhead.
         let mapped = s.gather_time(8192, Scheme::hrstc(OrderFix::InPlace));
@@ -1583,52 +1474,21 @@ mod tests {
     }
 
     #[test]
-    fn implicit_backend_has_no_dense_matrix() {
-        let cluster = Cluster::gpc(4);
-        let mut s = Session::from_layout(
-            cluster,
-            InitialMapping::CYCLIC_BUNCH,
-            32,
-            SessionConfig::implicit(),
-        );
-        assert_eq!(s.backend(), DistanceBackend::Implicit);
-        // The full API works without a dense matrix.
-        let t = s.allgather_time(65536, Scheme::hrstc(OrderFix::InitComm));
-        assert!(t.is_finite() && t > 0.0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = s.distance_matrix();
-        }));
-        assert!(r.is_err(), "distance_matrix must panic on implicit backend");
-    }
-
-    #[test]
     fn implicit_backend_matches_dense_exactly() {
-        // The fast differential smoke test; the exhaustive suite lives in
+        // The fast differential smoke test against the linear-scan
+        // heuristics on the dense matrix; the exhaustive suite lives in
         // tests/session_oracle_equiv.rs.
-        let cluster = Cluster::gpc(8);
-        let mk = |backend| {
-            let cfg = SessionConfig {
-                backend,
-                ..SessionConfig::default()
-            };
-            Session::from_layout(cluster.clone(), InitialMapping::CYCLIC_BUNCH, 64, cfg)
-        };
-        let mut dense = mk(DistanceBackend::Dense);
-        let mut implicit = mk(DistanceBackend::Implicit);
-        for msg in [256u64, 65536] {
-            for scheme in [
-                Scheme::Default,
-                Scheme::hrstc(OrderFix::InitComm),
-                Scheme::hrstc(OrderFix::EndShuffle),
-            ] {
-                let a = dense.allgather_time(msg, scheme);
-                let b = implicit.allgather_time(msg, scheme);
-                assert_eq!(a, b, "{msg} {scheme:?}");
-            }
-        }
-        for (k, info) in dense.core.mappings.entries() {
-            let other = implicit.core.mappings.get(&k).flatten().unwrap();
-            assert_eq!(info.unwrap().mapping, other.mapping, "{k:?}");
+        let mut s = session(InitialMapping::CYCLIC_BUNCH, 8);
+        let d = tarr_topo::DistanceMatrix::build(s.cluster(), s.comm().cores(), &s.core.cfg.dist);
+        let seed = s.core.cfg.seed;
+        for (pattern, reference) in [
+            (PatternKind::Rd, tarr_mapping::rdmh(&d, seed)),
+            (PatternKind::Ring, tarr_mapping::rmh(&d, seed)),
+            (PatternKind::BinomialBcast, tarr_mapping::bbmh(&d, seed)),
+            (PatternKind::BinomialGather, tarr_mapping::bgmh(&d, seed)),
+        ] {
+            let info = s.mapping(Mapper::Hrstc, pattern).unwrap();
+            assert_eq!(info.mapping, reference, "{pattern:?}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Fault resilience: [`SessionCore::apply_faults`] mints the degraded core
-//! — degraded cluster, displaced ranks migrated, distance structure
+//! — degraded cluster, displaced ranks migrated, distance oracle
 //! repaired or rebuilt — and carries over **exactly** the cached state the
 //! faults did not touch, as the same `Arc`s. [`Session::apply_faults`]
 //! swaps a handle onto that core.
@@ -20,14 +20,14 @@
 //!   stages the fault reaches re-priced (stage-selective repair),
 //!   so the new core holds complete entries only.
 //!
-//! Everything that reads the distance structure (every topology-aware
+//! Everything that reads the distance oracle (every topology-aware
 //! mapping and whatever was compiled from it) is dropped, because the
 //! degraded fabric answers different distances. The result is guaranteed
 //! bit-identical to a cold core built directly on the degraded cluster:
 //! every kept entry is a deterministic function of inputs the fault did not
 //! change.
 
-use super::{CommKey, Mapper, SchedKey, Scheme, Session, SessionCore, SessionDistance};
+use super::{CommKey, Mapper, SchedKey, Scheme, Session, SessionCore};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ use std::time::Duration;
 use tarr_faults::{DegradationSummary, FabricDelta, FaultError, FaultSet};
 use tarr_mpi::cache::ShardedOnceMap;
 use tarr_mpi::Communicator;
-use tarr_topo::{CoreId, Hop, IrregularFabric, Rank};
+use tarr_topo::{CoreId, Hop, ImplicitDistance, IrregularFabric, Rank};
 
 /// Which collective a [`ProbePoint`] prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,7 +166,7 @@ pub struct DegradationReport {
 impl SessionCore {
     /// Apply a [`FaultSet`] *functionally*: degrade the cluster, migrate
     /// ranks whose cores died onto the lowest-numbered spare live cores,
-    /// repair or rebuild the distance structure, and return a new core that
+    /// repair or rebuild the distance oracle, and return a new core that
     /// shares every cache entry the fault did not touch (see the module
     /// docs). `self` is untouched — concurrent readers keep pricing the
     /// pre-fault topology until the caller swaps its `Arc`.
@@ -240,11 +240,11 @@ impl SessionCore {
         let d = if stale {
             let sp = tarr_trace::timed_span("fault.distance_rebuild").arg("p", p);
             let d = if fabric_changed {
-                SessionDistance::build(&degraded.cluster, comm.cores(), &self.cfg)
+                ImplicitDistance::build(&degraded.cluster, comm.cores(), &self.cfg.dist)
             } else {
                 // Drain-only migration: the cluster is untouched, so only
-                // the migrated slots' distances change — patch them (O(k·P)
-                // dense, O(k) implicit) instead of rebuilding.
+                // the migrated slots' distances change — patch them in O(k)
+                // instead of rebuilding.
                 let changed: Vec<(usize, CoreId)> = moved
                     .iter()
                     .enumerate()
@@ -253,12 +253,7 @@ impl SessionCore {
                     .collect();
                 dist_slots_patched = changed.len();
                 let mut d = (*self.d).clone();
-                match &mut d {
-                    SessionDistance::Dense(m) => {
-                        m.repair_slots(&degraded.cluster, &self.cfg.dist, &changed)
-                    }
-                    SessionDistance::Implicit(o) => o.repair_slots(&changed),
-                }
+                d.repair_slots(&changed);
                 d
             };
             dist_rebuild = sp.finish();

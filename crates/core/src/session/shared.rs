@@ -1,12 +1,13 @@
 //! The [`SessionCore`]: the one place a session's state and caches live.
 //!
 //! Everything a core holds is a pure function of (cluster, initial binding,
-//! [`SessionConfig`]): the cluster model, the extracted distance structure,
-//! the initial communicator, and the four caches (mappings, reordered
-//! communicators, compiled schedules, prices) on lock-sharded coalescing
-//! maps ([`tarr_mpi::ShardedOnceMap`]). Every method takes `&self`; the core
-//! is meant to live in an `Arc` and be hammered by many threads at once,
-//! each through its own [`Session`] handle ([`SessionCore::handle`]).
+//! [`SessionConfig`]): the cluster model, the O(P) [`ImplicitDistance`]
+//! oracle, the initial communicator, and the four caches (mappings,
+//! reordered communicators, compiled schedules, prices) on lock-sharded
+//! coalescing maps ([`tarr_mpi::ShardedOnceMap`]). Every method takes
+//! `&self`; the core is meant to live in an `Arc` and be hammered by many
+//! threads at once, each through its own [`Session`] handle
+//! ([`SessionCore::handle`]).
 //!
 //! A cache hit costs a shard read-lock plus an `Arc` clone. A miss installs
 //! a once-cell, so N concurrent identical requests share **one** compute —
@@ -26,9 +27,7 @@
 //! requests on the old core finish against the pre-fault topology and new
 //! requests see the degraded one.
 
-use super::{
-    CommKey, Mapper, MappingInfo, PatternKind, SchedKey, Session, SessionConfig, SessionDistance,
-};
+use super::{CommKey, Mapper, MappingInfo, PatternKind, SchedKey, Session, SessionConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use tarr_collectives::allgather::{groups_by_node, hierarchical, HierarchicalConfig};
@@ -38,7 +37,7 @@ use tarr_mapping::init_comm_schedule;
 use tarr_mpi::cache::{CacheSnapshot, ShardedOnceMap};
 use tarr_mpi::{Communicator, Schedule, TimedSchedule};
 use tarr_netsim::StageModel;
-use tarr_topo::{Cluster, CoreId, Rank};
+use tarr_topo::{Cluster, CoreId, ImplicitDistance, Rank};
 
 use crate::hier::reordered_groups;
 
@@ -92,7 +91,7 @@ impl CoreCacheStats {
 /// the persistence layer (`tarr-replay`) owns the wire encoding. Cluster
 /// and [`SessionConfig`] travel separately — the cluster has its own
 /// versioned text format (`tarr-ingest`'s `ClusterSnapshot`) and the config
-/// is what `from_state` rebuilds the distance structure from.
+/// is what `from_state` rebuilds the distance oracle from.
 #[derive(Debug, Clone)]
 pub struct CoreState {
     /// `cores[rank] = core id` of the initial communicator.
@@ -128,7 +127,7 @@ pub struct SessionCore {
     pub(super) cluster: Cluster,
     pub(super) cfg: SessionConfig,
     pub(super) comm: Communicator,
-    pub(super) d: Arc<SessionDistance>,
+    pub(super) d: Arc<ImplicitDistance>,
     pub(super) dist_build: Duration,
     pub(super) mappings: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<MappingInfo>>>,
     pub(super) comms: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<Communicator>>>,
@@ -141,17 +140,17 @@ impl SessionCore {
     pub fn new(cluster: Cluster, cores: Vec<CoreId>, cfg: SessionConfig) -> Self {
         let comm = Communicator::new(cores);
         let sp = tarr_trace::timed_span("session.distance_build").arg("p", comm.size());
-        let d = SessionDistance::build(&cluster, comm.cores(), &cfg);
+        let d = ImplicitDistance::build(&cluster, comm.cores(), &cfg.dist);
         let dist_build = sp.finish();
         SessionCore::with_distance(cluster, cfg, comm, Arc::new(d), dist_build)
     }
 
-    /// A core with empty caches over an already-extracted distance structure.
+    /// A core with empty caches over an already-built distance oracle.
     pub(super) fn with_distance(
         cluster: Cluster,
         cfg: SessionConfig,
         comm: Communicator,
-        d: Arc<SessionDistance>,
+        d: Arc<ImplicitDistance>,
         dist_build: Duration,
     ) -> Self {
         SessionCore {
@@ -213,7 +212,7 @@ impl SessionCore {
     }
 
     /// Wall-clock time spent building (and, across faults, rebuilding) the
-    /// distance structure.
+    /// distance oracle.
     pub fn dist_build_time(&self) -> Duration {
         self.dist_build
     }
@@ -276,7 +275,7 @@ impl SessionCore {
     }
 
     /// Rebuild a warm core from an exported [`CoreState`]: re-extract the
-    /// distance structure deterministically from `(cluster, cores, cfg)` —
+    /// distance oracle deterministically from `(cluster, cores, cfg)` —
     /// it is a pure function of those inputs, so persisting it would only
     /// add bytes and a second source of truth — then seed the four shared
     /// caches with the exported entries. Structural invariants are

@@ -13,11 +13,14 @@
 //! The drained-host tests cover the satellite case the fat-tree
 //! constructors cannot express: clusters whose nodes host *different*
 //! numbers of live ranks, where every mapper must still emit a bijection
-//! and the dense and implicit distance backends must still agree.
+//! that matches the dense reference on the migrated binding.
 
+mod dense_reference;
+
+use dense_reference::DenseReference;
 use proptest::prelude::*;
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
-use tarr_core::{DistanceBackend, Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
+use tarr_core::{Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
 use tarr_faults::{FaultError, FaultRates, FaultSet};
 use tarr_mapping::{is_permutation, InitialMapping, OrderFix};
 use tarr_topo::{Cluster, CoreId};
@@ -176,10 +179,11 @@ fn kept_entries_are_reused_after_link_fault() {
 }
 
 /// Drained hosts (satellite): two whole nodes plus one lone core drained
-/// out of a P = 512 job leaves nodes hosting 0, 7 and 8 live ranks. Every
-/// mapper must still produce a bijection, the dense and implicit backends
-/// must stay bit-identical, and the faulted session must match a cold
-/// session on the same (unchanged) fabric with the migrated binding.
+/// out of a P = 512 job leaves nodes hosting 0, 7 and 8 live ranks. The
+/// oracle is patched in place, not rebuilt. Every mapper must still produce
+/// a bijection equal to the dense reference on the migrated binding, and
+/// the faulted session must match a cold session on the same (unchanged)
+/// fabric with the migrated binding.
 #[test]
 fn drained_hosts_non_uniform_occupancy_p512() {
     let set = FaultSet {
@@ -187,36 +191,34 @@ fn drained_hosts_non_uniform_occupancy_p512() {
         drained_cores: vec![CoreId(40 * 8 + 5)],
         ..FaultSet::default()
     };
-    let mk = |backend| {
-        let cluster = Cluster::gpc(68); // 544 cores: 32 spares for migration
-        let cfg = SessionConfig {
-            backend,
-            ..SessionConfig::default()
-        };
-        Session::from_layout(cluster, InitialMapping::BLOCK_BUNCH, 512, cfg)
-    };
-    let mut dense = mk(DistanceBackend::Dense);
-    let mut implicit = mk(DistanceBackend::Implicit);
+    let cluster = Cluster::gpc(68); // 544 cores: 32 spares for migration
+    let mut s = Session::from_layout(
+        cluster,
+        InitialMapping::BLOCK_BUNCH,
+        512,
+        SessionConfig::default(),
+    );
+    let before = DenseReference::of(&s);
 
     let probes = [
         ProbePoint::allgather(512, Scheme::Default),
         ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
     ];
-    let rd = dense.apply_faults(&set, &probes).unwrap();
-    let ri = implicit.apply_faults(&set, &probes).unwrap();
-    for r in [&rd, &ri] {
-        assert_eq!(r.ranks_migrated, 17, "2 nodes x 8 + 1 lone core");
-        assert!(!r.summary.fabric_rebuilt, "drain-only fault");
-        assert_eq!(r.summary.cores_lost, 17);
-    }
-    // Identical probe pricing on both backends, before and after.
-    for (a, b) in rd.probes.iter().zip(&ri.probes) {
-        assert_eq!(a.before, b.before, "{:?}", a.probe);
-        assert_eq!(a.after, b.after, "{:?}", a.probe);
+    let report = s.apply_faults(&set, &probes).unwrap();
+    assert_eq!(report.ranks_migrated, 17, "2 nodes x 8 + 1 lone core");
+    assert!(!report.summary.fabric_rebuilt, "drain-only fault");
+    assert_eq!(report.summary.cores_lost, 17);
+    assert_eq!(report.dist_slots_patched, 17);
+    // Probe pricing equals the dense reference, before and after.
+    let after = DenseReference::of(&s);
+    for o in &report.probes {
+        let scheme = o.probe.scheme;
+        assert_eq!(o.before, before.allgather_time(512, scheme), "{scheme:?}");
+        assert_eq!(o.after, after.allgather_time(512, scheme), "{scheme:?}");
     }
     // Drained nodes host no ranks; the lone-core node hosts 7.
     let mut per_node = vec![0usize; 68];
-    for &c in dense.comm().cores() {
+    for &c in s.comm().cores() {
         per_node[c.0 as usize / 8] += 1;
     }
     assert_eq!(per_node[3], 0);
@@ -225,31 +227,26 @@ fn drained_hosts_non_uniform_occupancy_p512() {
     assert_eq!(per_node.iter().sum::<usize>(), 512);
 
     // Every mapper still emits a bijection on the non-uniform survivor set,
-    // identically on both backends.
+    // equal to the dense reference on the migrated cores.
     for mapper in ALL_MAPPERS {
         for pattern in [PatternKind::Rd, PatternKind::Ring] {
-            let m = dense.mapping(mapper, pattern).unwrap().mapping.clone();
+            let m = s.mapping(mapper, pattern).unwrap().mapping.clone();
             assert!(is_permutation(&m), "{mapper:?}/{pattern:?}");
-            assert_eq!(
-                m,
-                implicit.mapping(mapper, pattern).unwrap().mapping,
-                "{mapper:?}/{pattern:?}"
-            );
+            after.assert_mapping(&mut s, mapper, pattern, "drained");
         }
     }
-    assert_eq!(probe_sweep(&mut dense), probe_sweep(&mut implicit));
 
     // Soundness on the drain path too: bit-identical to a cold session on
     // the same cluster with the migrated binding.
     let mut cold = Session::new(
-        dense.cluster().clone(),
-        dense.comm().cores().to_vec(),
+        s.cluster().clone(),
+        s.comm().cores().to_vec(),
         SessionConfig::default(),
     );
-    assert_eq!(probe_sweep(&mut dense), probe_sweep(&mut cold));
+    assert_eq!(probe_sweep(&mut s), probe_sweep(&mut cold));
 }
 
-/// The 4096-rank case on the O(P) backend: a heavier compound fault (link
+/// The 4096-rank case: a heavier compound fault (link
 /// losses plus a drained node) remaps cleanly, keeps a bijective heuristic
 /// mapping, and still matches a cold session on the degraded cluster.
 #[test]
@@ -262,7 +259,7 @@ fn compound_fault_at_p4096_matches_cold_session() {
         base.clone(),
         InitialMapping::CYCLIC_BUNCH,
         4096,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     let probes = [
         ProbePoint::allgather(512, Scheme::Default),
@@ -290,7 +287,7 @@ fn compound_fault_at_p4096_matches_cold_session() {
     let mut cold = Session::new(
         degraded.cluster,
         warm.comm().cores().to_vec(),
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     for scheme in [Scheme::Default, Scheme::hrstc(OrderFix::InitComm)] {
         assert_eq!(

@@ -1,32 +1,31 @@
-//! Differential validation of the O(P) session path: a session on the
-//! [`DistanceBackend::Implicit`] oracle must be **bit-identical** to the
-//! dense-matrix reference session — same mappings, and timings equal under
-//! exact `f64` equality — at every size the dense path can still reach.
+//! Differential validation of the O(P) session path: every `Session`
+//! mapping must be **bit-identical** to the linear-scan heuristics (and the
+//! graph-based baselines) run on the dense [`DistanceMatrix`] reference,
+//! and every `*_time` must equal, under exact `f64` equality, the
+//! materialized schedule priced over the reference-reordered communicator
+//! — at every size the dense reference can still reach.
 //!
 //! This extends the `oracle_equiv`/`bucket_equiv` pattern of `tarr-mapping`
 //! (which proves the mappers agree) up through the whole `Session` stack:
 //! mapping caches, reordered communicators, compiled schedules and the §V-B
 //! order fixes.
 
+mod dense_reference;
+
+use dense_reference::DenseReference;
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
 use tarr_core::hier::HierMapper;
-use tarr_core::{
-    hierarchical_mapping, DistanceBackend, Mapper, PatternKind, Scheme, Session, SessionConfig,
-};
+use tarr_core::{hierarchical_mapping, Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_topo::{Cluster, DistanceConfig, DistanceMatrix, ImplicitDistance};
 
-fn pair(nodes: usize, layout: InitialMapping) -> (Session, Session) {
+/// A session over every core of `nodes` GPC nodes, and its dense reference.
+fn pair(nodes: usize, layout: InitialMapping) -> (Session, DenseReference) {
     let cluster = Cluster::gpc(nodes);
     let p = cluster.total_cores();
-    let mk = |backend| {
-        let cfg = SessionConfig {
-            backend,
-            ..SessionConfig::default()
-        };
-        Session::from_layout(cluster.clone(), layout, p, cfg)
-    };
-    (mk(DistanceBackend::Dense), mk(DistanceBackend::Implicit))
+    let s = Session::from_layout(cluster, layout, p, SessionConfig::default());
+    let r = DenseReference::of(&s);
+    (s, r)
 }
 
 const ALL_MAPPERS: [Mapper; 5] = [
@@ -39,19 +38,23 @@ const ALL_MAPPERS: [Mapper; 5] = [
 
 const ALL_FIXES: [OrderFix; 3] = [OrderFix::InitComm, OrderFix::EndShuffle, OrderFix::InPlace];
 
-/// Sweep both sessions through the flat allgather surface (RD and ring
-/// regions) with the given mappers and assert exact equality everywhere.
-fn assert_flat_equal(dense: &mut Session, implicit: &mut Session, mappers: &[Mapper], tag: &str) {
+/// Sweep the session through the flat allgather surface (RD and ring
+/// regions) with the given mappers and assert exact equality with the
+/// reference everywhere.
+fn assert_flat_equal(s: &mut Session, r: &DenseReference, mappers: &[Mapper], tag: &str) {
     // 256 B → RD (or Bruck when P is not a power of two); 64 KiB → ring.
     for msg in [256u64, 65536] {
-        let a = dense.allgather_time(msg, Scheme::Default);
-        let b = implicit.allgather_time(msg, Scheme::Default);
-        assert_eq!(a, b, "{tag}: default, msg {msg}");
+        let a = s.allgather_time(msg, Scheme::Default);
+        assert_eq!(
+            a,
+            r.allgather_time(msg, Scheme::Default),
+            "{tag}: default, msg {msg}"
+        );
         for &mapper in mappers {
             for fix in ALL_FIXES {
                 let scheme = Scheme::Reordered { mapper, fix };
-                let a = dense.allgather_time(msg, scheme);
-                let b = implicit.allgather_time(msg, scheme);
+                let a = s.allgather_time(msg, scheme);
+                let b = r.allgather_time(msg, scheme);
                 assert_eq!(a, b, "{tag}: {mapper:?}/{fix:?}, msg {msg}");
             }
         }
@@ -59,9 +62,7 @@ fn assert_flat_equal(dense: &mut Session, implicit: &mut Session, mappers: &[Map
     // Every mapping the sweep cached must be bit-identical.
     for &mapper in mappers {
         for pattern in [PatternKind::Rd, PatternKind::Ring] {
-            let a = dense.mapping(mapper, pattern).unwrap().mapping.clone();
-            let b = implicit.mapping(mapper, pattern).unwrap().mapping.clone();
-            assert_eq!(a, b, "{tag}: mapping {mapper:?}/{pattern:?}");
+            r.assert_mapping(s, mapper, pattern, tag);
         }
     }
 }
@@ -69,20 +70,15 @@ fn assert_flat_equal(dense: &mut Session, implicit: &mut Session, mappers: &[Map
 #[test]
 fn flat_sessions_agree_p32_all_mappers() {
     for layout in InitialMapping::ALL {
-        let (mut dense, mut implicit) = pair(4, layout);
-        assert_flat_equal(
-            &mut dense,
-            &mut implicit,
-            &ALL_MAPPERS,
-            &format!("{layout:?}"),
-        );
+        let (mut s, r) = pair(4, layout);
+        assert_flat_equal(&mut s, &r, &ALL_MAPPERS, &format!("{layout:?}"));
     }
 }
 
 #[test]
 fn flat_sessions_agree_p512_all_mappers() {
-    let (mut dense, mut implicit) = pair(64, InitialMapping::CYCLIC_BUNCH);
-    assert_flat_equal(&mut dense, &mut implicit, &ALL_MAPPERS, "p512");
+    let (mut s, r) = pair(64, InitialMapping::CYCLIC_BUNCH);
+    assert_flat_equal(&mut s, &r, &ALL_MAPPERS, "p512");
 }
 
 #[test]
@@ -90,41 +86,29 @@ fn flat_sessions_agree_p4096() {
     // The largest size the dense reference comfortably reaches. The heavy
     // graph-based baselines are exercised at 32/512; at 4096 the scaled
     // (Hrstc) path and the closed-form reorder cover the dispatch seams.
-    let (mut dense, mut implicit) = pair(512, InitialMapping::CYCLIC_BUNCH);
-    assert_flat_equal(
-        &mut dense,
-        &mut implicit,
-        &[Mapper::Hrstc, Mapper::MvapichCyclic],
-        "p4096",
-    );
+    let (mut s, r) = pair(512, InitialMapping::CYCLIC_BUNCH);
+    assert_flat_equal(&mut s, &r, &[Mapper::Hrstc, Mapper::MvapichCyclic], "p4096");
 }
 
 #[test]
 fn bruck_region_agrees_non_power_of_two() {
     // 24 ranks: select_allgather picks Bruck below the ring threshold.
-    let (mut dense, mut implicit) = pair(3, InitialMapping::CYCLIC_BUNCH);
+    let (mut s, r) = pair(3, InitialMapping::CYCLIC_BUNCH);
     for msg in [64u64, 512] {
         for scheme in [
             Scheme::Default,
             Scheme::hrstc(OrderFix::InitComm),
             Scheme::hrstc(OrderFix::EndShuffle),
         ] {
-            let a = dense.allgather_time(msg, scheme);
-            let b = implicit.allgather_time(msg, scheme);
-            assert_eq!(a, b, "bruck msg {msg} {scheme:?}");
+            let a = s.allgather_time(msg, scheme);
+            assert_eq!(
+                a,
+                r.allgather_time(msg, scheme),
+                "bruck msg {msg} {scheme:?}"
+            );
         }
     }
-    let a = dense
-        .mapping(Mapper::Hrstc, PatternKind::Bruck)
-        .unwrap()
-        .mapping
-        .clone();
-    let b = implicit
-        .mapping(Mapper::Hrstc, PatternKind::Bruck)
-        .unwrap()
-        .mapping
-        .clone();
-    assert_eq!(a, b);
+    r.assert_mapping(&mut s, Mapper::Hrstc, PatternKind::Bruck, "bruck");
 }
 
 #[test]
@@ -132,7 +116,7 @@ fn hierarchical_sessions_agree_all_configs() {
     // Node-contiguous layout (hier requires it); 8 nodes = 64 ranks, and
     // power-of-two leader count so RD inter applies.
     for nodes in [8usize, 64] {
-        let (mut dense, mut implicit) = pair(nodes, InitialMapping::BLOCK_SCATTER);
+        let (mut s, r) = pair(nodes, InitialMapping::BLOCK_SCATTER);
         for inter in [InterAlg::RecursiveDoubling, InterAlg::Ring] {
             for intra in [IntraPattern::Linear, IntraPattern::Binomial] {
                 let hcfg = HierarchicalConfig { inter, intra };
@@ -142,9 +126,13 @@ fn hierarchical_sessions_agree_all_configs() {
                     Scheme::hrstc(OrderFix::EndShuffle),
                     Scheme::scotch(OrderFix::InitComm),
                 ] {
-                    let a = dense.hierarchical_allgather_time(4096, hcfg, scheme);
-                    let b = implicit.hierarchical_allgather_time(4096, hcfg, scheme);
+                    let a = s.hierarchical_allgather_time(4096, hcfg, scheme);
+                    let b = r.hierarchical_allgather_time(4096, hcfg, scheme);
                     assert_eq!(a, b, "{nodes} nodes, {inter:?}/{intra:?} {scheme:?}");
+                }
+                for mapper in [Mapper::Hrstc, Mapper::ScotchLike] {
+                    let tag = format!("{nodes} nodes");
+                    r.assert_mapping(&mut s, mapper, PatternKind::Hier(inter, intra), &tag);
                 }
             }
         }
@@ -178,34 +166,44 @@ fn hierarchical_mapping_agrees_across_backends() {
 
 #[test]
 fn sized_gather_bcast_allreduce_agree() {
-    let (mut dense, mut implicit) = pair(8, InitialMapping::CYCLIC_SCATTER);
+    let (mut s, r) = pair(8, InitialMapping::CYCLIC_SCATTER);
     let sizes: Vec<u64> = (0..64u64)
         .map(|r| if r % 8 == 0 { 65536 } else { 64 })
         .collect();
     for scheme in [Scheme::Default, Scheme::hrstc(OrderFix::InPlace)] {
         assert_eq!(
-            dense.allgatherv_time(&sizes, scheme),
-            implicit.allgatherv_time(&sizes, scheme),
+            s.allgatherv_time(&sizes, scheme),
+            r.allgatherv_time(&sizes, scheme),
             "allgatherv {scheme:?}"
         );
         assert_eq!(
-            dense.bcast_time(4096, scheme),
-            implicit.bcast_time(4096, scheme),
+            s.bcast_time(4096, scheme),
+            r.bcast_time(4096, scheme),
             "bcast {scheme:?}"
         );
-        assert_eq!(
-            dense.allreduce_time(1 << 20, true, scheme),
-            implicit.allreduce_time(1 << 20, true, scheme),
-            "allreduce {scheme:?}"
-        );
+        for rabenseifner in [false, true] {
+            assert_eq!(
+                s.allreduce_time(1 << 20, rabenseifner, scheme),
+                r.allreduce_time(1 << 20, rabenseifner, scheme),
+                "allreduce rabenseifner={rabenseifner} {scheme:?}"
+            );
+        }
     }
-    for fix in [OrderFix::InitComm, OrderFix::EndShuffle, OrderFix::InPlace] {
+    for fix in ALL_FIXES {
         let scheme = Scheme::hrstc(fix);
         assert_eq!(
-            dense.gather_time(8192, scheme),
-            implicit.gather_time(8192, scheme),
+            s.gather_time(8192, scheme),
+            r.gather_time(8192, scheme),
             "gather {fix:?}"
         );
+    }
+    for pattern in [
+        PatternKind::BinomialBcast,
+        PatternKind::BinomialGather,
+        PatternKind::Rd,
+        PatternKind::Ring,
+    ] {
+        r.assert_mapping(&mut s, Mapper::Hrstc, pattern, "sized");
     }
 }
 
@@ -216,7 +214,7 @@ fn verification_passes_on_implicit_backend() {
         cluster,
         InitialMapping::CYCLIC_SCATTER,
         32,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     for msg in [64u64, 4096] {
         s.verify_allgather(msg, Scheme::Default).unwrap();

@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, Barrier};
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
-use tarr_core::{DistanceBackend, Mapper, ProbePoint, Scheme, Session, SessionConfig, SessionCore};
+use tarr_core::{Mapper, ProbePoint, Scheme, Session, SessionConfig, SessionCore};
 use tarr_faults::{FaultRates, FaultSet};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_topo::Cluster;
@@ -29,13 +29,6 @@ const HCFG: HierarchicalConfig = HierarchicalConfig {
     inter: InterAlg::RecursiveDoubling,
     intra: IntraPattern::Binomial,
 };
-
-fn cfg(backend: DistanceBackend) -> SessionConfig {
-    SessionConfig {
-        backend,
-        ..SessionConfig::default()
-    }
-}
 
 /// The mixed workload every test runs: every collective surface of the
 /// session, across mappers, fixes and both allgather algorithm regions.
@@ -80,31 +73,30 @@ fn assert_bitwise_eq(reference: &[f64], shared: &[f64], tag: &str) {
 }
 
 /// A handle on a core built with `SessionCore::from_layout` agrees with a
-/// reference session on its own fresh core, both distance backends and all
-/// four initial layouts: every collective result bit-identical, including
-/// the `None` (unsupported) cases.
+/// reference session on its own fresh core, all four initial layouts:
+/// every collective result bit-identical, including the `None`
+/// (unsupported) cases.
 #[test]
 fn handle_on_a_fresh_core_matches_reference_session() {
-    for backend in [DistanceBackend::Dense, DistanceBackend::Implicit] {
-        for layout in InitialMapping::ALL {
-            let cluster = Cluster::gpc(4);
-            let p = cluster.total_cores();
-            let mut reference = Session::from_layout(cluster.clone(), layout, p, cfg(backend));
-            let core = Arc::new(SessionCore::from_layout(cluster, layout, p, cfg(backend)));
-            let mut handle = core.handle();
-            let a = run_workload(&mut reference);
-            let b = run_workload(&mut handle);
-            assert_bitwise_eq(&a, &b, &format!("{backend:?}/{}", layout.name()));
-            // The handle saw real cache traffic and the core computed each
-            // unique artifact exactly once (the workload revisits keys).
-            let stats = core.cache_stats();
-            assert!(stats.hits() > 0, "warm revisits must hit: {stats:?}");
-            let reference_stats = reference.cache_stats();
-            assert_eq!(
-                stats.mappings.misses, reference_stats.mapping_misses,
-                "same unique mapping computes as the reference"
-            );
-        }
+    for layout in InitialMapping::ALL {
+        let cluster = Cluster::gpc(4);
+        let p = cluster.total_cores();
+        let cfg = SessionConfig::default();
+        let mut reference = Session::from_layout(cluster.clone(), layout, p, cfg.clone());
+        let core = Arc::new(SessionCore::from_layout(cluster, layout, p, cfg));
+        let mut handle = core.handle();
+        let a = run_workload(&mut reference);
+        let b = run_workload(&mut handle);
+        assert_bitwise_eq(&a, &b, layout.name());
+        // The handle saw real cache traffic and the core computed each
+        // unique artifact exactly once (the workload revisits keys).
+        let stats = core.cache_stats();
+        assert!(stats.hits() > 0, "warm revisits must hit: {stats:?}");
+        let reference_stats = reference.cache_stats();
+        assert_eq!(
+            stats.mappings.misses, reference_stats.mapping_misses,
+            "same unique mapping computes as the reference"
+        );
     }
 }
 
@@ -119,7 +111,7 @@ fn second_handle_reuses_the_warm_core() {
         cluster,
         InitialMapping::BLOCK_BUNCH,
         p,
-        cfg(DistanceBackend::Implicit),
+        SessionConfig::default(),
     );
     let expected = run_workload(&mut first);
     let core = first.core().clone();
@@ -158,12 +150,11 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
 
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
-    let backend = DistanceBackend::Implicit;
     let mut reference = Session::from_layout(
         cluster.clone(),
         InitialMapping::BLOCK_BUNCH,
         p,
-        cfg(backend),
+        SessionConfig::default(),
     );
     let expected = run_workload(&mut reference);
     let reference_stats = reference.cache_stats();
@@ -174,7 +165,7 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
             cluster.clone(),
             InitialMapping::BLOCK_BUNCH,
             p,
-            cfg(backend),
+            SessionConfig::default(),
         ));
         let barrier = Barrier::new(THREADS);
         let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|scope| {
@@ -231,7 +222,6 @@ fn concurrent_hammering_is_bit_identical_and_coalesces() {
 fn core_fault_matches_reference_session_fault() {
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
-    let backend = DistanceBackend::Implicit;
     // Find a fault set that applies (no partition).
     let set = (0..50)
         .map(|s| FaultSet::random(&cluster, &FaultRates::links(0.05), 0xc0a1u64 << 8 | s))
@@ -256,7 +246,7 @@ fn core_fault_matches_reference_session_fault() {
         cluster.clone(),
         InitialMapping::BLOCK_BUNCH,
         p,
-        cfg(backend),
+        SessionConfig::default(),
     );
     let pre = run_workload(&mut reference);
     let reference_report = reference.apply_faults(&set, &probes).unwrap();
@@ -267,7 +257,7 @@ fn core_fault_matches_reference_session_fault() {
         cluster,
         InitialMapping::BLOCK_BUNCH,
         p,
-        cfg(backend),
+        SessionConfig::default(),
     ));
     let mut h = core.handle();
     let pre_shared = run_workload(&mut h);

@@ -19,7 +19,6 @@
 //! versions must keep decoding every older one.
 
 use crate::wire::{Dec, Enc, WireError};
-use tarr_core::DistanceBackend;
 use tarr_faults::FaultRates;
 use tarr_mapping::InitialMapping;
 
@@ -118,32 +117,17 @@ impl LayoutKind {
     }
 }
 
-/// Distance backend, wire-stable.
+/// Legacy wire tag of an ingest's distance backend: both values build the
+/// oracle core. Kept so the WAL format stays unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// O(P)-memory implicit oracle (the serve default).
+    /// Ingested as `"backend":"implicit"` (the serve default).
     Implicit,
-    /// Dense reference matrix.
+    /// Ingested as `"backend":"dense"`.
     Dense,
 }
 
 impl BackendKind {
-    /// The corresponding [`DistanceBackend`].
-    pub fn backend(self) -> DistanceBackend {
-        match self {
-            BackendKind::Implicit => DistanceBackend::Implicit,
-            BackendKind::Dense => DistanceBackend::Dense,
-        }
-    }
-
-    /// Classify a [`DistanceBackend`].
-    pub fn of_backend(b: DistanceBackend) -> BackendKind {
-        match b {
-            DistanceBackend::Implicit => BackendKind::Implicit,
-            DistanceBackend::Dense => BackendKind::Dense,
-        }
-    }
-
     fn code(self) -> u8 {
         match self {
             BackendKind::Implicit => 0,
@@ -177,7 +161,7 @@ pub struct IngestSpec {
     pub p: Option<u64>,
     /// Session seed override (`None` = `SessionConfig::default().seed`).
     pub seed: Option<u64>,
-    /// Distance backend.
+    /// Legacy backend tag; ignored by [`crate::build_core`].
     pub backend: BackendKind,
     /// Whether the request authorised replacing an existing binding.
     pub replace: bool,

@@ -4,9 +4,9 @@
 //! (binding + all four cache contents), its cluster as canonical
 //! `topo-ingest` text, and its [`SessionConfig`] — everything needed to
 //! rebuild a warm [`SessionCore`] without re-running a single mapping,
-//! schedule compile, or price. The distance structure is *not* stored: it
-//! is a pure function of (cluster, binding, config) and is re-extracted on
-//! restore (O(P) on the implicit backend).
+//! schedule compile, or price. The distance oracle is *not* stored: it is a
+//! pure function of (cluster, binding, config) and is rebuilt in O(P) on
+//! restore.
 //!
 //! File layout:
 //!
@@ -40,9 +40,7 @@ use crate::ReplayError;
 use std::path::Path;
 use std::sync::Arc;
 use tarr_collectives::{AllgatherAlg, InterAlg, IntraPattern};
-use tarr_core::{
-    CommKey, CoreState, DistanceBackend, Mapper, PatternKind, SchedKey, SessionConfig, SessionCore,
-};
+use tarr_core::{CommKey, CoreState, Mapper, PatternKind, SchedKey, SessionConfig, SessionCore};
 use tarr_ingest::ClusterSnapshot;
 use tarr_mpi::{MergedOp, TimedSchedule};
 
@@ -321,12 +319,13 @@ fn dec_comm_key(d: &mut Dec) -> Result<CommKey, WireError> {
 // config
 // ---------------------------------------------------------------------------
 
+/// The legacy `cfg backend` byte: 0 was the dense matrix, 1 the implicit
+/// oracle. Both now restore the same oracle core; snapshots write 1.
+const CFG_BACKEND_IMPLICIT: u8 = 1;
+
 fn enc_cfg(e: &mut Enc, cfg: &SessionConfig) {
     e.u64(cfg.seed);
-    e.u8(match cfg.backend {
-        DistanceBackend::Dense => 0,
-        DistanceBackend::Implicit => 1,
-    });
+    e.u8(CFG_BACKEND_IMPLICIT);
     let d = &cfg.dist;
     for v in [
         d.same_core,
@@ -366,16 +365,12 @@ fn dec_cfg(d: &mut Dec) -> Result<SessionConfig, WireError> {
         ..SessionConfig::default()
     };
     let at = d.pos();
-    cfg.backend = match d.u8("cfg backend")? {
-        0 => DistanceBackend::Dense,
-        1 => DistanceBackend::Implicit,
-        _ => {
-            return Err(WireError {
-                offset: at,
-                what: "cfg backend",
-            })
-        }
-    };
+    if d.u8("cfg backend")? > CFG_BACKEND_IMPLICIT {
+        return Err(WireError {
+            offset: at,
+            what: "cfg backend",
+        });
+    }
     cfg.dist.same_core = d.u16("cfg dist")?;
     cfg.dist.l2 = d.u16("cfg dist")?;
     cfg.dist.socket = d.u16("cfg dist")?;
@@ -1069,5 +1064,66 @@ mod tests {
         assert_eq!(loaded.last_event_id, 5);
         assert_eq!(loaded.encode().unwrap(), snap.encode().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The probes a restored core must answer as the original does: warm
+    /// cache hits and answers computed cold on the restored oracle.
+    fn answers(core: &Arc<SessionCore>) -> Vec<u64> {
+        let mut h = core.handle();
+        let mut out = Vec::new();
+        for (mapper, pattern) in [
+            (Mapper::Hrstc, PatternKind::Rd),
+            (Mapper::Hrstc, PatternKind::Ring),
+            (Mapper::Greedy, PatternKind::BinomialBcast),
+        ] {
+            let m = h.mapping(mapper, pattern).unwrap();
+            out.extend(m.mapping.iter().map(|&v| v as u64));
+        }
+        out.push(h.allgather_time(4096, scheme(Mapper::Hrstc)).to_bits());
+        out.push(h.bcast_time(4096, scheme(Mapper::Hrstc)).to_bits());
+        out.push(h.gather_time(1024, scheme(Mapper::ScotchLike)).to_bits());
+        out
+    }
+
+    /// The `cfg backend` byte is a legacy tag: either legal value restores
+    /// the same oracle core, and any other value is a typed decode error.
+    #[test]
+    fn cfg_backend_byte_is_a_legacy_tag() {
+        let core = warm_core();
+        let snap = EngineSnapshot::capture(3, &[("gpc".into(), core.clone())]).unwrap();
+        let bytes = snap.encode().unwrap();
+        let mut cfg = Enc::new();
+        enc_cfg(&mut cfg, core.config());
+        let cfg = cfg.into_bytes();
+        let at = bytes
+            .windows(cfg.len())
+            .position(|w| w == cfg)
+            .expect("the encoded config is in the snapshot")
+            + 8; // after the seed
+        assert_eq!(bytes[at], CFG_BACKEND_IMPLICIT);
+        let patched = |v: u8| {
+            let mut b = bytes.clone();
+            b[at] = v;
+            let n = b.len();
+            let crc = crc32(&b[12..n - 4]);
+            b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            b
+        };
+
+        let expected = answers(&core);
+        for v in [0, 1] {
+            let snap = EngineSnapshot::decode(&patched(v)).unwrap();
+            let restored = Arc::new(snap.clusters[0].1.restore().unwrap());
+            assert_eq!(answers(&restored), expected, "backend byte {v}");
+        }
+
+        let err = dec_cfg(&mut Dec::new(&patched(2)[at - 8..])).unwrap_err();
+        assert_eq!(err.what, "cfg backend");
+        match EngineSnapshot::decode(&patched(2)) {
+            Err(ReplayError::BadSnapshot { what }) => {
+                assert!(what.contains("cfg backend"), "{what}")
+            }
+            other => panic!("backend byte 2 must be refused: {other:?}"),
+        }
     }
 }

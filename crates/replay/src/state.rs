@@ -20,12 +20,10 @@ use tarr_faults::FaultSet;
 use tarr_mapping::OrderFix;
 
 /// Build a fresh core from an ingest spec — exactly the semantics of the
-/// serve `ingest` op (same defaults, same error texts where possible).
+/// serve `ingest` op (same defaults, same error texts where possible). The
+/// legacy `backend` tag does not change the core.
 pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
-    let mut cfg = SessionConfig {
-        backend: spec.backend.backend(),
-        ..SessionConfig::default()
-    };
+    let mut cfg = SessionConfig::default();
     if let Some(seed) = spec.seed {
         cfg.seed = seed;
     }

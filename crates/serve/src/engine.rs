@@ -581,6 +581,8 @@ impl Engine {
                 )
             })?,
         };
+        // A legacy wire value: both build the same oracle core, and the tag
+        // is only logged.
         let backend = match req.get("backend").and_then(Json::as_str) {
             None | Some("implicit") => BackendKind::Implicit,
             Some("dense") => BackendKind::Dense,

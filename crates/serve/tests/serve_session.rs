@@ -4,7 +4,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use tarr_core::{DistanceBackend, Mapper, PatternKind, Scheme, Session, SessionConfig};
+use tarr_core::{Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_serve::{check_prometheus, serve_lines, serve_metrics, serve_tcp, Engine, ServeOpts};
 use tarr_topo::Cluster;
@@ -71,17 +71,14 @@ fn engine_agrees_with_solo_session() {
     let replies = run_script(&engine, SCRIPT);
 
     // Mirror the script's pre-fault state with a solo session. The protocol
-    // defaults: implicit backend, block-bunch layout, default seed.
+    // defaults: block-bunch layout, default seed.
     let cluster = Cluster::gpc(4);
     let p = cluster.total_cores();
     let mut solo = Session::from_layout(
         cluster,
         InitialMapping::BLOCK_BUNCH,
         p,
-        SessionConfig {
-            backend: DistanceBackend::Implicit,
-            ..SessionConfig::default()
-        },
+        SessionConfig::default(),
     );
     let mapping: Vec<u64> = replies[1]
         .get("mapping")
@@ -127,6 +124,38 @@ fn errors_are_typed_not_fatal() {
     // The engine still works after the error barrage.
     let ok = engine.handle_line(r#"{"op":"ingest","cluster":"x","gpc_nodes":2}"#);
     assert!(ok.contains("\"ok\":true"));
+}
+
+/// `"backend":"dense"` is a legacy wire value: at 65,536 ranks it builds the
+/// same O(P) oracle core as `"implicit"` (a dense matrix there would be
+/// 8 GiB), and the `map` reply after it is byte-identical. Any other value
+/// is still the typed `unknown backend` error.
+#[test]
+fn dense_backend_ingest_at_65536_ranks_serves_the_oracle_core() {
+    let map = r#"{"id":2,"op":"map","cluster":"big","mapper":"hrstc","pattern":"ring"}"#;
+    let serve = |backend: &str| {
+        let engine = Engine::new();
+        let ingest = format!(
+            r#"{{"id":1,"op":"ingest","cluster":"big","gpc_nodes":8192,"backend":"{backend}"}}"#
+        );
+        let reply = parse(&engine.handle_line(&ingest)).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        assert_eq!(reply.get("ranks").and_then(Json::as_u64), Some(65536));
+        engine.handle_line(map)
+    };
+    let dense = serve("dense");
+    assert!(dense.contains("\"ok\":true"), "{}", &dense[..200]);
+    assert!(dense == serve("implicit"), "map replies differ");
+
+    let engine = Engine::new();
+    let reply = parse(
+        &engine
+            .handle_line(r#"{"id":3,"op":"ingest","cluster":"b","gpc_nodes":2,"backend":"bogus"}"#),
+    )
+    .unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let msg = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(msg.starts_with("unknown backend \"bogus\""), "{msg:?}");
 }
 
 /// Allreduce at a non-power-of-two rank count (24 ranks) is a typed client

@@ -227,46 +227,6 @@ impl DistanceMatrix {
         &self.d[i * self.p..(i + 1) * self.p]
     }
 
-    /// Re-bind the given slots to new cores and recompute exactly the rows
-    /// and columns they own — the drain-only fault repair, O(k·P) instead of
-    /// the O(P²) full rebuild. Every recomputed cell goes through the same
-    /// [`core_distance`] the full build uses, so the patched matrix is
-    /// bit-identical to `DistanceMatrix::build` over the updated core list.
-    ///
-    /// Only valid while the cluster itself is unchanged (migration without
-    /// fabric damage); a fabric rebuild invalidates untouched cells too.
-    ///
-    /// # Panics
-    /// Panics if a slot is out of range or the updated core list contains
-    /// duplicates.
-    pub fn repair_slots(
-        &mut self,
-        cluster: &Cluster,
-        cfg: &DistanceConfig,
-        changed: &[(usize, CoreId)],
-    ) {
-        for &(slot, core) in changed {
-            assert!(slot < self.p, "slot {slot} out of range");
-            self.cores[slot] = core;
-        }
-        {
-            let mut sorted = self.cores.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), self.p, "duplicate cores after repair");
-        }
-        let _span = tarr_trace::span("topo.distance.repair")
-            .arg("p", self.p)
-            .arg("slots", changed.len());
-        for &(slot, core) in changed {
-            for j in 0..self.p {
-                let d = core_distance(cluster, cfg, core, self.cores[j]);
-                self.d[slot * self.p + j] = d;
-                self.d[j * self.p + slot] = d;
-            }
-        }
-    }
-
     /// Restriction to a subset of slots: entry `(i, j)` of the result equals
     /// `self.get(slots[i], slots[j])`. Used to map node-local ranks or node
     /// leaders separately in hierarchical reordering.
@@ -393,30 +353,6 @@ mod tests {
         assert_eq!(m.len(), 16);
         assert_eq!(m.get(0, 1), DistanceConfig::default().socket);
         assert_eq!(m.core(4), CoreId(8));
-    }
-
-    #[test]
-    fn repair_slots_matches_rebuild() {
-        let c = Cluster::gpc(8);
-        let mut cores: Vec<CoreId> = c.cores().take(32).collect();
-        let cfg = DistanceConfig::default();
-        let mut m = DistanceMatrix::build(&c, &cores, &cfg);
-        let changed = [(0usize, CoreId(40)), (7, CoreId(41)), (31, CoreId(63))];
-        for &(slot, core) in &changed {
-            cores[slot] = core;
-        }
-        m.repair_slots(&c, &cfg, &changed);
-        let cold = DistanceMatrix::build(&c, &cores, &cfg);
-        assert_eq!(m, cold);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cores after repair")]
-    fn repair_slots_rejects_collisions() {
-        let c = Cluster::gpc(2);
-        let cores: Vec<CoreId> = c.cores().take(4).collect();
-        let mut m = DistanceMatrix::build(&c, &cores, &DistanceConfig::default());
-        m.repair_slots(&c, &DistanceConfig::default(), &[(0, CoreId(1))]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! under `tests/fixtures/` must match the renderers byte-for-byte so
 //! neither can drift alone. The irregular path gets the same end-to-end
 //! treatment: a miswired fabric flows through classification, `Session`
-//! (implicit backend) and netsim contention pricing at 4096 ranks.
+//! (on its implicit oracle) and netsim contention pricing at 4096 ranks.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -167,7 +167,7 @@ fn miswired_dump_runs_end_to_end_as_irregular() {
 }
 
 /// Acceptance: `Fabric::Irregular` end-to-end through `Session` (implicit
-/// backend) at 4096 ranks, with netsim contention pricing over the interned
+/// oracle) at 4096 ranks, with netsim contention pricing over the interned
 /// irregular switch-link hops.
 #[test]
 fn irregular_fabric_at_4096_ranks_through_implicit_session() {
@@ -222,7 +222,7 @@ fn irregular_fabric_at_4096_ranks_through_implicit_session() {
         cluster,
         InitialMapping::CYCLIC_BUNCH,
         4096,
-        SessionConfig::implicit(),
+        SessionConfig::default(),
     );
     for scheme in [Scheme::Default, Scheme::hrstc(OrderFix::InitComm)] {
         let rd = s.allgather_time(512, scheme); // recursive-doubling region

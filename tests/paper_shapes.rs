@@ -214,7 +214,8 @@ fn fig5_application_shape() {
 fn fig7b_overhead_ordering() {
     use std::time::Instant;
     let mut s = session(InitialMapping::BLOCK_BUNCH);
-    let d = s.distance_matrix().clone();
+    let d =
+        tarr::topo::DistanceMatrix::build(s.cluster(), s.comm().cores(), &s.core().config().dist);
     let t0 = Instant::now();
     let _ = tarr::mapping::rmh(&d, 0);
     let heuristic = t0.elapsed();
