@@ -24,13 +24,12 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use tarr_collectives::allgather::ring;
 use tarr_collectives::gather::{binomial_gather, chain_gather};
 use tarr_core::{refine, ProbePoint, Scheme, Session, SessionConfig};
 use tarr_faults::FaultSet;
 use tarr_mapping::InitialMapping;
-use tarr_mpi::{time_schedule, timing, Communicator, DeltaPricer, Schedule, TimedSchedule};
+use tarr_mpi::{time_schedule, timing, Communicator, Schedule, TimedSchedule};
 use tarr_netsim::{NetParams, StageModel};
 use tarr_topo::{Cluster, CoreId, Rank};
 
@@ -60,37 +59,6 @@ impl Fixture {
     }
 }
 
-fn bench_ring4096(c: &mut Criterion) {
-    let f = Fixture::new();
-    let model = f.model();
-    let ts = TimedSchedule::compile(&f.sched);
-
-    // Equal output, bit-exact, before any timing.
-    let want = timing::reference::time_schedule(&f.sched, &f.comm, &model, MSG);
-    assert_eq!(want, time_schedule(&f.sched, &f.comm, &model, MSG));
-    assert_eq!(want, ts.time(&f.comm, &model, MSG));
-    assert_eq!(
-        want,
-        TimedSchedule::ring_allgather(P).time(&f.comm, &model, MSG)
-    );
-
-    let mut group = c.benchmark_group("timing/ring4096");
-    group.sample_size(10);
-    group.bench_function("reference", |b| {
-        b.iter(|| timing::reference::time_schedule(&f.sched, &f.comm, &model, MSG))
-    });
-    group.bench_function("compiled_cold", |b| {
-        b.iter(|| time_schedule(&f.sched, &f.comm, &model, MSG))
-    });
-    group.bench_function("compiled_reuse", |b| {
-        b.iter(|| ts.time(&f.comm, &model, MSG))
-    });
-    group.bench_function("analytic_ring", |b| {
-        b.iter(|| TimedSchedule::ring_allgather(P).time(&f.comm, &model, MSG))
-    });
-    group.finish();
-}
-
 /// A deliberately scattered cyclic layout, so refinement proposals have
 /// distance and contention left to trade.
 fn cyclic_comm(cluster: &Cluster, p: usize) -> Communicator {
@@ -100,31 +68,6 @@ fn cyclic_comm(cluster: &Cluster, p: usize) -> Communicator {
         .map(|r| CoreId::from_idx((r % nodes) * cpn + (r / nodes) % cpn))
         .collect();
     Communicator::new(cores)
-}
-
-fn bench_refine4096(c: &mut Criterion) {
-    let f = Fixture::new();
-    let model = f.model();
-    let comm = cyclic_comm(&f.cluster, P as usize);
-    let sched = chain_gather(P, Rank(0));
-    let ts = TimedSchedule::compile(&sched);
-    let mut pricer = DeltaPricer::new(&ts, &comm, &model, 4096);
-
-    let mut group = c.benchmark_group("timing/refine4096");
-    group.sample_size(10);
-    // What the pre-delta refinement loop paid per proposal: a full re-price
-    // of every unique stage.
-    group.bench_function("full_reprice", |b| b.iter(|| ts.time(&comm, &model, 4096)));
-    // What the delta pricer pays: re-simulate the stages the swapped ranks
-    // touch (at most four on the chain), restore on revert.
-    group.bench_function("delta_propose_revert", |b| {
-        b.iter(|| {
-            let t = pricer.propose_swap(1003, 2957, &model, 4096);
-            pricer.revert();
-            t
-        })
-    });
-    group.finish();
 }
 
 /// Best (minimum) wall-clock seconds of `reps` runs of `work` — the
@@ -348,10 +291,11 @@ fn write_summary() {
     // size of the paper's x-axis.
     let sweep: [u64; 8] = [1, 64, 512, 4096, 16384, 65536, 131072, 262144];
 
-    // Equal output across the full sweep first.
+    // Equal output, bit-exact, across the full sweep before any timing.
     let ts = TimedSchedule::compile(&f.sched);
     for &m in &sweep {
         let want = timing::reference::time_schedule(&f.sched, &f.comm, &model, m);
+        assert_eq!(want, time_schedule(&f.sched, &f.comm, &model, m));
         assert_eq!(want, ts.time(&f.comm, &model, m));
         assert_eq!(
             want,
@@ -469,29 +413,14 @@ fn write_summary() {
     print!("{json}");
 }
 
-criterion_group!(benches, bench_ring4096, bench_refine4096);
-
 fn main() {
-    // A benchmark-name filter (`cargo bench -- reference`) or test mode
-    // (`cargo test --benches`) skips the summary: a partial or smoke run
-    // should not overwrite the committed numbers.
-    let mut full_run = true;
-    let mut summary_only = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--test" => full_run = false,
-            "--summary-only" => summary_only = true,
-            s if s.starts_with('-') => {}
-            _ => full_run = false,
-        }
-    }
-    if summary_only {
-        // Developer shortcut: regenerate BENCH_timing.json without the
-        // criterion passes.
-        write_summary();
-        return;
-    }
-    benches();
+    // Only a whole `cargo bench` run (which passes `--bench`) rewrites the
+    // summary. A benchmark-name filter (`cargo bench -- reference`), test
+    // mode (`-- --test`) or a bare `cargo test --benches` run skips it: a
+    // partial or smoke run should not overwrite the committed numbers.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let full_run = args.iter().any(|a| a == "--bench")
+        && args.iter().all(|a| a.starts_with('-') && a != "--test");
     if full_run {
         write_summary();
     }

@@ -168,7 +168,7 @@ fn ablate_scotch_variant(opts: &HarnessOpts) {
 /// heuristic's whole point is collapsing the late, heavy stages.
 fn ablate_stage_profile(opts: &HarnessOpts) {
     use tarr_mapping::rdmh;
-    use tarr_mpi::time_schedule_profile;
+    use tarr_mpi::TimedSchedule;
     println!("\n== Ablation 6: RD per-stage latency before/after RDMH (block-bunch, 512 B) ==");
     let session = opts.session(InitialMapping::BLOCK_BUNCH);
     let p = session.size() as u32;
@@ -178,10 +178,10 @@ fn ablate_stage_profile(opts: &HarnessOpts) {
         &session.core().config().dist,
     );
     let model = StageModel::new(session.cluster(), NetParams::default());
-    let sched = recursive_doubling(p);
-    let before = time_schedule_profile(&sched, session.comm(), &model, 512);
+    let sched = TimedSchedule::compile(&recursive_doubling(p));
+    let before = sched.time_profile(session.comm(), &model, 512);
     let m = rdmh(&d, 0);
-    let after = time_schedule_profile(&sched, &session.comm().reordered(&m), &model, 512);
+    let after = sched.time_profile(&session.comm().reordered(&m), &model, 512);
     println!(
         "{:>6}  {:>14}  {:>14}",
         "stage", "default (us)", "RDMH (us)"

@@ -18,8 +18,9 @@
 //!   (mapper, pattern), so repeated `*_time` calls stop rebuilding an O(P)
 //!   permutation per call;
 //! * the **schedule cache** — size-independent compiled [`TimedSchedule`]s
-//!   for every collective except allgatherv (allgather, gather, broadcast
-//!   and both allreduce algorithms);
+//!   for allgather, gather, broadcast and both allreduce algorithms
+//!   (allgatherv prices the ring analytically per call, since its per-rank
+//!   sizes change the bytes of every stage);
 //! * the **price cache** — the total latency of each (schedule,
 //!   communicator, message size), next to its per-unique-stage prices so a
 //!   fault re-prices only the stages it reaches.
@@ -52,7 +53,7 @@ use tarr_mapping::{
     OrderFix, ScotchVariant,
 };
 use tarr_mpi::cache::Lookup;
-use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule};
+use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule, TrafficBreakdown};
 use tarr_netsim::NetParams;
 use tarr_topo::{Cluster, CoreId, DistanceConfig, ExtractionCostModel, ImplicitDistance, Rank};
 
@@ -570,35 +571,43 @@ impl Session {
         }
     }
 
-    /// The reordered communicator the flat allgather runs over under
-    /// `scheme`; `None` = the initial communicator.
-    fn allgather_comm(&mut self, alg: AllgatherAlg, scheme: Scheme) -> Option<Arc<Communicator>> {
-        match scheme {
+    /// The selected flat allgather and its per-stage traffic under `scheme`,
+    /// classified on the cached compiled schedule.
+    fn flat_traffic_stages(
+        &mut self,
+        msg_bytes: u64,
+        scheme: Scheme,
+    ) -> (AllgatherAlg, Vec<TrafficBreakdown>) {
+        let alg = select_allgather(self.size() as u32, msg_bytes);
+        let ts = self
+            .sched(SchedKey::Flat(alg))
+            .expect("flat schedules are always available");
+        let comm = match scheme {
             Scheme::Default => None,
             Scheme::Reordered { mapper, .. } => Some(
                 self.reordered_comm(mapper, PatternKind::of_alg(alg))
                     .expect("flat mappings are always available"),
             ),
-        }
+        };
+        let c = comm.as_deref().unwrap_or(self.comm());
+        let stages = ts.traffic_breakdown_stages(c, self.cluster(), msg_bytes);
+        (alg, stages)
     }
 
     /// Traffic breakdown (bytes per channel class) of the non-hierarchical
     /// allgather under `scheme` — the paper's mechanism made observable:
-    /// reordering shifts bytes from the network into nodes and sockets.
-    pub fn allgather_traffic(
-        &mut self,
-        msg_bytes: u64,
-        scheme: Scheme,
-    ) -> tarr_mpi::TrafficBreakdown {
-        let p = self.size() as u32;
-        let alg = select_allgather(p, msg_bytes);
-        let comm = self.allgather_comm(alg, scheme);
-        let c = comm.as_deref().unwrap_or(self.comm());
-        tarr_mpi::traffic_breakdown(&alg.schedule(p), c, self.cluster(), msg_bytes)
+    /// reordering shifts bytes from the network into nodes and sockets. The
+    /// field-wise sum of [`Session::allgather_traffic_stages`], without its
+    /// trace instant.
+    pub fn allgather_traffic(&mut self, msg_bytes: u64, scheme: Scheme) -> TrafficBreakdown {
+        let (_, stages) = self.flat_traffic_stages(msg_bytes, scheme);
+        let mut total = TrafficBreakdown::default();
+        stages.iter().for_each(|tb| total.accumulate(tb));
+        total
     }
 
     /// Per-stage traffic breakdowns of the non-hierarchical allgather under
-    /// `scheme` — one [`tarr_mpi::TrafficBreakdown`] per schedule stage, in
+    /// `scheme` — one [`TrafficBreakdown`] per schedule stage, in
     /// execution order. Reuses the compiled schedule from the cache (each
     /// unique stage is classified once), so a ring at 65,536 ranks costs
     /// O(P) rather than O(P²). Emits a bounded `session.traffic` instant
@@ -608,17 +617,10 @@ impl Session {
         &mut self,
         msg_bytes: u64,
         scheme: Scheme,
-    ) -> Vec<tarr_mpi::TrafficBreakdown> {
-        let p = self.size() as u32;
-        let alg = select_allgather(p, msg_bytes);
-        let ts = self
-            .sched(SchedKey::Flat(alg))
-            .expect("flat schedules are always available");
-        let comm = self.allgather_comm(alg, scheme);
-        let c = comm.as_deref().unwrap_or(self.comm());
-        let stages = ts.traffic_breakdown_stages(c, self.cluster(), msg_bytes);
+    ) -> Vec<TrafficBreakdown> {
+        let (alg, stages) = self.flat_traffic_stages(msg_bytes, scheme);
         if tarr_trace::enabled() {
-            let mut total = tarr_mpi::TrafficBreakdown::default();
+            let mut total = TrafficBreakdown::default();
             let mut worst = (0usize, 0u64);
             for (i, tb) in stages.iter().enumerate() {
                 total.accumulate(tb);
@@ -644,35 +646,28 @@ impl Session {
     /// Simulated latency of an `MPI_Allgatherv` with per-rank contribution
     /// sizes `sizes[rank]` (bytes, indexed by **original** rank). Uses the
     /// ring algorithm — the standard allgatherv choice — so reordering needs
-    /// no §V-B fix (in-place placement) and the RMH mapping applies.
+    /// no §V-B fix (in-place placement) and the RMH mapping applies. Priced
+    /// by [`tarr_mpi::ring_allgatherv_time`] over the cached ring
+    /// communicator, in O(P) memory.
     pub fn allgatherv_time(&mut self, sizes: &[u64], scheme: Scheme) -> f64 {
         assert_eq!(sizes.len(), self.size(), "one size per rank");
-        let p = self.size() as u32;
-        // Variable block sizes defeat the size-independent compiled form
-        // (the ring rotates which slots each stage carries), so the sized
-        // executor prices the materialized schedule directly.
-        let sched = AllgatherAlg::Ring.schedule(p);
-        match scheme {
-            Scheme::Default => {
-                tarr_mpi::time_schedule_sized(&sched, self.comm(), &self.core.model(), sizes)
-            }
-            Scheme::Reordered { mapper, .. } => {
-                let comm2 = self
-                    .reordered_comm(mapper, PatternKind::Ring)
-                    .expect("flat mappings are always available");
-                let info = self
-                    .mapping(mapper, PatternKind::Ring)
-                    .expect("ring mapping exists once the communicator does");
-                // Block `b` of the reordered communicator is the contribution
-                // of original rank `m[b]`.
-                let permuted: Vec<u64> = info
-                    .mapping
-                    .iter()
-                    .map(|&old| sizes[old as usize])
-                    .collect();
-                tarr_mpi::time_schedule_sized(&sched, &comm2, &self.core.model(), &permuted)
-            }
-        }
+        let Scheme::Reordered { mapper, .. } = scheme else {
+            return tarr_mpi::ring_allgatherv_time(self.comm(), &self.core.model(), sizes);
+        };
+        let comm = self
+            .reordered_comm(mapper, PatternKind::Ring)
+            .expect("flat mappings are always available");
+        let info = self
+            .mapping(mapper, PatternKind::Ring)
+            .expect("ring mapping exists once the communicator does");
+        // Block `b` of the reordered communicator is the contribution of
+        // original rank `m[b]`.
+        let permuted: Vec<u64> = info
+            .mapping
+            .iter()
+            .map(|&old| sizes[old as usize])
+            .collect();
+        tarr_mpi::ring_allgatherv_time(&comm, &self.core.model(), &permuted)
     }
 
     /// The paper's §VII *adaptive* proposal: a runtime component predicts,
@@ -1212,17 +1207,28 @@ mod tests {
 
     #[test]
     fn traffic_stages_sum_to_whole() {
-        let mut s = session(InitialMapping::CYCLIC_BUNCH, 4);
-        for scheme in [Scheme::Default, Scheme::hrstc(OrderFix::InitComm)] {
-            for msg in [512u64, 65536] {
-                let whole = s.allgather_traffic(msg, scheme);
-                let stages = s.allgather_traffic_stages(msg, scheme);
-                assert!(!stages.is_empty());
-                let mut sum = tarr_mpi::TrafficBreakdown::default();
-                for tb in &stages {
-                    sum.accumulate(tb);
+        // 8192 GPC nodes = 65,536 ranks at 64 KiB select the ring, whose
+        // materialized form has 4.3·10⁹ ops: the whole-schedule breakdown
+        // must come from the compiled O(P) schedule too.
+        for (nodes, msgs) in [(4, &[512u64, 65536][..]), (8192, &[65536][..])] {
+            let mut s = session(InitialMapping::CYCLIC_BUNCH, nodes);
+            let p = s.size() as u64;
+            for scheme in [
+                Scheme::Default,
+                Scheme::hrstc(OrderFix::InitComm),
+                Scheme::hrstc(OrderFix::InPlace),
+            ] {
+                for &msg in msgs {
+                    let whole = s.allgather_traffic(msg, scheme);
+                    assert_eq!(whole.total(), p * (p - 1) * msg, "{p} {msg} {scheme:?}");
+                    let stages = s.allgather_traffic_stages(msg, scheme);
+                    assert!(!stages.is_empty());
+                    let mut sum = TrafficBreakdown::default();
+                    for tb in &stages {
+                        sum.accumulate(tb);
+                    }
+                    assert_eq!(sum, whole, "{p} {msg} {scheme:?}");
                 }
-                assert_eq!(sum, whole, "{msg} {scheme:?}");
             }
         }
     }

@@ -16,7 +16,9 @@
 //! allgatherv takes this path: allgather, gather, broadcast and both
 //! allreduce algorithms compile one size-parametric schedule per core and
 //! price each `(schedule, communicator, bytes)` once; allgatherv's per-rank
-//! sizes still go through the sized executor on every call. A price entry
+//! sizes are priced per call by the analytic ring
+//! (`tarr_mpi::ring_allgatherv_time`) over the cached ring communicator. A
+//! price entry
 //! keeps its per-unique-stage prices next to the total, so a hit reads the
 //! total and a fault can re-price only the stages it reaches.
 //!

@@ -13,6 +13,7 @@
 
 #![allow(dead_code)] // each suite uses a different subset
 
+use std::collections::hash_map::{Entry, HashMap};
 use tarr_collectives::allgather::{groups_by_node, hierarchical};
 use tarr_collectives::allreduce::{rabenseifner_allreduce, rd_allreduce};
 use tarr_collectives::bcast::binomial_bcast;
@@ -28,9 +29,9 @@ use tarr_mapping::{
     bbmh, bgmh, bkmh, greedy_map, init_comm_schedule, rdmh, rmh, scotch_like_map_with, OrderFix,
     ScotchVariant,
 };
-use tarr_mpi::{time_schedule, time_schedule_sized, Communicator, Schedule, TimedSchedule};
-use tarr_netsim::StageModel;
-use tarr_topo::{Cluster, DistanceMatrix, Rank};
+use tarr_mpi::{time_schedule, Communicator, Payload, Schedule, TimedSchedule};
+use tarr_netsim::{Message, StageModel};
+use tarr_topo::{Cluster, CoreId, DistanceMatrix, Rank};
 
 /// A session's inputs, extracted densely.
 pub struct DenseReference {
@@ -254,4 +255,51 @@ fn flat_schedule(pattern: PatternKind, p: u32) -> Schedule {
         PatternKind::BinomialGather => binomial_gather(p, Rank(0)),
         PatternKind::Hier(..) => unreachable!("hierarchical patterns have no flat schedule"),
     }
+}
+
+/// Price a materialized schedule whose blocks have **variable sizes**
+/// (`MPI_Allgatherv`): `sizes[slot]` is the byte count of the block stored
+/// at that slot, raw payloads are used verbatim. Each stage's ops merge per
+/// (source core, destination core) in first-seen order, and stage prices are
+/// memoized on the resolved messages — the materialized baseline the
+/// analytic `tarr_mpi::ring_allgatherv_time` is pinned against.
+pub fn time_schedule_sized(
+    schedule: &Schedule,
+    comm: &Communicator,
+    model: &StageModel<'_>,
+    sizes: &[u64],
+) -> f64 {
+    assert_eq!(
+        schedule.p as usize,
+        comm.size(),
+        "schedule/comm size mismatch"
+    );
+    assert_eq!(sizes.len(), comm.size(), "sizes/communicator mismatch");
+    let p = schedule.p;
+    let mut total = 0.0;
+    let mut memo: HashMap<Vec<Message>, f64> = HashMap::new();
+    for stage in schedule.stages.iter().filter(|s| !s.ops.is_empty()) {
+        let mut index: HashMap<(CoreId, CoreId), usize> = HashMap::new();
+        let mut msgs: Vec<Message> = Vec::with_capacity(stage.ops.len());
+        for op in &stage.ops {
+            let (src, dst) = (comm.core_of(op.from), comm.core_of(op.to));
+            let bytes = match op.payload {
+                Payload::Blocks { src_slot, len, .. } => {
+                    (0..len).map(|k| sizes[((src_slot + k) % p) as usize]).sum()
+                }
+                Payload::Raw { bytes } => bytes,
+            };
+            match index.entry((src, dst)) {
+                Entry::Occupied(e) => msgs[*e.get()].bytes += bytes,
+                Entry::Vacant(e) => {
+                    e.insert(msgs.len());
+                    msgs.push(Message::new(src, dst, bytes));
+                }
+            }
+        }
+        total += *memo
+            .entry(msgs)
+            .or_insert_with_key(|msgs| model.stage_time(msgs));
+    }
+    total
 }

@@ -11,15 +11,26 @@
 //!   materialized schedule with `time_schedule`, over a byte sweep that
 //!   crosses the `max(b >> s, 1)` clamp, and a warm repeat is a price-cache
 //!   hit.
+//! * The analytic ring allgatherv ([`tarr_mpi::ring_allgatherv_time`]) is
+//!   bit-identical to the materialized sized reference
+//!   (`dense_reference::time_schedule_sized` over the ring schedule) for
+//!   uniform, skewed and zero-bearing sizes on an initial and a reordered
+//!   communicator.
 
+mod dense_reference;
+
+use dense_reference::time_schedule_sized;
 use std::sync::Arc;
+use tarr_collectives::allgather::ring;
 use tarr_collectives::allreduce::{rabenseifner_allreduce, rd_allreduce};
 use tarr_collectives::bcast::binomial_bcast;
 use tarr_core::{Mapper, PatternKind, Scheme, Session, SessionConfig, SessionCore};
 use tarr_mapping::{InitialMapping, OrderFix};
-use tarr_mpi::{time_schedule, Communicator, Schedule, TimedSchedule};
+use tarr_mpi::{
+    ring_allgatherv_time, time_schedule, Communicator, Schedule, SendOp, Stage, TimedSchedule,
+};
 use tarr_netsim::StageModel;
-use tarr_topo::{Cluster, Rank};
+use tarr_topo::{Cluster, CoreId, Rank};
 
 /// The byte sweep for `p` ranks: empty, tiny, just below and at `p` (where
 /// Rabenseifner's deepest shares clamp to one byte), and large sizes up to
@@ -228,4 +239,113 @@ fn a_warm_repeat_is_a_price_cache_hit() {
             assert_eq!(delta.misses(), 0, "{coll:?} {scheme:?}: {delta:?}");
         }
     }
+}
+
+/// Per-block sizes for the allgatherv differential: uniform, skewed (one
+/// heavy block in seven), zero-bearing, all-zero, and alternating — whose
+/// stages repeat two apart but never back to back.
+fn allgatherv_sizes(p: u64) -> Vec<Vec<u64>> {
+    vec![
+        vec![4096; p as usize],
+        (0..p)
+            .map(|i| if i % 7 == 0 { 1 << 20 } else { 64 + i })
+            .collect(),
+        (0..p)
+            .map(|i| if i % 3 == 0 { 0 } else { 1000 + i })
+            .collect(),
+        vec![0; p as usize],
+        (0..p)
+            .map(|i| if i % 2 == 0 { 100 } else { 1 << 16 })
+            .collect(),
+    ]
+}
+
+#[test]
+fn analytic_allgatherv_is_bit_identical_to_the_materialized_ring() {
+    for p in [1u32, 2, 3, 24, 512] {
+        let cluster = Cluster::gpc((p as usize).div_ceil(8));
+        let model = StageModel::new(&cluster, SessionConfig::default().net);
+        let initial = Communicator::new(cluster.cores().take(p as usize).collect());
+        // A stride permutation: coprime with every p above.
+        let perm: Vec<u32> = (0..p).map(|i| (i * 7 + 3) % p).collect();
+        let reordered = initial.reordered(&perm);
+        let sched = ring(p);
+        for comm in [&initial, &reordered] {
+            for sizes in allgatherv_sizes(p as u64) {
+                let want = time_schedule_sized(&sched, comm, &model, &sizes);
+                let got = ring_allgatherv_time(comm, &model, &sizes);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "p {p} sizes {:?}",
+                    &sizes[..p.min(8) as usize]
+                );
+            }
+            // Uniform sizes price one stage, repeated like the compiled ring.
+            let uniform = TimedSchedule::ring_allgather(p).time(comm, &model, 4096);
+            let got = ring_allgatherv_time(comm, &model, &vec![4096; p as usize]);
+            assert_eq!(got.to_bits(), uniform.to_bits(), "p {p} uniform");
+        }
+    }
+}
+
+/// The sized reference on a 16-rank line over two GPC nodes.
+fn line16() -> (Cluster, Communicator) {
+    let cluster = Cluster::gpc(2);
+    let comm = Communicator::new((0..16).map(CoreId::from_idx).collect());
+    (cluster, comm)
+}
+
+fn one_stage(op: SendOp) -> Schedule {
+    let mut sched = Schedule::new(16);
+    sched.push(Stage::new(vec![op]));
+    sched
+}
+
+#[test]
+fn sized_matches_uniform_when_sizes_equal() {
+    let (cluster, comm) = line16();
+    let model = StageModel::new(&cluster, SessionConfig::default().net);
+    let sched = one_stage(SendOp::blocks(0, 8, 0, 4));
+    let uniform = time_schedule(&sched, &comm, &model, 1000);
+    let sized = time_schedule_sized(&sched, &comm, &model, &[1000; 16]);
+    assert!((uniform - sized).abs() < 1e-15);
+}
+
+#[test]
+fn sized_charges_the_actual_slots() {
+    let (cluster, comm) = line16();
+    let model = StageModel::new(&cluster, SessionConfig::default().net);
+    // One op carrying slots 2..4 (wrapping not involved).
+    let mut sizes = [0u64; 16];
+    sizes[2] = 1 << 20;
+    sizes[3] = 1 << 10;
+    let t = time_schedule_sized(
+        &one_stage(SendOp::blocks(0, 8, 2, 2)),
+        &comm,
+        &model,
+        &sizes,
+    );
+    // Equivalent single message of the summed bytes.
+    let eq = one_stage(SendOp::raw(0, 8, (1 << 20) + (1 << 10)));
+    let te = time_schedule(&eq, &comm, &model, 0);
+    assert!((t - te).abs() / te < 1e-12, "t {t} te {te}");
+}
+
+#[test]
+fn sized_handles_wrapped_ranges() {
+    let (cluster, comm) = line16();
+    let model = StageModel::new(&cluster, SessionConfig::default().net);
+    // Slots 15 and 0.
+    let mut sizes = [0u64; 16];
+    sizes[15] = 4096;
+    sizes[0] = 8192;
+    let t = time_schedule_sized(
+        &one_stage(SendOp::blocks(0, 8, 15, 2)),
+        &comm,
+        &model,
+        &sizes,
+    );
+    let te = time_schedule(&one_stage(SendOp::raw(0, 8, 12288)), &comm, &model, 0);
+    assert!((t - te).abs() / te < 1e-12);
 }

@@ -12,10 +12,11 @@
 //!   expressible) or raw payloads;
 //! * [`exec`] — a functional executor that actually moves block tags between
 //!   per-rank buffers and lets tests verify output-vector ordering;
-//! * [`timing`] — executors that price a schedule on a
-//!   [`tarr_netsim::StageModel`] (synchronized stages, with stage
-//!   memoization) or on the fluid [`tarr_netsim::FlowEngine`]
-//!   (asynchronous, per-rank dependencies).
+//! * [`timing`] — the compiled [`TimedSchedule`], the one schedule form
+//!   priced on a [`tarr_netsim::StageModel`] (synchronized stages, each
+//!   unique stage priced once), on the fluid [`tarr_netsim::FlowEngine`]
+//!   (asynchronous, per-rank dependencies) or classified per channel class
+//!   ([`stats`]).
 //!
 //! ```
 //! use tarr_mpi::{Communicator, Schedule, SendOp, Stage};
@@ -44,8 +45,7 @@ pub use comm::Communicator;
 pub use delta::{DeltaPricer, RankStageIndex};
 pub use exec::{ExecError, FunctionalState};
 pub use schedule::{Payload, Schedule, SendOp, Stage};
-pub use stats::{traffic_breakdown, traffic_breakdown_stages, TrafficBreakdown};
+pub use stats::TrafficBreakdown;
 pub use timing::{
-    time_schedule, time_schedule_async, time_schedule_profile, time_schedule_sized, MergedOp,
-    TimedSchedule,
+    ring_allgatherv_time, time_schedule, time_schedule_async, MergedOp, TimedSchedule,
 };

@@ -1,12 +1,13 @@
 //! Traffic analysis: where a schedule's bytes actually travel.
 //!
 //! The mechanism behind every figure of the paper is a shift of bytes from
-//! slow, contended channels onto fast local ones; [`traffic_breakdown`]
+//! slow, contended channels onto fast local ones; a [`TrafficBreakdown`]
 //! makes that shift directly observable — per channel class, before and
-//! after reordering — without running the timing model.
+//! after reordering — without running the timing model. The compiled
+//! schedule classifies its traffic
+//! ([`TimedSchedule::traffic_breakdown_stages`](crate::TimedSchedule::traffic_breakdown_stages)):
+//! each unique stage once, so a ring costs O(P) rather than O(P²).
 
-use crate::comm::Communicator;
-use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use tarr_topo::{Cluster, HopKind};
 
@@ -79,56 +80,54 @@ pub(crate) fn hop_class(cluster: &Cluster, src: tarr_topo::CoreId, dst: tarr_top
     class
 }
 
-/// Classify every payload byte of `schedule` under the rank→core binding of
-/// `comm` on `cluster`.
-pub fn traffic_breakdown(
-    schedule: &Schedule,
-    comm: &Communicator,
-    cluster: &Cluster,
-    block_bytes: u64,
-) -> TrafficBreakdown {
-    let mut out = TrafficBreakdown::default();
-    for stage in &schedule.stages {
-        for op in &stage.ops {
-            let bytes = op.payload.bytes(block_bytes);
-            let src = comm.core_of(op.from);
-            let dst = comm.core_of(op.to);
-            out.add_class(hop_class(cluster, src, dst), bytes);
-        }
-    }
-    out
-}
-
-/// Per-stage [`TrafficBreakdown`]s of `schedule` (one entry per stage, empty
-/// stages all-zero). The entries sum exactly — field by field — to
-/// [`traffic_breakdown`] of the whole schedule.
-pub fn traffic_breakdown_stages(
-    schedule: &Schedule,
-    comm: &Communicator,
-    cluster: &Cluster,
-    block_bytes: u64,
-) -> Vec<TrafficBreakdown> {
-    schedule
-        .stages
-        .iter()
-        .map(|stage| {
-            let mut out = TrafficBreakdown::default();
-            for op in &stage.ops {
-                let bytes = op.payload.bytes(block_bytes);
-                let src = comm.core_of(op.from);
-                let dst = comm.core_of(op.to);
-                out.add_class(hop_class(cluster, src, dst), bytes);
-            }
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{SendOp, Stage};
+    use crate::comm::Communicator;
+    use crate::schedule::{Schedule, SendOp, Stage};
+    use crate::timing::TimedSchedule;
     use tarr_topo::CoreId;
+
+    /// The per-op reference classifier: every payload byte of every stage,
+    /// one entry per stage (empty stages all-zero). The compiled classifier
+    /// is pinned against it below.
+    fn reference_stages(
+        schedule: &Schedule,
+        comm: &Communicator,
+        cluster: &Cluster,
+        block_bytes: u64,
+    ) -> Vec<TrafficBreakdown> {
+        schedule
+            .stages
+            .iter()
+            .map(|stage| {
+                let mut out = TrafficBreakdown::default();
+                for op in &stage.ops {
+                    let bytes = op.payload.bytes(block_bytes);
+                    let src = comm.core_of(op.from);
+                    let dst = comm.core_of(op.to);
+                    out.add_class(hop_class(cluster, src, dst), bytes);
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// Whole-schedule breakdown through the compiled classifier.
+    fn traffic_breakdown(
+        schedule: &Schedule,
+        comm: &Communicator,
+        cluster: &Cluster,
+        block_bytes: u64,
+    ) -> TrafficBreakdown {
+        let mut out = TrafficBreakdown::default();
+        for tb in
+            TimedSchedule::compile(schedule).traffic_breakdown_stages(comm, cluster, block_bytes)
+        {
+            out.accumulate(&tb);
+        }
+        out
+    }
 
     fn comm_n(n: usize) -> Communicator {
         Communicator::new((0..n).map(CoreId::from_idx).collect())
@@ -252,17 +251,16 @@ mod tests {
         sched
     }
 
-    /// Per-stage breakdowns must sum exactly — field by field — to the
-    /// whole-schedule breakdown, and the compiled (merged + deduplicated)
-    /// per-stage path must reproduce the raw per-stage path bit-for-bit,
-    /// under a random rank→core permutation and block size.
+    /// The per-op reference's per-stage breakdowns must sum exactly — field
+    /// by field — to the compiled whole-schedule breakdown, and the compiled
+    /// (merged + deduplicated) per-stage path must reproduce the reference
+    /// per stage, under a random rank→core permutation and block size.
     fn check_per_stage_sums(
         p: u32,
         nodes: usize,
         seed: u64,
         block_bytes: u64,
     ) -> Result<(), proptest::TestCaseError> {
-        use crate::timing::TimedSchedule;
         use proptest::prop_assert_eq;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -286,7 +284,7 @@ mod tests {
         }
         for (name, sched) in &schedules {
             let whole = traffic_breakdown(sched, &comm, &cluster, block_bytes);
-            let stages = traffic_breakdown_stages(sched, &comm, &cluster, block_bytes);
+            let stages = reference_stages(sched, &comm, &cluster, block_bytes);
             prop_assert_eq!(stages.len(), sched.stages.len(), "{}", name);
             let mut sum = TrafficBreakdown::default();
             for s in &stages {

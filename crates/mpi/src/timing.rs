@@ -21,15 +21,20 @@
 //!   [`TimedSchedule::rabenseifner_allreduce`] build those compiled forms
 //!   analytically in O(P log P), so every collective compiles once and is
 //!   priced at any size.
+//! * [`ring_allgatherv_time`] — the ring `MPI_Allgatherv` with per-block
+//!   sizes, priced analytically in O(P) memory: variable sizes defeat the
+//!   size-independent unique stage, so it rewrites one message buffer per
+//!   stage instead of materializing the ring.
 //! * [`time_schedule`] — synchronized-stage pricing on the analytic
 //!   [`StageModel`]; compiles on the fly. Callers pricing the same schedule
 //!   repeatedly (figure sweeps, refinement loops) should compile once and
 //!   call [`TimedSchedule::time`].
 //! * [`time_schedule_async`] — asynchronous execution on the fluid
-//!   [`FlowEngine`]: each rank advances to its next stage as soon as *its
-//!   own* sends have drained and its expected receives have arrived, so
-//!   ranks may run several stages apart — the behaviour of a real MPI
-//!   implementation with eager/rendezvous point-to-point collectives.
+//!   [`FlowEngine`] of the compiled schedule's merged ops: each rank
+//!   advances to its next stage as soon as *its own* sends have drained and
+//!   its expected receives have arrived, so ranks may run several stages
+//!   apart — the behaviour of a real MPI implementation with
+//!   eager/rendezvous point-to-point collectives.
 //! * [`reference`] — the pre-compilation executors, kept verbatim as the
 //!   differential-validation baseline for the compiled path.
 
@@ -505,22 +510,16 @@ impl TimedSchedule {
         model: &StageModel<'_>,
         block_bytes: u64,
     ) -> Vec<f64> {
-        assert_eq!(self.p as usize, comm.size(), "schedule/comm size mismatch");
         let mut cache: Vec<f64> = vec![f64::NAN; self.uniq.len()];
-        let mut msgs: Vec<Message> = Vec::new();
+        self.time_with_cache(comm, model, block_bytes, &mut cache);
         self.order
             .iter()
             .map(|&k| {
                 if k == EMPTY_STAGE {
-                    return 0.0;
+                    0.0
+                } else {
+                    cache[k as usize]
                 }
-                let mut t = cache[k as usize];
-                if t.is_nan() {
-                    self.resolve(k, comm, block_bytes, &mut msgs);
-                    t = model.stage_time(&msgs);
-                    cache[k as usize] = t;
-                }
-                t
             })
             .collect()
     }
@@ -531,9 +530,8 @@ impl TimedSchedule {
     /// order, so this stays cheap on dedup-friendly schedules (the analytic
     /// ring classifies P pairs, not P² ops). Merging preserves per-`(from,
     /// to)` byte totals and classification depends only on the endpoint
-    /// pair, so the entries match
-    /// [`traffic_breakdown_stages`](crate::stats::traffic_breakdown_stages)
-    /// of the source schedule exactly.
+    /// pair, so the entries equal a per-op classification of the source
+    /// schedule exactly (pinned by the `stats` tests).
     pub fn traffic_breakdown_stages(
         &self,
         comm: &Communicator,
@@ -587,66 +585,35 @@ pub fn time_schedule(
     TimedSchedule::compile(schedule).time(comm, model, block_bytes)
 }
 
-/// Per-stage latency profile of a schedule: one entry per stage (empty
-/// stages price as zero). Summing the profile equals [`time_schedule`];
-/// collective developers use it to find the expensive stages (e.g. the
-/// late, large-message stages of recursive doubling the RDMH heuristic
-/// targets).
-pub fn time_schedule_profile(
-    schedule: &Schedule,
-    comm: &Communicator,
-    model: &StageModel<'_>,
-    block_bytes: u64,
-) -> Vec<f64> {
-    assert_eq!(
-        schedule.p as usize,
-        comm.size(),
-        "schedule/comm size mismatch"
-    );
-    TimedSchedule::compile(schedule).time_profile(comm, model, block_bytes)
-}
-
-/// Price a schedule whose blocks have **variable sizes** (`MPI_Allgatherv`):
-/// `sizes[slot]` is the byte count of the block stored at that slot. Raw
-/// payloads are used verbatim.
-///
-/// Unlike the uniform executors this cannot reuse the size-independent
-/// compiled stages — the ring rotates which slots each stage carries, so
-/// stages that merge identically at block granularity resolve to different
-/// byte vectors — and instead memoizes on the fully resolved messages.
-pub fn time_schedule_sized(
-    schedule: &Schedule,
-    comm: &Communicator,
-    model: &StageModel<'_>,
-    sizes: &[u64],
-) -> f64 {
-    assert_eq!(
-        schedule.p as usize,
-        comm.size(),
-        "schedule/comm size mismatch"
-    );
-    assert_eq!(sizes.len(), comm.size(), "sizes/communicator mismatch");
-    let p = schedule.p;
+/// Price the ring `MPI_Allgatherv` under `comm`, where `sizes[b]` is the
+/// byte count of block `b`. At stage `s ∈ 1..p` rank `i` forwards block
+/// `(i + p − s + 1) % p` to rank `i + 1` — the rotation of
+/// `tarr_collectives::allgather::ring` — so only the bytes change from stage
+/// to stage. One message buffer is rewritten per stage and the O(P²)-op
+/// ring is never materialized. A stage's bytes are a one-step rotation of
+/// the previous stage's, equal to them only when every size is equal, so
+/// uniform sizes price a single stage and reuse it. Stage times are pure
+/// functions of their messages, so the sum is bit-identical to pricing the
+/// materialized ring stage by stage.
+pub fn ring_allgatherv_time(comm: &Communicator, model: &StageModel<'_>, sizes: &[u64]) -> f64 {
+    let p = comm.size();
+    assert_eq!(sizes.len(), p, "sizes/communicator mismatch");
+    let uniform = sizes.windows(2).all(|w| w[0] == w[1]);
+    let mut msgs: Vec<Message> = (0..p)
+        .map(|i| {
+            let to = Rank(((i + 1) % p) as u32);
+            Message::new(comm.core_of(Rank(i as u32)), comm.core_of(to), 0)
+        })
+        .collect();
     let mut total = 0.0;
-    let mut memo: FxHashMap<Vec<Message>, f64> = FxHashMap::default();
-    for stage in &schedule.stages {
-        if stage.ops.is_empty() {
-            continue;
+    let mut t = 0.0;
+    for s in 1..p {
+        if s == 1 || !uniform {
+            for (i, m) in msgs.iter_mut().enumerate() {
+                m.bytes = sizes[(i + p - s + 1) % p];
+            }
+            t = model.stage_time(&msgs);
         }
-        let msgs = merge_stage_with(stage, comm, |payload| match *payload {
-            Payload::Blocks { src_slot, len, .. } => {
-                (0..len).map(|k| sizes[((src_slot + k) % p) as usize]).sum()
-            }
-            Payload::Raw { bytes } => bytes,
-        });
-        let t = match memo.get(&msgs) {
-            Some(&t) => t,
-            None => {
-                let t = model.stage_time(&msgs);
-                memo.insert(msgs, t);
-                t
-            }
-        };
         total += t;
     }
     total
@@ -680,42 +647,6 @@ fn merge_key(op: &crate::schedule::SendOp) -> MergeKey {
         Payload::Blocks { len, .. } => (op.from.0, op.to.0, len as u64, 0),
         Payload::Raw { bytes } => (op.from.0, op.to.0, 0, bytes),
     }
-}
-
-/// Merge a stage's ops into per-(src, dst) messages, preserving first-seen
-/// order.
-fn merge_stage(
-    stage: &crate::schedule::Stage,
-    comm: &Communicator,
-    block_bytes: u64,
-) -> Vec<Message> {
-    merge_stage_with(stage, comm, |payload| payload.bytes(block_bytes))
-}
-
-/// Merge with a custom payload-size resolver.
-fn merge_stage_with(
-    stage: &crate::schedule::Stage,
-    comm: &Communicator,
-    size_of: impl Fn(&Payload) -> u64,
-) -> Vec<Message> {
-    let mut index: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-    index.reserve(stage.ops.len());
-    let mut msgs: Vec<Message> = Vec::with_capacity(stage.ops.len());
-    for op in &stage.ops {
-        let src = comm.core_of(op.from);
-        let dst = comm.core_of(op.to);
-        let bytes = size_of(&op.payload);
-        match index.entry((src.0, dst.0)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                msgs[*e.get()].bytes += bytes;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(msgs.len());
-                msgs.push(Message::new(src, dst, bytes));
-            }
-        }
-    }
-    msgs
 }
 
 /// The pre-compilation executors, kept **verbatim** as the
@@ -764,38 +695,6 @@ pub mod reference {
             total += t;
         }
         total
-    }
-
-    /// Reference per-stage profile.
-    pub fn time_schedule_profile(
-        schedule: &Schedule,
-        comm: &Communicator,
-        model: &StageModel<'_>,
-        block_bytes: u64,
-    ) -> Vec<f64> {
-        assert_eq!(
-            schedule.p as usize,
-            comm.size(),
-            "schedule/comm size mismatch"
-        );
-        let mut memo: HashMap<u64, f64> = HashMap::new();
-        schedule
-            .stages
-            .iter()
-            .map(|stage| {
-                if stage.ops.is_empty() {
-                    return 0.0;
-                }
-                let msgs = reference_merge_stage(stage, comm, block_bytes);
-                let mut h = DefaultHasher::new();
-                for m in &msgs {
-                    (m.src.0, m.dst.0, m.bytes).hash(&mut h);
-                }
-                *memo
-                    .entry(h.finish())
-                    .or_insert_with(|| model.stage_time(&msgs))
-            })
-            .collect()
     }
 
     fn reference_merge_stage(
@@ -868,15 +767,17 @@ pub fn time_schedule_async(
 
     let mut sends: Vec<Vec<Vec<FlowDesc>>> = vec![vec![Vec::new(); n_stages]; p];
     let mut expected: Vec<Vec<u32>> = vec![vec![0; n_stages]; p];
-    for (si, stage) in schedule.stages.iter().enumerate() {
-        // Same merging rule as the synchronized executor: one flow per
-        // (sender, receiver) pair and stage.
-        let merged = merge_stage(stage, comm, block_bytes);
-        for m in merged {
-            let from = comm.rank_of_core(m.src).expect("unknown src core");
-            let to = comm.rank_of_core(m.dst).expect("unknown dst core");
-            let (src, dst, bytes) = (m.src, m.dst, m.bytes);
-            let hops = cluster.path(src, dst);
+    // Same merging rule as the synchronized executor: one flow per
+    // (sender, receiver) pair and stage, in first-seen order.
+    let ts = TimedSchedule::compile(schedule);
+    for (si, &k) in ts.stage_order().iter().enumerate() {
+        if k == EMPTY_STAGE {
+            continue;
+        }
+        let unit = ts.unit(k as usize, block_bytes);
+        for m in &ts.unique_stages()[k as usize] {
+            let (from, to) = (m.from as usize, m.to as usize);
+            let hops = cluster.path(comm.core_of(Rank(m.from)), comm.core_of(Rank(m.to)));
             let mut alpha = params.sw_overhead_s;
             let mut path = Vec::with_capacity(hops.len());
             for h in hops {
@@ -888,15 +789,15 @@ pub fn time_schedule_async(
                 path.push(idx);
             }
             let local = path.is_empty();
-            sends[from.idx()][si].push(FlowDesc {
+            sends[from][si].push(FlowDesc {
                 path,
-                bytes,
+                bytes: m.blocks * unit + m.raw,
                 alpha,
-                to: to.idx(),
+                to,
                 stage: si,
                 local,
             });
-            expected[to.idx()][si] += 1;
+            expected[to][si] += 1;
         }
     }
 
@@ -1111,8 +1012,8 @@ mod tests {
                 let r = reference::time_schedule(&sched, &comm, &model, bytes);
                 let n = time_schedule(&sched, &comm, &model, bytes);
                 assert_eq!(r, n, "bytes {bytes}");
-                let rp = reference::time_schedule_profile(&sched, &comm, &model, bytes);
-                let np = time_schedule_profile(&sched, &comm, &model, bytes);
+                let rp = reference_profile(&sched, &comm, &model, bytes);
+                let np = TimedSchedule::compile(&sched).time_profile(&comm, &model, bytes);
                 assert_eq!(rp, np, "profile, bytes {bytes}");
             }
         }
@@ -1138,6 +1039,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    // Reference per-stage profile: each stage priced alone by the reference
+    // executor (an empty stage prices as zero).
+    fn reference_profile(
+        sched: &Schedule,
+        comm: &Communicator,
+        model: &StageModel<'_>,
+        bytes: u64,
+    ) -> Vec<f64> {
+        sched
+            .stages
+            .iter()
+            .map(|stage| {
+                let mut one = Schedule::new(sched.p);
+                one.push(stage.clone());
+                reference::time_schedule(&one, comm, model, bytes)
+            })
+            .collect()
     }
 
     // A schedule exercising merging (two ops, same endpoints), raw payloads
@@ -1198,7 +1118,7 @@ mod tests {
         let comm = line_comm(32);
         let model = StageModel::new(&cluster, NetParams::default());
         let sched = tarr_rd(32);
-        let profile = time_schedule_profile(&sched, &comm, &model, 2048);
+        let profile = TimedSchedule::compile(&sched).time_profile(&comm, &model, 2048);
         let total = time_schedule(&sched, &comm, &model, 2048);
         assert_eq!(profile.len(), 5); // log2(32)
         assert!((profile.iter().sum::<f64>() - total).abs() < 1e-15);
@@ -1297,55 +1217,6 @@ mod tests {
     fn ring_allgather_degenerate_sizes() {
         assert_eq!(TimedSchedule::ring_allgather(0).num_stages(), 0);
         assert_eq!(TimedSchedule::ring_allgather(1).num_stages(), 0);
-    }
-
-    #[test]
-    fn sized_matches_uniform_when_sizes_equal() {
-        let cluster = Cluster::gpc(2);
-        let comm = line_comm(16);
-        let model = StageModel::new(&cluster, NetParams::default());
-        let mut sched = Schedule::new(16);
-        sched.push(Stage::new(vec![SendOp::blocks(0, 8, 0, 4)]));
-        let uniform = time_schedule(&sched, &comm, &model, 1000);
-        let sized = time_schedule_sized(&sched, &comm, &model, &[1000; 16]);
-        assert!((uniform - sized).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sized_charges_the_actual_slots() {
-        let cluster = Cluster::gpc(2);
-        let comm = line_comm(16);
-        let model = StageModel::new(&cluster, NetParams::default());
-        // One op carrying slots 2..4 (wrapping not involved).
-        let mut sched = Schedule::new(16);
-        sched.push(Stage::new(vec![SendOp::blocks(0, 8, 2, 2)]));
-        let mut sizes = [0u64; 16];
-        sizes[2] = 1 << 20;
-        sizes[3] = 1 << 10;
-        let t = time_schedule_sized(&sched, &comm, &model, &sizes);
-        // Equivalent single message of the summed bytes.
-        let mut eq = Schedule::new(16);
-        eq.push(Stage::new(vec![SendOp::raw(0, 8, (1 << 20) + (1 << 10))]));
-        let te = time_schedule(&eq, &comm, &model, 0);
-        assert!((t - te).abs() / te < 1e-12, "t {t} te {te}");
-    }
-
-    #[test]
-    fn sized_handles_wrapped_ranges() {
-        let cluster = Cluster::gpc(2);
-        let comm = line_comm(16);
-        let model = StageModel::new(&cluster, NetParams::default());
-        let mut sched = Schedule::new(16);
-        // Slots 15 and 0.
-        sched.push(Stage::new(vec![SendOp::blocks(0, 8, 15, 2)]));
-        let mut sizes = [0u64; 16];
-        sizes[15] = 4096;
-        sizes[0] = 8192;
-        let t = time_schedule_sized(&sched, &comm, &model, &sizes);
-        let mut eq = Schedule::new(16);
-        eq.push(Stage::new(vec![SendOp::raw(0, 8, 12288)]));
-        let te = time_schedule(&eq, &comm, &model, 0);
-        assert!((t - te).abs() / te < 1e-12);
     }
 
     #[test]
