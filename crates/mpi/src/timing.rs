@@ -42,9 +42,10 @@ use crate::comm::Communicator;
 use crate::schedule::{Payload, Schedule};
 use crate::stats::{hop_class, TrafficBreakdown};
 use tarr_netsim::{
-    fx_hash_one, FlowEngine, FxHashMap, FxHasher, LinkIdx, Message, NetParams, StageModel,
+    fx_hash_one, FlowEngine, FlowLinks, FxHashMap, FxHasher, LinkIdx, Message, NetParams,
+    StageModel,
 };
-use tarr_topo::{Hop, Rank};
+use tarr_topo::Rank;
 use tarr_trace::counter_add;
 
 /// One merged per-stage transfer: everything rank `from` sends to rank `to`
@@ -763,7 +764,7 @@ pub fn time_schedule_async(
     }
 
     let mut engine = FlowEngine::new();
-    let mut interned: FxHashMap<Hop, LinkIdx> = FxHashMap::default();
+    let mut links = FlowLinks::new(cluster, params);
 
     let mut sends: Vec<Vec<Vec<FlowDesc>>> = vec![vec![Vec::new(); n_stages]; p];
     let mut expected: Vec<Vec<u32>> = vec![vec![0; n_stages]; p];
@@ -777,17 +778,11 @@ pub fn time_schedule_async(
         let unit = ts.unit(k as usize, block_bytes);
         for m in &ts.unique_stages()[k as usize] {
             let (from, to) = (m.from as usize, m.to as usize);
-            let hops = cluster.path(comm.core_of(Rank(m.from)), comm.core_of(Rank(m.to)));
-            let mut alpha = params.sw_overhead_s;
-            let mut path = Vec::with_capacity(hops.len());
-            for h in hops {
-                let ch = params.channel_for(&h);
-                alpha += ch.latency_s;
-                let idx = *interned
-                    .entry(h)
-                    .or_insert_with(|| engine.add_link(ch.bandwidth_bps));
-                path.push(idx);
-            }
+            let (path, alpha) = links.flow_path(
+                &mut engine,
+                comm.core_of(Rank(m.from)),
+                comm.core_of(Rank(m.to)),
+            );
             let local = path.is_empty();
             sends[from][si].push(FlowDesc {
                 path,

@@ -5,17 +5,18 @@
 //! Between events all rates are constant, so the simulation is exact for the
 //! fluid model.
 //!
-//! The engine is deliberately policy-free: callers intern physical hops into
-//! [`LinkIdx`]es, start flows, and pump [`FlowEngine::next_completions`] —
-//! the asynchronous schedule executor in `tarr-mpi` builds rank-level
-//! dependency handling on top.
+//! The engine is deliberately policy-free: callers register links as
+//! [`LinkIdx`]es, start flows, and pump [`FlowEngine::next_completions`].
+//! [`FlowLinks`] registers a cluster's physical channels on first use, keyed
+//! by their dense link ids; [`fluid_stage_time`] and the asynchronous
+//! schedule executor in `tarr-mpi` (which adds rank-level dependency
+//! handling) both build their flows through it.
 
 use crate::message::Message;
-use crate::params::NetParams;
-use std::collections::HashMap;
-use tarr_topo::{Cluster, Hop};
+use crate::params::{LinkChannels, NetParams};
+use tarr_topo::{Cluster, CoreId};
 
-/// Index of an interned link.
+/// Index of a link registered with a [`FlowEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkIdx(pub usize);
 
@@ -263,12 +264,64 @@ impl FlowEngine {
     }
 }
 
+/// A cluster's physical channels as [`FlowEngine`] links: each dense link
+/// id ([`Cluster::route_into`]) is registered with the engine the first
+/// time a path crosses it, so links are numbered in first-seen order and
+/// two flows share a link exactly when their paths share a channel.
+#[derive(Debug)]
+pub struct FlowLinks<'a> {
+    cluster: &'a Cluster,
+    channels: LinkChannels,
+    sw_overhead_s: f64,
+    /// Engine link of each link id, once registered.
+    link_of: Vec<Option<LinkIdx>>,
+    /// Route scratch.
+    ids: Vec<u32>,
+}
+
+impl<'a> FlowLinks<'a> {
+    /// No links registered yet; `params` supplies the channel constants.
+    pub fn new(cluster: &'a Cluster, params: &NetParams) -> Self {
+        FlowLinks {
+            cluster,
+            channels: LinkChannels::new(cluster, params),
+            sw_overhead_s: params.sw_overhead_s,
+            link_of: vec![None; cluster.link_count()],
+            ids: Vec::new(),
+        }
+    }
+
+    /// Engine path of a message from `src` to `dst` and its latency phase
+    /// (software overhead plus every hop's latency, summed in path order),
+    /// registering links `engine` has not seen yet. A self-send has an
+    /// empty path.
+    pub fn flow_path(
+        &mut self,
+        engine: &mut FlowEngine,
+        src: CoreId,
+        dst: CoreId,
+    ) -> (Vec<LinkIdx>, f64) {
+        self.ids.clear();
+        self.cluster.route_into(src, dst, &mut self.ids);
+        let mut alpha = self.sw_overhead_s;
+        let mut path = Vec::with_capacity(self.ids.len());
+        for &id in &self.ids {
+            let ch = self.channels.get(id);
+            alpha += ch.latency_s;
+            let link =
+                *self.link_of[id as usize].get_or_insert_with(|| engine.add_link(ch.bandwidth_bps));
+            path.push(link);
+        }
+        (path, alpha)
+    }
+}
+
 /// Price one synchronized stage with the fluid model: all messages start at
 /// t = 0 and the stage completes when the last flow drains. Local messages
 /// are priced as memory copies (they do not contend with flows).
 pub fn fluid_stage_time(cluster: &Cluster, params: &NetParams, msgs: &[Message]) -> f64 {
     let mut sim = FlowEngine::new();
-    let mut interned: HashMap<Hop, LinkIdx> = HashMap::new();
+    let mut links = FlowLinks::new(cluster, params);
     let mut worst_local = 0.0f64;
 
     for m in msgs {
@@ -276,17 +329,7 @@ pub fn fluid_stage_time(cluster: &Cluster, params: &NetParams, msgs: &[Message])
             worst_local = worst_local.max(params.memcpy.copy_time(m.bytes));
             continue;
         }
-        let hops = cluster.path(m.src, m.dst);
-        let mut alpha = params.sw_overhead_s;
-        let mut path = Vec::with_capacity(hops.len());
-        for h in hops {
-            let ch = params.channel_for(&h);
-            alpha += ch.latency_s;
-            let idx = *interned
-                .entry(h)
-                .or_insert_with(|| sim.add_link(ch.bandwidth_bps));
-            path.push(idx);
-        }
+        let (path, alpha) = links.flow_path(&mut sim, m.src, m.dst);
         sim.start_flow(path, m.bytes, alpha);
     }
 

@@ -33,7 +33,7 @@ pub mod message;
 pub mod params;
 pub mod stage;
 
-pub use event::{fluid_stage_time, FlowEngine, FlowId, LinkIdx};
+pub use event::{fluid_stage_time, FlowEngine, FlowId, FlowLinks, LinkIdx};
 pub use fxhash::{fx_hash_one, FxHashMap, FxHasher};
 pub use memcpy::MemcpyModel;
 pub use message::Message;

@@ -9,7 +9,7 @@
 
 use crate::memcpy::MemcpyModel;
 use serde::{Deserialize, Serialize};
-use tarr_topo::{Hop, HopKind};
+use tarr_topo::{Cluster, Hop, HopKind};
 
 /// Latency/bandwidth pair of one channel class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,18 +87,6 @@ impl Default for NetParams {
 }
 
 impl NetParams {
-    /// Channel parameters for a specific physical hop: the override if one
-    /// is registered, the per-kind default otherwise.
-    #[inline]
-    pub fn channel_for(&self, hop: &Hop) -> ChannelParams {
-        for (h, c) in &self.link_overrides {
-            if h == hop {
-                return *c;
-            }
-        }
-        self.channel(hop.kind())
-    }
-
     /// Degrade (or upgrade) one specific physical link.
     pub fn override_link(&mut self, hop: Hop, params: ChannelParams) {
         self.link_overrides.push((hop, params));
@@ -145,6 +133,64 @@ impl NetParams {
             }
         }
         Ok(())
+    }
+}
+
+/// [`NetParams`] resolved onto one cluster's dense link namespace
+/// ([`Cluster::link_ranges`]): the channel constants of any link id, with
+/// no per-hop hashing or override scan.
+///
+/// Built in O(kinds + overrides), independent of the link count: per-kind
+/// constants are kept as runs of ids, and `link_overrides` are resolved to
+/// ids once. An override naming a link the cluster lacks is dropped (no
+/// path can cross it); of several overrides naming one link the first
+/// registered wins.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkChannels {
+    /// `(end, channel)` per maximal run of ids with equal class constants,
+    /// ascending by `end`.
+    runs: Vec<(u32, ChannelParams)>,
+    /// Resolved overrides `(id, channel)`, ascending by id.
+    overrides: Vec<(u32, ChannelParams)>,
+}
+
+impl LinkChannels {
+    /// Resolve `params` onto `cluster`'s link ids.
+    pub(crate) fn new(cluster: &Cluster, params: &NetParams) -> Self {
+        let mut runs: Vec<(u32, ChannelParams)> = Vec::new();
+        for (kind, ids) in cluster.link_ranges() {
+            let ch = params.channel(kind);
+            match runs.last_mut() {
+                Some((end, last)) if *last == ch => *end = ids.end,
+                _ if ids.is_empty() => {}
+                _ => runs.push((ids.end, ch)),
+            }
+        }
+        let mut overrides: Vec<(u32, ChannelParams)> = params
+            .link_overrides
+            .iter()
+            .filter_map(|(h, c)| Some((cluster.link_id(h)?, *c)))
+            .collect();
+        // Stable: among equal ids the first registration stays first.
+        overrides.sort_by_key(|&(id, _)| id);
+        overrides.dedup_by_key(|&mut (id, _)| id);
+        LinkChannels { runs, overrides }
+    }
+
+    /// Channel constants of link `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: u32) -> ChannelParams {
+        if !self.overrides.is_empty() {
+            if let Ok(i) = self.overrides.binary_search_by_key(&id, |&(o, _)| o) {
+                return self.overrides[i].1;
+            }
+        }
+        for &(end, ch) in &self.runs {
+            if id < end {
+                return ch;
+            }
+        }
+        panic!("link id {id} outside the cluster's namespace")
     }
 }
 

@@ -11,27 +11,59 @@
 //! term uses the most contended hop of the path: on a blocking fat-tree this
 //! is what produces the 5:1 uplink penalty that the paper's cyclic layouts
 //! suffer from.
+//!
+//! Hops are counted on the cluster's dense link namespace
+//! ([`Cluster::link_ranges`]): a path is a run of `u32` link ids, loads live
+//! in a reused per-thread vector, and a link's channel constants come from
+//! its id range.
 
-use crate::fxhash::FxHashMap;
 use crate::message::Message;
-use crate::params::NetParams;
-use tarr_topo::{Cluster, Hop};
+use crate::params::{LinkChannels, NetParams};
+use std::cell::RefCell;
+use tarr_topo::Cluster;
 
 /// Analytic stage-timing model bound to a cluster and parameter set.
 #[derive(Debug, Clone)]
 pub struct StageModel<'a> {
     cluster: &'a Cluster,
     params: NetParams,
+    /// `params` resolved onto the cluster's link ids.
+    channels: LinkChannels,
+}
+
+/// Per-thread buffers [`StageModel::stage_time`] reuses across calls and
+/// models, so a warmed-up thread prices a stage without allocating.
+#[derive(Default)]
+struct StageScratch {
+    /// Link ids of every message's path, back to back.
+    ids: Vec<u32>,
+    /// Per message, the end of its path in `ids`.
+    ends: Vec<u32>,
+    /// Messages crossing each link id; zero outside `touched`.
+    load: Vec<u32>,
+    /// Link ids whose `load` is non-zero.
+    touched: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<StageScratch> = RefCell::default();
 }
 
 impl<'a> StageModel<'a> {
-    /// Create a model over `cluster` with the given channel constants.
+    /// Create a model over `cluster` with the given channel constants. Link
+    /// overrides are resolved to link ids here, once; the cost does not
+    /// grow with the cluster.
     ///
     /// # Panics
     /// Panics if the parameters are invalid.
     pub fn new(cluster: &'a Cluster, params: NetParams) -> Self {
         params.validate().expect("invalid network parameters");
-        StageModel { cluster, params }
+        let channels = LinkChannels::new(cluster, &params);
+        StageModel {
+            cluster,
+            params,
+            channels,
+        }
     }
 
     /// The underlying cluster.
@@ -48,44 +80,71 @@ impl<'a> StageModel<'a> {
     ///
     /// Messages with `src == dst` are priced as local copies. An empty stage
     /// costs nothing.
+    ///
+    /// Contention is counted on the cluster's dense link ids
+    /// ([`Cluster::route_into`]) in per-thread buffers that persist across
+    /// calls: the load vector is sized to the largest link namespace the
+    /// thread has priced and is reset from the list of links the previous
+    /// stage touched, so a call allocates only while those buffers grow —
+    /// nothing per message, nothing per stage once warm, and no hashing.
     pub fn stage_time(&self, msgs: &[Message]) -> f64 {
         tarr_trace::counter_add!("netsim.stage.calls", 1);
         tarr_trace::counter_add!("netsim.stage.msgs", msgs.len() as u64);
         if msgs.is_empty() {
             return 0.0;
         }
+        SCRATCH.with_borrow_mut(|s| self.stage_time_in(msgs, s))
+    }
 
-        // Count contention per physical hop across the stage. Paths live in
-        // one flat buffer (two allocations per stage, not one per message —
-        // this is the innermost loop of every figure sweep).
-        let mut load: FxHashMap<Hop, u32> = FxHashMap::default();
-        load.reserve(msgs.len() * 4);
-        let mut hops_flat: Vec<Hop> = Vec::with_capacity(msgs.len() * 4);
-        let mut ends: Vec<usize> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            if !m.is_local() {
-                hops_flat.extend(self.cluster.path(m.src, m.dst));
-            }
-            ends.push(hops_flat.len());
+    fn stage_time_in(&self, msgs: &[Message], s: &mut StageScratch) -> f64 {
+        let StageScratch {
+            ids,
+            ends,
+            load,
+            touched,
+        } = s;
+        // Clear the previous stage's counts first, so a stage that unwound
+        // mid-way cannot leave stale loads behind.
+        for &id in touched.iter() {
+            load[id as usize] = 0;
         }
-        for h in &hops_flat {
-            *load.entry(*h).or_insert(0) += 1;
+        touched.clear();
+        ids.clear();
+        ends.clear();
+        let links = self.cluster.link_count();
+        if load.len() < links {
+            load.resize(links, 0);
+        }
+
+        for m in msgs {
+            let start = ids.len();
+            if !m.is_local() {
+                self.cluster.route_into(m.src, m.dst, ids);
+            }
+            for &id in &ids[start..] {
+                let l = &mut load[id as usize];
+                if *l == 0 {
+                    touched.push(id);
+                }
+                *l += 1;
+            }
+            ends.push(ids.len() as u32);
         }
 
         let mut worst = 0.0f64;
         let mut start = 0usize;
-        for (m, &end) in msgs.iter().zip(&ends) {
-            let path = &hops_flat[start..end];
-            start = end;
+        for (m, &end) in msgs.iter().zip(ends.iter()) {
+            let path = &ids[start..end as usize];
+            start = end as usize;
             let t = if m.is_local() {
                 self.params.memcpy.copy_time(m.bytes)
             } else {
                 let mut alpha = self.params.sw_overhead_s;
                 let mut inv_rate = 0.0f64; // seconds per byte on the bottleneck hop
-                for h in path {
-                    let ch = self.params.channel_for(h);
+                for &id in path {
+                    let ch = self.channels.get(id);
                     alpha += ch.latency_s;
-                    let contended = load[h] as f64 / ch.bandwidth_bps;
+                    let contended = load[id as usize] as f64 / ch.bandwidth_bps;
                     if contended > inv_rate {
                         inv_rate = contended;
                     }

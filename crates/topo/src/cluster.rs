@@ -5,7 +5,7 @@ use crate::fattree::{FatTree, FatTreeConfig};
 use crate::ids::{CoreId, LeafId, NodeId};
 use crate::irregular::IrregularFabric;
 use crate::node::{IntraLevel, NodeTopology};
-use crate::path::Hop;
+use crate::path::{Hop, HopKind};
 use crate::torus::Torus3D;
 use serde::{Deserialize, Serialize};
 
@@ -24,12 +24,43 @@ pub enum Fabric {
 }
 
 impl Fabric {
-    /// Deterministic route between two distinct nodes.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Hop> {
+    /// The fabric's link namespace as `(kind, count)` ranges in id order
+    /// (see the per-kind `link_ranges`).
+    fn link_ranges(&self) -> Vec<(HopKind, usize)> {
         match self {
-            Fabric::FatTree(f) => f.route(src, dst),
-            Fabric::Torus(t) => t.route(src, dst),
-            Fabric::Irregular(g) => g.route(src, dst),
+            Fabric::FatTree(f) => f.link_ranges().to_vec(),
+            Fabric::Torus(t) => t.link_ranges().to_vec(),
+            Fabric::Irregular(g) => g.link_ranges().to_vec(),
+        }
+    }
+
+    /// Size of the fabric's link namespace.
+    fn link_count(&self) -> usize {
+        let total = |ranges: &[(HopKind, usize)]| ranges.iter().map(|&(_, n)| n).sum();
+        match self {
+            Fabric::FatTree(f) => total(&f.link_ranges()),
+            Fabric::Torus(t) => total(&t.link_ranges()),
+            Fabric::Irregular(g) => total(&g.link_ranges()),
+        }
+    }
+
+    /// Fabric-local id of `hop`, if the fabric has that link.
+    fn link_id(&self, hop: &Hop) -> Option<u32> {
+        match self {
+            Fabric::FatTree(f) => f.link_id(hop),
+            Fabric::Torus(t) => t.link_id(hop),
+            Fabric::Irregular(g) => g.link_id(hop),
+        }
+    }
+
+    /// Walk the route between two distinct nodes, handing each hop and its
+    /// link id (fabric-local id plus `base`) to `emit` in path order.
+    #[inline]
+    fn walk(&self, src: NodeId, dst: NodeId, base: u32, emit: impl FnMut(Hop, u32)) {
+        match self {
+            Fabric::FatTree(f) => f.walk(src, dst, base, emit),
+            Fabric::Torus(t) => t.walk(src, dst, base, emit),
+            Fabric::Irregular(g) => g.walk(src, dst, base, emit),
         }
     }
 
@@ -106,6 +137,16 @@ impl ClusterConfig {
 /// Cores are numbered `node * cores_per_node + local`, i.e. consecutive core
 /// ids walk socket 0 of node 0 first — the numbering SLURM-style launchers
 /// expose and the paper's *block-bunch* layout binds ranks to in order.
+///
+/// **Link namespace.** Every physical channel a [`Hop`] can name has one
+/// dense id in `0..link_count()`: contiguous per-kind ranges
+/// ([`Cluster::link_ranges`]), intra-node channels first (`Shm` at
+/// `node·S + socket`, then `Qpi` at `N·S + (node·S + from)·(S−1) + to′`,
+/// where `S` is sockets per node and `to′` skips `from`), then the fabric's
+/// own ranges. Ids are arithmetic for fat trees and tori and come from a
+/// trunk offset table for irregular fabrics, so [`Cluster::route_into`]
+/// yields a path's ids with no hashing and no allocation; the id's range
+/// gives its channel kind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cluster {
     node_topo: NodeTopology,
@@ -281,38 +322,112 @@ impl Cluster {
     /// * same node, different sockets: source memory → QPI → destination memory;
     /// * different nodes: the routed fabric path (HCA + switch links).
     pub fn path(&self, a: CoreId, b: CoreId) -> Vec<Hop> {
-        if a == b {
-            return Vec::new();
+        let mut hops = Vec::new();
+        self.walk(a, b, |h, _| hops.push(h));
+        hops
+    }
+
+    /// Size of the link namespace: every link id is below this.
+    pub fn link_count(&self) -> usize {
+        let s = self.node_topo.sockets;
+        self.num_nodes * s * s + self.fabric.link_count()
+    }
+
+    /// The link namespace as contiguous `(kind, ids)` ranges in id order,
+    /// covering `0..link_count()`; a range may be empty.
+    pub fn link_ranges(&self) -> Vec<(HopKind, std::ops::Range<u32>)> {
+        let s = self.node_topo.sockets;
+        let intra = [
+            (HopKind::Shm, self.num_nodes * s),
+            (HopKind::Qpi, self.num_nodes * s * (s - 1)),
+        ];
+        let mut start = 0u32;
+        intra
+            .into_iter()
+            .chain(self.fabric.link_ranges())
+            .map(|(kind, n)| {
+                start += n as u32;
+                (kind, start - n as u32..start)
+            })
+            .collect()
+    }
+
+    /// Dense id of `hop`, or `None` when the cluster has no such link —
+    /// `route_into` yields exactly `path(a, b)` mapped through this.
+    pub fn link_id(&self, hop: &Hop) -> Option<u32> {
+        let (n, s) = (self.num_nodes as u32, self.node_topo.sockets as u32);
+        match *hop {
+            Hop::Shm { node, socket } => (node.0 < n && socket < s).then_some(node.0 * s + socket),
+            Hop::Qpi { node, from, to } => (node.0 < n && from < s && to < s && from != to)
+                .then(|| self.qpi_id(node.0 * s + from, to)),
+            _ => Some(n * s * s + self.fabric.link_id(hop)?),
         }
-        let na = self.node_of(a);
-        let nb = self.node_of(b);
+    }
+
+    /// Id of the QPI link leaving global socket `from` (`node·S + socket`)
+    /// towards node-local socket `to`.
+    #[inline]
+    fn qpi_id(&self, from: u32, to: u32) -> u32 {
+        let s = self.node_topo.sockets as u32;
+        let skip = (to > from % s) as u32;
+        self.num_nodes as u32 * s + from * (s - 1) + to - skip
+    }
+
+    /// Append the link ids of the path from `a` to `b` (see
+    /// [`Cluster::path`]) to `out`, in path order. Nothing is allocated
+    /// beyond `out`'s own growth.
+    #[inline]
+    pub fn route_into(&self, a: CoreId, b: CoreId, out: &mut Vec<u32>) {
+        self.walk(a, b, |_, id| out.push(id));
+    }
+
+    /// Walk the path from `a` to `b`, handing each hop and its link id to
+    /// `emit` in path order — the one walk behind [`Cluster::path`] and
+    /// [`Cluster::route_into`].
+    #[inline]
+    fn walk(&self, a: CoreId, b: CoreId, mut emit: impl FnMut(Hop, u32)) {
+        if a == b {
+            return;
+        }
+        // Cores are numbered socket-major, so `core / cores_per_socket` is
+        // the global socket index `node·S + socket` — which is also the
+        // socket's `Shm` link id.
+        let nt = &self.node_topo;
+        let per_socket = (nt.cores_per_socket * nt.smt) as u32;
+        let s = nt.sockets as u32;
+        let (ga, gb) = (a.0 / per_socket, b.0 / per_socket);
+        let shm = |g: u32| {
+            (
+                Hop::Shm {
+                    node: NodeId(g / s),
+                    socket: g % s,
+                },
+                g,
+            )
+        };
+        if ga == gb {
+            let (h, id) = shm(ga);
+            emit(h, id);
+            return;
+        }
+        let (na, nb) = (ga / s, gb / s);
         if na == nb {
-            let sa = self.socket_of(a) as u32;
-            let sb = self.socket_of(b) as u32;
-            if sa == sb {
-                vec![Hop::Shm {
-                    node: na,
-                    socket: sa,
-                }]
-            } else {
-                vec![
-                    Hop::Shm {
-                        node: na,
-                        socket: sa,
-                    },
-                    Hop::Qpi {
-                        node: na,
-                        from: sa,
-                        to: sb,
-                    },
-                    Hop::Shm {
-                        node: na,
-                        socket: sb,
-                    },
-                ]
-            }
+            let (sa, sb) = (ga - na * s, gb - nb * s);
+            let (h, id) = shm(ga);
+            emit(h, id);
+            emit(
+                Hop::Qpi {
+                    node: NodeId(na),
+                    from: sa,
+                    to: sb,
+                },
+                self.qpi_id(ga, sb),
+            );
+            let (h, id) = shm(gb);
+            emit(h, id);
         } else {
-            self.fabric.route(na, nb)
+            self.fabric
+                .walk(NodeId(na), NodeId(nb), self.num_nodes as u32 * s * s, emit);
         }
     }
 
@@ -439,5 +554,188 @@ mod tests {
         assert_eq!(v.len(), 12);
         assert_eq!(v[0], CoreId(0));
         assert_eq!(v[11], CoreId(11));
+    }
+
+    /// Every link the cluster has, enumerated from its structure.
+    fn all_links(c: &Cluster) -> Vec<Hop> {
+        let s = c.node_topology().sockets as u32;
+        let mut hops = Vec::new();
+        for node in (0..c.num_nodes() as u32).map(NodeId) {
+            for socket in 0..s {
+                hops.push(Hop::Shm { node, socket });
+                for to in (0..s).filter(|&t| t != socket) {
+                    hops.push(Hop::Qpi {
+                        node,
+                        from: socket,
+                        to,
+                    });
+                }
+            }
+            hops.push(Hop::HcaUp { node });
+            hops.push(Hop::HcaDown { node });
+        }
+        match c.fabric() {
+            Fabric::FatTree(f) => {
+                let cfg = f.config();
+                for leaf in (0..f.num_leaves() as u32).map(LeafId) {
+                    for core in 0..cfg.core_switches as u32 {
+                        for up in 0..cfg.uplinks_per_core as u32 {
+                            hops.push(Hop::LeafUp { leaf, core, up });
+                            hops.push(Hop::LeafDown { leaf, core, up });
+                        }
+                    }
+                }
+                for core in 0..cfg.core_switches as u32 {
+                    for line in 0..cfg.lines_per_core as u32 {
+                        for spine in 0..cfg.spines_per_core as u32 {
+                            for sub in 0..cfg.line_spine_links as u32 {
+                                hops.push(Hop::LineUp {
+                                    core,
+                                    line,
+                                    spine,
+                                    sub,
+                                });
+                                hops.push(Hop::LineDown {
+                                    core,
+                                    spine,
+                                    line,
+                                    sub,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            Fabric::Torus(t) => {
+                for node in (0..t.num_nodes() as u32).map(NodeId) {
+                    for dim in 0..3 {
+                        for plus in [false, true] {
+                            hops.push(Hop::TorusLink { node, dim, plus });
+                        }
+                    }
+                }
+            }
+            Fabric::Irregular(g) => {
+                for &(a, b, trunks) in g.links() {
+                    for trunk in 0..trunks {
+                        hops.push(Hop::SwitchLink {
+                            from: a,
+                            to: b,
+                            trunk,
+                        });
+                        hops.push(Hop::SwitchLink {
+                            from: b,
+                            to: a,
+                            trunk,
+                        });
+                    }
+                }
+            }
+        }
+        hops
+    }
+
+    #[test]
+    fn link_ids_are_a_bijection_onto_the_namespace() {
+        let irregular = IrregularFabric::new(crate::irregular::IrregularConfig {
+            switches: 3,
+            node_switch: vec![0, 0, 1, 2, 2],
+            links: vec![(0, 1, 2), (1, 2, 1), (2, 0, 3)],
+        })
+        .unwrap();
+        for c in [
+            Cluster::gpc(40),
+            Cluster::tiny(6),
+            Cluster::with_torus(NodeTopology::gpc(), [3, 2, 2]),
+            Cluster::from_parts(NodeTopology::gpc(), Fabric::Irregular(irregular), 5).unwrap(),
+        ] {
+            let ranges = c.link_ranges();
+            assert_eq!(ranges.last().unwrap().1.end as usize, c.link_count());
+            assert!(ranges.windows(2).all(|w| w[0].1.end == w[1].1.start));
+            let mut seen = vec![false; c.link_count()];
+            for h in all_links(&c) {
+                let id = c.link_id(&h).unwrap_or_else(|| panic!("{h:?} has no id"));
+                assert!(!std::mem::replace(&mut seen[id as usize], true), "{h:?}");
+                let (kind, _) = ranges.iter().find(|(_, r)| r.contains(&id)).unwrap();
+                assert_eq!(*kind, h.kind(), "{h:?}");
+            }
+            // Every slot is a link: no torus dimension here has extent 1,
+            // the only source of unused ids.
+            let holes = seen.iter().filter(|&&s| !s).count();
+            assert_eq!(holes, 0, "{:?}", c.fabric());
+        }
+    }
+
+    #[test]
+    fn missing_links_have_no_id() {
+        let c = Cluster::gpc(40);
+        for h in [
+            Hop::Shm {
+                node: NodeId(40),
+                socket: 0,
+            },
+            Hop::Shm {
+                node: NodeId(0),
+                socket: 2,
+            },
+            Hop::Qpi {
+                node: NodeId(0),
+                from: 1,
+                to: 1,
+            },
+            Hop::HcaUp { node: NodeId(40) },
+            Hop::LeafUp {
+                leaf: LeafId(2),
+                core: 0,
+                up: 0,
+            },
+            Hop::LeafDown {
+                leaf: LeafId(0),
+                core: 2,
+                up: 0,
+            },
+            Hop::LineUp {
+                core: 0,
+                line: 18,
+                spine: 0,
+                sub: 0,
+            },
+            Hop::LineDown {
+                core: 0,
+                spine: 0,
+                line: 0,
+                sub: 2,
+            },
+            Hop::TorusLink {
+                node: NodeId(0),
+                dim: 0,
+                plus: true,
+            },
+            Hop::SwitchLink {
+                from: 0,
+                to: 1,
+                trunk: 0,
+            },
+        ] {
+            assert_eq!(c.link_id(&h), None, "{h:?}");
+        }
+    }
+
+    #[test]
+    fn route_into_matches_path_ids() {
+        let c = Cluster::gpc(64);
+        let mut ids = vec![7];
+        for (a, b) in [(0u32, 0), (0, 1), (0, 7), (0, 9), (0, 300), (511, 2)] {
+            ids.truncate(1);
+            c.route_into(CoreId(a), CoreId(b), &mut ids);
+            let want: Vec<u32> = std::iter::once(7)
+                .chain(
+                    c.path(CoreId(a), CoreId(b))
+                        .iter()
+                        .map(|h| c.link_id(h).unwrap()),
+                )
+                .collect();
+            assert_eq!(ids, want, "{a}->{b}");
+        }
     }
 }

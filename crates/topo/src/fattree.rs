@@ -14,7 +14,7 @@
 //! which is exactly what creates the congestion the paper's heuristics avoid.
 
 use crate::ids::{LeafId, NodeId};
-use crate::path::Hop;
+use crate::path::{Hop, HopKind};
 use serde::{Deserialize, Serialize};
 
 /// Static description of the fabric wiring.
@@ -221,12 +221,120 @@ impl FatTree {
     /// # Panics
     /// Panics if `src == dst` (a node does not route to itself).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Hop> {
+        let mut hops = Vec::with_capacity(6);
+        self.walk(src, dst, 0, |h, _| hops.push(h));
+        hops
+    }
+
+    /// The fabric's link namespace as contiguous per-kind id ranges, in id
+    /// order: HCA up and down (one per node), then leaf uplinks and
+    /// downlinks (`(leaf·C + core)·U + up`), then line→spine and
+    /// spine→line sub-links (`((core·L + line)·S + spine)·K + sub` and
+    /// `((core·S + spine)·L + line)·K + sub`), where `C`, `U`, `L`, `S` and
+    /// `K` are the core switches, uplinks per core, lines, spines and
+    /// line–spine sub-links of the configuration.
+    pub(crate) fn link_ranges(&self) -> [(HopKind, usize); 6] {
+        let c = &self.cfg;
+        let leaf = self.num_leaves() * c.core_switches * c.uplinks_per_core;
+        let line = c.core_switches * c.lines_per_core * c.spines_per_core * c.line_spine_links;
+        [
+            (HopKind::HcaUp, self.num_nodes),
+            (HopKind::HcaDown, self.num_nodes),
+            (HopKind::LeafUp, leaf),
+            (HopKind::LeafDown, leaf),
+            (HopKind::LineUp, line),
+            (HopKind::LineDown, line),
+        ]
+    }
+
+    /// Range starts of [`FatTree::link_ranges`], offset by `base`.
+    #[inline]
+    fn link_bases(&self, base: u32) -> [u32; 6] {
+        let mut out = [base; 6];
+        for (i, (_, n)) in self.link_ranges().iter().enumerate().take(5) {
+            out[i + 1] = out[i] + *n as u32;
+        }
+        out
+    }
+
+    /// Offset of leaf link `(leaf, core, up)` within the `LeafUp` or
+    /// `LeafDown` range.
+    #[inline]
+    fn leaf_slot(&self, leaf: usize, core: usize, up: usize) -> u32 {
+        let c = &self.cfg;
+        ((leaf * c.core_switches + core) * c.uplinks_per_core + up) as u32
+    }
+
+    /// Offset of sub-link `sub` between `line` and `spine` of core switch
+    /// `core` within the `LineUp` range, or, with `down`, the `LineDown`
+    /// range.
+    #[inline]
+    fn line_slot(&self, down: bool, core: usize, line: usize, spine: usize, sub: usize) -> u32 {
+        let c = &self.cfg;
+        let (l, s) = (c.lines_per_core, c.spines_per_core);
+        let pair = if down {
+            (core * s + spine) * l + line
+        } else {
+            (core * l + line) * s + spine
+        };
+        (pair * c.line_spine_links + sub) as u32
+    }
+
+    /// Id of `hop` in the fabric's link namespace, or `None` when the fabric
+    /// has no such link (out-of-range fields, or a non-fat-tree kind).
+    pub(crate) fn link_id(&self, hop: &Hop) -> Option<u32> {
+        let c = &self.cfg;
+        let [hca_up, hca_down, leaf_up, leaf_down, line_up, line_down] = self.link_bases(0);
+        let lt = |v: u32, n: usize| (v as usize) < n;
+        let leaf_ok = |leaf: LeafId, core: u32, up: u32| {
+            lt(leaf.0, self.num_leaves()) && lt(core, c.core_switches) && lt(up, c.uplinks_per_core)
+        };
+        let line_ok = |core: u32, line: u32, spine: u32, sub: u32| {
+            lt(core, c.core_switches)
+                && lt(line, c.lines_per_core)
+                && lt(spine, c.spines_per_core)
+                && lt(sub, c.line_spine_links)
+        };
+        let u = |v: u32| v as usize;
+        match *hop {
+            Hop::HcaUp { node } => lt(node.0, self.num_nodes).then_some(hca_up + node.0),
+            Hop::HcaDown { node } => lt(node.0, self.num_nodes).then_some(hca_down + node.0),
+            Hop::LeafUp { leaf, core, up } => leaf_ok(leaf, core, up)
+                .then(|| leaf_up + self.leaf_slot(leaf.idx(), u(core), u(up))),
+            Hop::LeafDown { leaf, core, up } => leaf_ok(leaf, core, up)
+                .then(|| leaf_down + self.leaf_slot(leaf.idx(), u(core), u(up))),
+            Hop::LineUp {
+                core,
+                line,
+                spine,
+                sub,
+            } => line_ok(core, line, spine, sub)
+                .then(|| line_up + self.line_slot(false, u(core), u(line), u(spine), u(sub))),
+            Hop::LineDown {
+                core,
+                spine,
+                line,
+                sub,
+            } => line_ok(core, line, spine, sub)
+                .then(|| line_down + self.line_slot(true, u(core), u(line), u(spine), u(sub))),
+            _ => None,
+        }
+    }
+
+    /// Walk the route from `src` to `dst`, handing every hop and its link id
+    /// (offset by `base`) to `emit` in path order — the one walk behind
+    /// [`FatTree::route`] and the cluster's dense-id routing.
+    ///
+    /// # Panics
+    /// Panics if `src == dst` (a node does not route to itself).
+    #[inline]
+    pub(crate) fn walk(&self, src: NodeId, dst: NodeId, base: u32, mut emit: impl FnMut(Hop, u32)) {
         assert_ne!(src, dst, "no route from a node to itself");
+        let [hca_up, hca_down, leaf_up, leaf_down, line_up, line_down] = self.link_bases(base);
         let src_leaf = self.leaf_of(src);
         let dst_leaf = self.leaf_of(dst);
 
-        let mut hops = Vec::with_capacity(6);
-        hops.push(Hop::HcaUp { node: src });
+        emit(Hop::HcaUp { node: src }, hca_up + src.0);
 
         if src_leaf != dst_leaf {
             let c = &self.cfg;
@@ -243,39 +351,50 @@ impl FatTree {
             let down_up = dst.idx() % c.uplinks_per_core;
             let down_line = self.line_of(dst_leaf, core, down_up);
 
-            hops.push(Hop::LeafUp {
-                leaf: src_leaf,
-                core: core as u32,
-                up: up as u32,
-            });
+            emit(
+                Hop::LeafUp {
+                    leaf: src_leaf,
+                    core: core as u32,
+                    up: up as u32,
+                },
+                leaf_up + self.leaf_slot(src_leaf.idx(), core, up),
+            );
 
             if up_line != down_line {
                 // Must climb to a spine to cross between line switches.
                 let spine = dst_leaf.idx() % c.spines_per_core;
                 let sub = dst.idx() % c.line_spine_links;
-                hops.push(Hop::LineUp {
-                    core: core as u32,
-                    line: up_line as u32,
-                    spine: spine as u32,
-                    sub: sub as u32,
-                });
-                hops.push(Hop::LineDown {
-                    core: core as u32,
-                    spine: spine as u32,
-                    line: down_line as u32,
-                    sub: sub as u32,
-                });
+                emit(
+                    Hop::LineUp {
+                        core: core as u32,
+                        line: up_line as u32,
+                        spine: spine as u32,
+                        sub: sub as u32,
+                    },
+                    line_up + self.line_slot(false, core, up_line, spine, sub),
+                );
+                emit(
+                    Hop::LineDown {
+                        core: core as u32,
+                        spine: spine as u32,
+                        line: down_line as u32,
+                        sub: sub as u32,
+                    },
+                    line_down + self.line_slot(true, core, down_line, spine, sub),
+                );
             }
 
-            hops.push(Hop::LeafDown {
-                leaf: dst_leaf,
-                core: core as u32,
-                up: down_up as u32,
-            });
+            emit(
+                Hop::LeafDown {
+                    leaf: dst_leaf,
+                    core: core as u32,
+                    up: down_up as u32,
+                },
+                leaf_down + self.leaf_slot(dst_leaf.idx(), core, down_up),
+            );
         }
 
-        hops.push(Hop::HcaDown { node: dst });
-        hops
+        emit(Hop::HcaDown { node: dst }, hca_down + dst.0);
     }
 }
 

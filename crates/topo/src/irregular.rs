@@ -17,10 +17,15 @@
 //! the congestion behaviour the mapping heuristics exist to avoid — and
 //! every directed `(from, to, trunk)` triple is its own [`Hop`] for
 //! netsim's contention accounting.
+//!
+//! Each directed trunk also has a dense link id: a per-switch offset table,
+//! built once with the adjacency, numbers the trunks of `s → adj[s][j]`
+//! consecutively after those of every earlier adjacency entry, so routing
+//! yields ids with no lookup.
 
 use crate::error::TopoError;
 use crate::ids::NodeId;
-use crate::path::Hop;
+use crate::path::{Hop, HopKind};
 use serde::{Deserialize, Serialize};
 
 /// Static description of an irregular switch fabric.
@@ -44,6 +49,9 @@ pub struct IrregularFabric {
     links: Vec<(u32, u32, u32)>,
     /// Sorted adjacency: `adj[s]` = `(peer, trunks)` ascending by peer.
     adj: Vec<Vec<(u32, u32)>>,
+    /// `trunk_off[s][j]`: first switch-link id of the directed link
+    /// `s → adj[s][j].0`; its trunks take the following ids.
+    trunk_off: Vec<Vec<u32>>,
     /// `dist[d][s]` = switch hops from `s` to `d`.
     dist: Vec<Vec<u16>>,
 }
@@ -85,6 +93,7 @@ impl IrregularFabric {
             switches: s_count,
             node_switch,
             links: merged,
+            trunk_off: trunk_offsets(&adj),
             adj,
             dist,
         })
@@ -204,6 +213,7 @@ impl IrregularFabric {
                 switches: s_count,
                 node_switch,
                 links: merged,
+                trunk_off: trunk_offsets(&adj),
                 adj,
                 dist,
             },
@@ -279,32 +289,98 @@ impl IrregularFabric {
     /// # Panics
     /// Panics if `src == dst` (a node does not route to itself).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Hop> {
+        let d = self.switch_of(dst) as usize;
+        let mut hops = Vec::with_capacity(2 + self.dist[d][self.switch_of(src) as usize] as usize);
+        self.walk(src, dst, 0, |h, _| hops.push(h));
+        hops
+    }
+
+    /// The fabric's link namespace as contiguous per-kind id ranges, in id
+    /// order: HCA up and down (one per node), then one id per trunk of every
+    /// directed switch link, numbered by source switch, then peer, then
+    /// trunk.
+    pub(crate) fn link_ranges(&self) -> [(HopKind, usize); 3] {
+        let n = self.num_nodes();
+        let trunks: u32 = self.links.iter().map(|&(_, _, t)| t).sum();
+        [
+            (HopKind::HcaUp, n),
+            (HopKind::HcaDown, n),
+            (HopKind::SwitchLink, 2 * trunks as usize),
+        ]
+    }
+
+    /// Id of `hop` in the fabric's link namespace, or `None` when the fabric
+    /// has no such link (unknown node, switch pair or trunk).
+    pub(crate) fn link_id(&self, hop: &Hop) -> Option<u32> {
+        let n = self.num_nodes() as u32;
+        match *hop {
+            Hop::HcaUp { node } => (node.0 < n).then_some(node.0),
+            Hop::HcaDown { node } => (node.0 < n).then_some(n + node.0),
+            Hop::SwitchLink { from, to, trunk } => {
+                let row = self.adj.get(from as usize)?;
+                let j = row.binary_search_by_key(&to, |&(p, _)| p).ok()?;
+                (trunk < row[j].1).then(|| 2 * n + self.trunk_off[from as usize][j] + trunk)
+            }
+            _ => None,
+        }
+    }
+
+    /// Walk the route from `src` to `dst`, handing every hop and its link id
+    /// (offset by `base`) to `emit` in path order — the one walk behind
+    /// [`IrregularFabric::route`] and the cluster's dense-id routing.
+    ///
+    /// # Panics
+    /// Panics if `src == dst` (a node does not route to itself).
+    #[inline]
+    pub(crate) fn walk(&self, src: NodeId, dst: NodeId, base: u32, mut emit: impl FnMut(Hop, u32)) {
         assert_ne!(src, dst, "no route from a node to itself");
+        let n = self.num_nodes() as u32;
         let d = self.switch_of(dst);
         let mut s = self.switch_of(src);
         let dist_d = &self.dist[d as usize];
-        let mut hops = Vec::with_capacity(2 + dist_d[s as usize] as usize);
-        hops.push(Hop::HcaUp { node: src });
+        emit(Hop::HcaUp { node: src }, base + src.0);
         while s != d {
-            let descending = |&&(v, _): &&(u32, u32)| dist_d[v as usize] + 1 == dist_d[s as usize];
+            let descending =
+                |&(_, &(v, _)): &(usize, &(u32, u32))| dist_d[v as usize] + 1 == dist_d[s as usize];
             let row = &self.adj[s as usize];
-            let candidates = row.iter().filter(descending).count();
+            let candidates = row.iter().enumerate().filter(descending).count();
             debug_assert!(candidates > 0, "connected graph has a descending neighbour");
-            let (n, trunks) = *row
+            let (j, &(next, trunks)) = row
                 .iter()
+                .enumerate()
                 .filter(descending)
                 .nth(dst.idx() % candidates)
                 .expect("candidate index is in range by construction");
-            hops.push(Hop::SwitchLink {
-                from: s,
-                to: n,
-                trunk: dst.idx() as u32 % trunks,
-            });
-            s = n;
+            let trunk = dst.0 % trunks;
+            emit(
+                Hop::SwitchLink {
+                    from: s,
+                    to: next,
+                    trunk,
+                },
+                base + 2 * n + self.trunk_off[s as usize][j] + trunk,
+            );
+            s = next;
         }
-        hops.push(Hop::HcaDown { node: dst });
-        hops
+        emit(Hop::HcaDown { node: dst }, base + n + dst.0);
     }
+}
+
+/// Per adjacency entry, the first id of its directed trunks: entries are
+/// numbered in `(switch, peer)` order, each taking as many ids as it has
+/// trunks.
+fn trunk_offsets(adj: &[Vec<(u32, u32)>]) -> Vec<Vec<u32>> {
+    let mut next = 0u32;
+    adj.iter()
+        .map(|row| {
+            row.iter()
+                .map(|&(_, t)| {
+                    next += t;
+                    next - t
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Validate a configuration and produce the canonical link list (`a < b`,

@@ -1,9 +1,10 @@
 //! Physical channels ("hops") a message traverses between two cores.
 //!
 //! Every hop identifies one shared physical resource with its own latency and
-//! bandwidth. The network simulator interns hops into link indices and charges
-//! contention per hop, so two messages interfere exactly when their paths
-//! share a hop value.
+//! bandwidth. `Hop` is the descriptive form; each hop also has a dense id in
+//! its cluster's link namespace ([`crate::Cluster::link_id`]), and the
+//! network simulator charges contention per id, so two messages interfere
+//! exactly when their paths share a hop value.
 
 use crate::ids::{LeafId, NodeId};
 use serde::{Deserialize, Serialize};

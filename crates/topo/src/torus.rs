@@ -8,7 +8,7 @@
 //! distance matrix, which here is hop-count based.
 
 use crate::ids::NodeId;
-use crate::path::Hop;
+use crate::path::{Hop, HopKind};
 use serde::{Deserialize, Serialize};
 
 /// A wrapping 3D torus of compute nodes.
@@ -153,9 +153,49 @@ impl Torus3D {
     /// # Panics
     /// Panics if `src == dst`.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<Hop> {
-        assert_ne!(src, dst, "no route from a node to itself");
         let mut hops = Vec::with_capacity(2 + self.hops(src, dst));
-        hops.push(Hop::HcaUp { node: src });
+        self.walk(src, dst, 0, |h, _| hops.push(h));
+        hops
+    }
+
+    /// The fabric's link namespace as contiguous per-kind id ranges, in id
+    /// order: HCA up and down (one per node), then six torus links per node
+    /// (`node·6 + dim·2 + plus`). Links along an extent-1 dimension are
+    /// never routed; their ids stay unused.
+    pub(crate) fn link_ranges(&self) -> [(HopKind, usize); 3] {
+        let n = self.num_nodes();
+        [
+            (HopKind::HcaUp, n),
+            (HopKind::HcaDown, n),
+            (HopKind::TorusLink, 6 * n),
+        ]
+    }
+
+    /// Id of `hop` in the fabric's link namespace, or `None` when the fabric
+    /// has no such link.
+    pub(crate) fn link_id(&self, hop: &Hop) -> Option<u32> {
+        let n = self.num_nodes() as u32;
+        match *hop {
+            Hop::HcaUp { node } => (node.0 < n).then_some(node.0),
+            Hop::HcaDown { node } => (node.0 < n).then_some(n + node.0),
+            Hop::TorusLink { node, dim, plus } => {
+                (node.0 < n && dim < 3).then_some(2 * n + node.0 * 6 + dim as u32 * 2 + plus as u32)
+            }
+            _ => None,
+        }
+    }
+
+    /// Walk the route from `src` to `dst`, handing every hop and its link id
+    /// (offset by `base`) to `emit` in path order — the one walk behind
+    /// [`Torus3D::route`] and the cluster's dense-id routing.
+    ///
+    /// # Panics
+    /// Panics if `src == dst`.
+    #[inline]
+    pub(crate) fn walk(&self, src: NodeId, dst: NodeId, base: u32, mut emit: impl FnMut(Hop, u32)) {
+        assert_ne!(src, dst, "no route from a node to itself");
+        let n = self.num_nodes() as u32;
+        emit(Hop::HcaUp { node: src }, base + src.0);
         let mut cur = self.coords(src);
         let target = self.coords(dst);
         for dim in 0..3 {
@@ -163,11 +203,14 @@ impl Torus3D {
             while delta != 0 {
                 let plus = delta > 0;
                 let here = self.node_at(cur);
-                hops.push(Hop::TorusLink {
-                    node: here,
-                    dim: dim as u8,
-                    plus,
-                });
+                emit(
+                    Hop::TorusLink {
+                        node: here,
+                        dim: dim as u8,
+                        plus,
+                    },
+                    base + 2 * n + here.0 * 6 + dim as u32 * 2 + plus as u32,
+                );
                 let d = self.dims[dim];
                 cur[dim] = if plus {
                     (cur[dim] + 1) % d
@@ -178,8 +221,7 @@ impl Torus3D {
             }
         }
         debug_assert_eq!(self.node_at(cur), dst);
-        hops.push(Hop::HcaDown { node: dst });
-        hops
+        emit(Hop::HcaDown { node: dst }, base + n + dst.0);
     }
 }
 
