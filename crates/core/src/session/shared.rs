@@ -37,7 +37,6 @@ use tarr_collectives::gather::binomial_gather;
 use tarr_collectives::AllgatherAlg;
 use tarr_mapping::init_comm_schedule;
 use tarr_mpi::cache::{CacheSnapshot, ShardedOnceMap};
-use tarr_mpi::timing::EMPTY_STAGE;
 use tarr_mpi::{Communicator, Schedule, TimedSchedule};
 use tarr_netsim::StageModel;
 use tarr_topo::{Cluster, CoreId, ImplicitDistance, Rank};
@@ -106,8 +105,9 @@ pub struct CoreState {
     pub comms: Vec<PermEntry>,
     /// Compiled-schedule cache entries.
     pub scheds: Vec<(SchedKey, Option<TimedSchedule>)>,
-    /// Price-cache entries.
-    pub prices: Vec<PriceEntry>,
+    /// Price totals from the price cache (per-stage prices are not
+    /// exported).
+    pub prices: Vec<((SchedKey, CommKey, u64), f64)>,
 }
 
 /// One exported permutation-cache entry: the `(mapper, pattern)` key and
@@ -115,16 +115,9 @@ pub struct CoreState {
 /// configuration" outcome (`None`).
 pub type PermEntry = ((Mapper, PatternKind), Option<Vec<u32>>);
 
-/// One exported price-cache entry: the `(schedule, communicator, bytes)`
-/// key, the total latency, and the per-unique-stage prices it sums
-/// (aligned with the schedule's `unique_stages()`), which let a later fault
-/// re-price only the stages it reaches. `None` when the stages are unknown
-/// (an entry restored from a format that kept totals only).
-pub type PriceEntry = ((SchedKey, CommKey, u64), f64, Option<Vec<f64>>);
-
 /// One price-cache entry: the total latency, plus the per-unique-stage
 /// prices it sums (aligned with `unique_stages()`). Entries restored from a
-/// snapshot that kept totals only carry no stages.
+/// snapshot carry the total only.
 #[derive(Debug, Clone)]
 pub(super) struct Priced {
     pub(super) total: f64,
@@ -278,7 +271,7 @@ impl SessionCore {
                 .prices
                 .entries()
                 .into_iter()
-                .map(|(k, v)| (k, v.total, v.stages.map(|s| s.to_vec())))
+                .map(|(k, v)| (k, v.total))
                 .collect(),
         }
     }
@@ -289,9 +282,7 @@ impl SessionCore {
     /// add bytes and a second source of truth — then seed the four shared
     /// caches with the exported entries. Structural invariants are
     /// validated (bindings in range, mappings are permutations, cached
-    /// communicators match the binding multiset, prices finite, stage
-    /// prices aligned with their cached schedule and summing to the total
-    /// bit for bit) so a
+    /// communicators match the binding multiset, prices finite) so a
     /// corrupted snapshot surfaces as `Err`, never as a panic or a silently
     /// wrong answer downstream.
     pub fn from_state(
@@ -367,35 +358,15 @@ impl SessionCore {
         for (k, v) in state.scheds {
             core.scheds.insert(k, v.map(Arc::new));
         }
-        for (k, total, stages) in state.prices {
-            if !total.is_finite() {
+        for (k, v) in state.prices {
+            if !v.is_finite() {
                 return Err(format!("cached price for {k:?} is not finite"));
-            }
-            if let Some(stages) = &stages {
-                let Some(ts) = core.scheds.get(&k.0).flatten() else {
-                    return Err(format!("stage prices for {k:?} have no cached schedule"));
-                };
-                if stages.len() != ts.num_unique_stages() || stages.iter().any(|t| !t.is_finite()) {
-                    return Err(format!(
-                        "stage prices for {k:?} do not match its schedule's {} unique stages",
-                        ts.num_unique_stages()
-                    ));
-                }
-                // The summation order of `TimedSchedule::time_with_cache`.
-                let sum = ts
-                    .stage_order()
-                    .iter()
-                    .filter(|&&i| i != EMPTY_STAGE)
-                    .fold(0.0, |acc, &i| acc + stages[i as usize]);
-                if sum.to_bits() != total.to_bits() {
-                    return Err(format!("stage prices for {k:?} do not sum to its total"));
-                }
             }
             core.prices.insert(
                 k,
                 Priced {
-                    total,
-                    stages: stages.map(Into::into),
+                    total: v,
+                    stages: None,
                 },
             );
         }

@@ -24,16 +24,11 @@
 //! the then-nonexistent `meta` section with its V2 default; V2 → V3 gives
 //! every compiled stage the halving shift 0, which is what every V2
 //! schedule had). V3 added the size-parametric broadcast and allreduce
-//! schedule keys and one shift byte per unique stage. V4 stores each price
-//! entry's per-unique-stage prices next to its total, so a restored core
-//! re-prices only the stages its next fault reaches; V1–V3 entries migrate
-//! with totals only, which such a fault drops and re-prices whole. A
-//! version newer than [`SNAP_VERSION`] is a typed
-//! [`ReplayError::UnsupportedVersion`]. `encode_with_version` can still
-//! write old versions — that is how the committed migration fixtures were
-//! generated and how the policy is tested — and refuses, typed, state an
-//! old version cannot represent; stage prices, which only speed up a later
-//! re-price, are left out of pre-V4 encodes.
+//! schedule keys and one shift byte per unique stage. A version
+//! newer than [`SNAP_VERSION`] is a typed [`ReplayError::UnsupportedVersion`].
+//! `encode_with_version` can still write old versions — that is how the
+//! committed migration fixtures were generated and how the policy is
+//! tested — and refuses, typed, state an old version cannot represent.
 //!
 //! **Determinism.** Cache entries are sorted by their encoded key bytes
 //! and all wall-clock metadata is excluded, so two engines with identical
@@ -53,7 +48,7 @@ use tarr_mpi::{MergedOp, TimedSchedule};
 pub const SNAP_MAGIC: &[u8; 8] = b"TARRSNAP";
 
 /// Current (and only ever written) snapshot version.
-pub const SNAP_VERSION: u32 = 4;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Default snapshot file name inside a state directory.
 pub const SNAP_FILE: &str = "snapshot.tsnap";
@@ -462,33 +457,6 @@ fn dec_schedule(d: &mut Dec, version: u32) -> Result<TimedSchedule, WireError> {
     })
 }
 
-/// A price entry's optional per-unique-stage prices (V4 on).
-fn dec_stage_prices(d: &mut Dec) -> Result<Option<Vec<f64>>, WireError> {
-    let at = d.pos();
-    match d.u8("price stages flag")? {
-        0 => Ok(None),
-        1 => {
-            let n = d.u32("price stage count")? as usize;
-            // Checked before allocating, so a corrupt count cannot request
-            // gigabytes.
-            if d.remaining() < n.saturating_mul(8) {
-                return Err(WireError {
-                    offset: at,
-                    what: "price stage count",
-                });
-            }
-            (0..n)
-                .map(|_| d.f64("price stage"))
-                .collect::<Result<_, _>>()
-                .map(Some)
-        }
-        _ => Err(WireError {
-            offset: at,
-            what: "price stages flag",
-        }),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // cluster state
 // ---------------------------------------------------------------------------
@@ -524,12 +492,10 @@ impl ClusterState {
             enc_pattern(e, p);
         });
         sort_by_key_bytes(&mut state.scheds, enc_sched_key);
-        state.prices.sort_by_cached_key(|((sk, ck, bytes), _, _)| {
-            let mut e = Enc::new();
-            enc_sched_key(&mut e, *sk);
-            enc_comm_key(&mut e, *ck);
-            e.u64(*bytes);
-            e.into_bytes()
+        sort_by_key_bytes(&mut state.prices, |e, (sk, ck, bytes)| {
+            enc_sched_key(e, sk);
+            enc_comm_key(e, ck);
+            e.u64(bytes);
         });
         Ok(ClusterState {
             cluster_text: ClusterSnapshot::canonical_cluster_text(core.cluster()),
@@ -564,7 +530,7 @@ impl ClusterState {
             .state
             .prices
             .iter()
-            .any(|((k, _, _), _, _)| is_v3_sched_key(*k))
+            .any(|((k, _, _), _)| is_v3_sched_key(*k))
     }
 
     fn encode(&self, e: &mut Enc, version: u32) {
@@ -607,23 +573,11 @@ impl ClusterState {
             }
         }
         e.u32(self.state.prices.len() as u32);
-        for ((sk, ck, bytes), total, stages) in &self.state.prices {
+        for ((sk, ck, bytes), price) in &self.state.prices {
             enc_sched_key(e, *sk);
             enc_comm_key(e, *ck);
             e.u64(*bytes);
-            e.f64(*total);
-            if version >= 4 {
-                match stages {
-                    None => e.u8(0),
-                    Some(stages) => {
-                        e.u8(1);
-                        e.u32(stages.len() as u32);
-                        for &t in stages {
-                            e.f64(t);
-                        }
-                    }
-                }
-            }
+            e.f64(*price);
         }
     }
 
@@ -672,14 +626,7 @@ impl ClusterState {
         let mut prices = Vec::new();
         for _ in 0..n {
             let key = (dec_sched_key(d)?, dec_comm_key(d)?, d.u64("price bytes")?);
-            let total = d.f64("price value")?;
-            // V1–V3 kept totals only.
-            let stages = if version >= 4 {
-                dec_stage_prices(d)?
-            } else {
-                None
-            };
-            prices.push((key, total, stages));
+            prices.push((key, d.f64("price value")?));
         }
         Ok(ClusterState {
             cluster_text,
@@ -1053,12 +1000,8 @@ mod tests {
         let v2 = snap.encode_with_version(2).unwrap();
         let decoded = EngineSnapshot::decode(&v2).unwrap();
         // V2 stored no shifts; every stage it held was unshifted, so the
-        // migrated snapshot re-encodes exactly as a direct V3 encode (V3,
-        // like V2, keeps price totals only).
-        assert_eq!(
-            decoded.encode_with_version(3).unwrap(),
-            snap.encode_with_version(3).unwrap()
-        );
+        // migrated snapshot re-encodes exactly as a direct V3 encode.
+        assert_eq!(decoded.encode().unwrap(), snap.encode().unwrap());
     }
 
     #[test]
