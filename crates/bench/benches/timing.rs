@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use tarr_collectives::allgather::ring;
 use tarr_collectives::gather::{binomial_gather, chain_gather};
-use tarr_core::{refine, ProbePoint, Scheme, Session, SessionConfig};
+use tarr_core::{refine, Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
 use tarr_faults::FaultSet;
 use tarr_mapping::InitialMapping;
 use tarr_mpi::{time_schedule, timing, Communicator, Schedule, TimedSchedule};
@@ -196,7 +196,8 @@ fn refine_summary() -> String {
 
 /// One-cable re-convergence on a 65,536-rank session over the GPC fabric
 /// exported as an irregular switch graph (so the fault-local BFS repair
-/// path engages). Returns the `"fault_repair"` JSON object.
+/// path engages), then one cold hrstc ring remap on the degraded oracle.
+/// Returns the `"fault_repair"` JSON object.
 fn fault_summary() -> String {
     let ranks = 65_536usize;
     // 256 switches x 32 nodes x 8 cores = 65,536 ranks; the central
@@ -263,6 +264,21 @@ fn fault_summary() -> String {
         );
     }
 
+    // Post-fault remap: the first hrstc ring mapping on the degraded
+    // session, bucket-context build included.
+    let t = Instant::now();
+    let remapped = session
+        .mapping(Mapper::Hrstc, PatternKind::Ring)
+        .expect("hrstc maps a ring at any size");
+    let remap_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(
+        remapped.mapping,
+        cold.mapping(Mapper::Hrstc, PatternKind::Ring)
+            .expect("hrstc maps a ring at any size")
+            .mapping,
+        "post-fault remap diverged from the cold session's mapping"
+    );
+
     format!(
         r#"{{
     "p": {ranks},
@@ -270,6 +286,7 @@ fn fault_summary() -> String {
     "cables_removed": 1,
     "apply_ms": {apply_ms:.2},
     "cold_rebuild_ms": {cold_ms:.2},
+    "remap_ms": {remap_ms:.2},
     "dist_rows_rebuilt": {rows_rebuilt},
     "dist_rows_reused": {rows_reused},
     "price_stages_repriced": {repriced},

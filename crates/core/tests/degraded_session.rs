@@ -374,3 +374,62 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over a mapping's entries: a compact pin for large mappings.
+fn mapping_hash(m: &[u32]) -> u64 {
+    m.iter()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Post-fault hrstc remapping on the irregular oracle at P = 8192: for two
+/// single-cable faults of `gpc(1024)` (seeds 0 and 4 fail one leaf–line and
+/// one line–spine cable), the five flat-pattern mappings are pinned by
+/// hash. The pins were recorded with the per-switch node-ring walk the
+/// run-counted irregular classes replaced. Neither cable moves a node pair
+/// to another BFS level class, so both faults pin the same hashes, and
+/// they equal the fresh fat tree's mappings; every query still walks the
+/// irregular class ladder.
+#[test]
+fn post_fault_hrstc_mappings_are_pinned_p8192() {
+    const PATTERNS: [PatternKind; 5] = [
+        PatternKind::Rd,
+        PatternKind::Ring,
+        PatternKind::Bruck,
+        PatternKind::BinomialBcast,
+        PatternKind::BinomialGather,
+    ];
+    const PINS: [u64; 5] = [
+        0x2252_0d83_717d_7495,
+        0x0526_1b9a_0977_4ff5,
+        0x182c_58db_e7eb_e825,
+        0x18ff_56c7_dc8a_cae5,
+        0xe4b7_7b90_1583_57a1,
+    ];
+    let base = Cluster::gpc(1024);
+    for seed in [0u64, 4] {
+        let set = FaultSet::random(&base, &FaultRates::links(0.002), seed);
+        let cables: u32 = set.failed_cables.iter().map(|&(_, _, k)| k).sum();
+        assert_eq!(cables, 1, "seed {seed} must fail exactly one cable");
+        let mut s = Session::from_layout(
+            base.clone(),
+            InitialMapping::BLOCK_BUNCH,
+            8192,
+            SessionConfig::default(),
+        );
+        let report = s.apply_faults(&set, &[]).unwrap();
+        assert!(report.summary.fabric_rebuilt);
+        assert!(s.cluster().fabric().as_irregular().is_some());
+        let got: Vec<u64> = PATTERNS
+            .iter()
+            .map(|&pattern| {
+                let m = &s.mapping(Mapper::Hrstc, pattern).unwrap().mapping;
+                assert!(is_permutation(m), "{pattern:?}");
+                mapping_hash(m)
+            })
+            .collect();
+        assert_eq!(got, PINS, "seed {seed}");
+    }
+}

@@ -20,11 +20,19 @@
 //! order. That reproduces the linear scan's choices **bit-identically** (see
 //! [`crate::scheme`] for the tie-break contract) at O(L + nodes_per_leaf +
 //! node_size) per query instead of O(P).
+//!
+//! On an irregular fabric the classes past the hosting switch are the BFS
+//! switch levels around it. The context records the maximal runs of
+//! consecutive node ids one switch hosts, with a free counter per run, so
+//! building it costs O(N + S) for N nodes and S switches. A query sums the
+//! run counters per level of the reference switch's BFS row, and walks the
+//! runs of the first non-empty level in ascending node order, skipping
+//! whole runs by their counters: O(runs) per query.
 
 use crate::scheme::{tie_break, PlacementContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tarr_topo::{DistanceOracle, Fabric, ImplicitDistance, NodeId};
+use tarr_topo::{DistanceOracle, Fabric, ImplicitDistance, IrregularFabric, NodeId};
 
 /// Offsets of a torus, grouped by wrapped hop distance: `by_dist[r]` holds
 /// every coordinate offset whose shortest-wrap hop count is exactly `r + 1`.
@@ -80,6 +88,49 @@ impl RingTable {
     }
 }
 
+/// Irregular fabrics only: the nodes each switch hosts, as maximal runs of
+/// consecutive node ids, with a free-slot counter per run. Ascending node
+/// order is the canonical candidate order, since global core ids ascend
+/// with node ids.
+struct SwitchRuns {
+    /// `(first, end, switch)`: nodes `first..end` sit on `switch`; runs
+    /// ascend and tile `0..N`.
+    runs: Vec<(u32, u32, u32)>,
+    /// Free slots per run.
+    free_run: Vec<u32>,
+    /// Run index of every node.
+    run_of: Vec<u32>,
+    /// Nodes hosted by each switch, ascending: the same-switch class.
+    switch_nodes: Vec<Vec<u32>>,
+    /// Query scratch: free slots per BFS level around the reference switch.
+    free_level: Vec<u32>,
+}
+
+impl SwitchRuns {
+    fn new(g: &IrregularFabric) -> Self {
+        let node_switch = g.node_switches();
+        let mut runs: Vec<(u32, u32, u32)> = Vec::new();
+        let mut run_of = Vec::with_capacity(node_switch.len());
+        let mut switch_nodes: Vec<Vec<u32>> = vec![Vec::new(); g.num_switches()];
+        for (node, &switch) in node_switch.iter().enumerate() {
+            let node = node as u32;
+            match runs.last_mut() {
+                Some(run) if run.2 == switch => run.1 = node + 1,
+                _ => runs.push((node, node + 1, switch)),
+            }
+            run_of.push(runs.len() as u32 - 1);
+            switch_nodes[switch as usize].push(node);
+        }
+        SwitchRuns {
+            free_run: vec![0; runs.len()],
+            runs,
+            run_of,
+            switch_nodes,
+            free_level: vec![0; g.num_switches()],
+        }
+    }
+}
+
 /// Bucketed placement state over the implicit distance oracle.
 ///
 /// Produces the same mappings as
@@ -94,18 +145,15 @@ pub struct BucketContext<'a> {
     free_l2: Vec<u32>,
     free_socket: Vec<u32>,
     free_node: Vec<u32>,
-    /// Fat-tree only: free slots per leaf switch.
+    /// Fat-tree and irregular: free slots per leaf (hosting switch).
     free_leaf: Vec<u32>,
     /// Slot indices hosted on each node, ascending physical core id.
     node_slots: Vec<Vec<u32>>,
     nodes_per_leaf: usize,
+    /// Torus only: offsets by hop distance.
     rings: Option<RingTable>,
-    /// Irregular only: nodes hosted by each switch (ascending node id) and,
-    /// per reference switch, the nodes at each BFS switch distance ≥ 1
-    /// (ascending node id — the canonical candidate order, since global core
-    /// ids ascend with node ids).
-    switch_nodes: Option<Vec<Vec<u32>>>,
-    switch_rings: Option<Vec<Vec<Vec<u32>>>>,
+    /// Irregular only: node runs per switch and their free counters.
+    switch_runs: Option<SwitchRuns>,
     rng: StdRng,
     /// Instrumentation: closest-free-slot queries answered.
     queries: u64,
@@ -125,35 +173,18 @@ impl<'a> BucketContext<'a> {
         let phys_per_node = nt.sockets * nt.cores_per_socket;
         let l2_per_node = phys_per_node / nt.cores_per_l2;
 
-        let (num_leaves, nodes_per_leaf, rings, switch_nodes, switch_rings) = match cluster.fabric()
-        {
-            Fabric::FatTree(f) => (f.num_leaves(), f.config().nodes_per_leaf, None, None, None),
-            Fabric::Torus(t) => (0, 0, Some(RingTable::new(t.dims())), None, None),
-            Fabric::Irregular(g) => {
-                let s_count = g.num_switches();
-                let mut nodes: Vec<Vec<u32>> = vec![Vec::new(); s_count];
-                for node in 0..num_nodes {
-                    nodes[g.switch_of(NodeId(node as u32)) as usize].push(node as u32);
-                }
-                // Node rings around each switch: bucket every node by its
-                // hosting switch's BFS level; level vectors fill in
-                // ascending node order, so each ring is already sorted.
-                let rings: Vec<Vec<Vec<u32>>> = (0..s_count as u32)
-                    .map(|s| {
-                        let levels = g.level_row(s);
-                        let max = levels.iter().copied().max().unwrap_or(0) as usize;
-                        let mut by_dist: Vec<Vec<u32>> = vec![Vec::new(); max];
-                        for node in 0..num_nodes {
-                            let h = levels[g.switch_of(NodeId(node as u32)) as usize] as usize;
-                            if h > 0 {
-                                by_dist[h - 1].push(node as u32);
-                            }
-                        }
-                        by_dist
-                    })
-                    .collect();
-                (s_count, 0, None, Some(nodes), Some(rings))
-            }
+        let kind = match cluster.fabric() {
+            Fabric::FatTree(_) => "fattree",
+            Fabric::Torus(_) => "torus",
+            Fabric::Irregular(_) => "irregular",
+        };
+        let _span = tarr_trace::span("mapping.bucket.build")
+            .arg("p", o.len())
+            .arg("fabric", kind);
+        let (num_leaves, nodes_per_leaf, rings, switch_runs) = match cluster.fabric() {
+            Fabric::FatTree(f) => (f.num_leaves(), f.config().nodes_per_leaf, None, None),
+            Fabric::Torus(t) => (0, 0, Some(RingTable::new(t.dims())), None),
+            Fabric::Irregular(g) => (g.num_switches(), 0, None, Some(SwitchRuns::new(g))),
         };
 
         let mut ctx = BucketContext {
@@ -168,8 +199,7 @@ impl<'a> BucketContext<'a> {
             node_slots: vec![Vec::new(); num_nodes],
             nodes_per_leaf,
             rings,
-            switch_nodes,
-            switch_rings,
+            switch_runs,
             rng: StdRng::seed_from_u64(seed),
             queries: 0,
             class_fallthroughs: 0,
@@ -182,6 +212,9 @@ impl<'a> BucketContext<'a> {
             ctx.free_node[p.node as usize] += 1;
             if !ctx.free_leaf.is_empty() {
                 ctx.free_leaf[p.leaf as usize] += 1;
+            }
+            if let Some(sr) = &mut ctx.switch_runs {
+                sr.free_run[sr.run_of[p.node as usize] as usize] += 1;
             }
             ctx.node_slots[p.node as usize].push(slot as u32);
         }
@@ -218,8 +251,8 @@ impl<'a> BucketContext<'a> {
     /// nodes are the contiguous range the wiring assigns; on irregular
     /// fabrics they come from the per-switch node lists.
     fn pick_under_leaf(&self, leaf: u32, skip_node: Option<u32>, j: &mut usize) -> Option<usize> {
-        if let Some(switch_nodes) = &self.switch_nodes {
-            for &node in &switch_nodes[leaf as usize] {
+        if let Some(sr) = &self.switch_runs {
+            for &node in &sr.switch_nodes[leaf as usize] {
                 if skip_node == Some(node) {
                     continue;
                 }
@@ -251,8 +284,8 @@ impl<'a> BucketContext<'a> {
     }
 
     /// The `j`-th free slot on a set of whole nodes given in ascending order.
-    fn pick_on_nodes(&self, nodes: &[u32], j: &mut usize) -> Option<usize> {
-        for &node in nodes {
+    fn pick_on_nodes(&self, nodes: impl IntoIterator<Item = u32>, j: &mut usize) -> Option<usize> {
+        for node in nodes {
             let here = self.free_node[node as usize] as usize;
             if *j >= here {
                 *j -= here;
@@ -260,6 +293,40 @@ impl<'a> BucketContext<'a> {
                 continue;
             }
             return self.pick_on_node(node, |_| true, j);
+        }
+        None
+    }
+
+    /// Irregular fabrics: the first non-empty BFS switch level `h ≥ 1` in
+    /// the reference switch's row `levels`, with its free-slot count,
+    /// summed over the node runs in one pass.
+    fn first_free_level(&mut self, levels: &[u16]) -> Option<(usize, usize)> {
+        let sr = self.switch_runs.as_mut()?;
+        sr.free_level.fill(0);
+        for (&(_, _, switch), &free) in sr.runs.iter().zip(&sr.free_run) {
+            sr.free_level[levels[switch as usize] as usize] += free;
+        }
+        let h = (1..sr.free_level.len()).find(|&h| sr.free_level[h] > 0)?;
+        Some((h, sr.free_level[h] as usize))
+    }
+
+    /// Irregular fabrics: the `j`-th free slot on the nodes at BFS level
+    /// `h` of the reference switch's row `levels`, in ascending node order.
+    /// Whole runs are skipped by their counters; only the run holding the
+    /// draw is walked node by node.
+    fn pick_at_level(&self, levels: &[u16], h: usize, j: &mut usize) -> Option<usize> {
+        let sr = self.switch_runs.as_ref()?;
+        for (&(first, end, switch), &free) in sr.runs.iter().zip(&sr.free_run) {
+            if levels[switch as usize] as usize != h {
+                continue;
+            }
+            if *j >= free as usize {
+                *j -= free as usize;
+                let skipped = u64::from(end - first);
+                self.nodes_skipped.set(self.nodes_skipped.get() + skipped);
+                continue;
+            }
+            return self.pick_on_nodes(first..end, j);
         }
         None
     }
@@ -285,6 +352,9 @@ impl PlacementContext for BucketContext<'_> {
         self.free_node[p.node as usize] -= 1;
         if !self.free_leaf.is_empty() {
             self.free_leaf[p.leaf as usize] -= 1;
+        }
+        if let Some(sr) = &mut self.switch_runs {
+            sr.free_run[sr.run_of[p.node as usize] as usize] -= 1;
         }
     }
 
@@ -353,15 +423,15 @@ impl PlacementContext for BucketContext<'_> {
                 }
                 let mut j = tie_break(&mut self.rng, k);
                 return self
-                    .pick_on_nodes(&nodes, &mut j)
+                    .pick_on_nodes(nodes, &mut j)
                     .expect("counter says ring slot exists");
             }
             unreachable!("free slots exist but no ring contains one")
         }
 
-        if let Some(switch_rings) = &self.switch_rings {
-            // Irregular: same hosting switch first, then node rings by BFS
-            // switch distance (strictly increasing:
+        if self.switch_runs.is_some() {
+            // Irregular: same hosting switch first, then the nodes at each
+            // BFS switch level (strictly increasing:
             // `same_leaf + h · torus_hop`, torus_hop > 0).
             self.class_fallthroughs += 1;
             let k_switch =
@@ -372,21 +442,22 @@ impl PlacementContext for BucketContext<'_> {
                     .pick_under_leaf(r.leaf, Some(r.node), &mut j)
                     .expect("counter says same-switch slot exists");
             }
-            for ring in &switch_rings[r.leaf as usize] {
-                let k: usize = ring
-                    .iter()
-                    .map(|&n| self.free_node[n as usize] as usize)
-                    .sum();
-                if k == 0 {
-                    self.class_fallthroughs += 1;
-                    continue;
-                }
-                let mut j = tie_break(&mut self.rng, k);
-                return self
-                    .pick_on_nodes(ring, &mut j)
-                    .expect("counter says switch-ring slot exists");
-            }
-            unreachable!("free slots exist but no switch ring contains one")
+            let o = self.o;
+            let levels = o
+                .cluster()
+                .fabric()
+                .as_irregular()
+                .expect("switch runs imply an irregular fabric")
+                .level_row(r.leaf);
+            let (h, k) = self
+                .first_free_level(levels)
+                .expect("free slots exist but no switch level holds one");
+            // Levels 1..h are empty classes walked past.
+            self.class_fallthroughs += h as u64 - 1;
+            let mut j = tie_break(&mut self.rng, k);
+            return self
+                .pick_at_level(levels, h, &mut j)
+                .expect("counter says switch-level slot exists");
         }
 
         // Fat-tree: same leaf, then line-connected leaves, then the rest.
@@ -571,6 +642,24 @@ mod tests {
         // Fragmented allocation over the same fabric.
         let sparse: Vec<CoreId> = c.cores().step_by(3).collect();
         assert_drains_identically(&c, &sparse, 7);
+    }
+
+    #[test]
+    fn switch_runs_tile_nodes_in_order() {
+        use tarr_topo::{IrregularConfig, IrregularFabric};
+        let g = IrregularFabric::new(IrregularConfig {
+            switches: 4,
+            node_switch: vec![1, 1, 0, 0, 0, 2, 1, 1],
+            links: vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+        })
+        .unwrap();
+        let sr = SwitchRuns::new(&g);
+        assert_eq!(sr.runs, [(0, 2, 1), (2, 5, 0), (5, 6, 2), (6, 8, 1)]);
+        assert_eq!(sr.run_of, [0, 0, 1, 1, 1, 2, 3, 3]);
+        assert_eq!(
+            sr.switch_nodes,
+            [vec![2, 3, 4], vec![0, 1, 6, 7], vec![5], vec![]]
+        );
     }
 
     #[test]
