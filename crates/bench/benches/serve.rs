@@ -6,11 +6,13 @@
 //! 1. **Warm throughput.** One engine with a GPC cluster ingested and every
 //!    cache warmed, then the same mixed request script (map / reorder /
 //!    price across collectives, sizes and schemes) is replayed through
-//!    [`serve_lines`] at 1, 2, 4 and 8 workers. Requests/s per
-//!    configuration, best of `REPS` replays. The ≥4× scaling assertion
-//!    only fires when the host actually has ≥8 hardware threads — on a
-//!    smaller runner the honest numbers are still recorded, plus the
-//!    parallelism they were measured at.
+//!    [`serve_lines`] at 1, 2, 4 and 8 workers, fed as one pipelined
+//!    buffer, and at 1 and 2 workers fed one line per `read` (unpipelined:
+//!    the reader serves each request itself, as for a closed-loop client).
+//!    Requests/s per configuration, best of `REPS` replays. The ≥4× scaling
+//!    assertion (pipelined rows) only fires when the host actually has ≥8
+//!    hardware threads — on a smaller runner the honest numbers are still
+//!    recorded, plus the parallelism they were measured at.
 //!
 //! 2. **Cold coalesce.** A fresh engine, N threads released by a barrier
 //!    onto the *identical* expensive cold request. The core's sharded
@@ -41,8 +43,10 @@ const LATENCY_OPS: [&str; 3] = ["map", "reorder", "price"];
 /// Replays per timing point of the recorder-overhead measurement.
 const OVERHEAD_REPS: usize = 50;
 
-/// Worker counts swept by the throughput measurement.
+/// Worker counts swept by the pipelined throughput measurement.
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Worker counts of the unpipelined (one line per `read`) rows.
+const UNPIPELINED_SWEEP: [usize; 2] = [1, 2];
 /// Threads hammering the identical cold request.
 const COLD_THREADS: usize = 8;
 
@@ -87,13 +91,34 @@ fn request_mix(cluster: &str) -> Vec<String> {
 
 struct ThroughputPoint {
     workers: usize,
+    pipelined: bool,
     requests_per_s: f64,
 }
 
-/// Replay `script` through [`serve_lines`] and return requests/s, best of
-/// `reps` replays (minimum wall time — the replay least disturbed by
-/// scheduling noise).
-fn measure_rps(engine: &Engine, script: &str, workers: usize, reps: usize) -> f64 {
+/// An in-memory stream that returns one request line per `read` call:
+/// nothing is pipelined behind a line, as with a client that waits for
+/// each reply before it sends the next request.
+struct LinePerRead<'a>(&'a [u8]);
+
+impl io::Read for LinePerRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let line = self
+            .0
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.0.len(), |i| i + 1);
+        let n = line.min(buf.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// Replay `script` through [`serve_lines`] — as one buffer, or one line per
+/// `read` when not `pipelined` — and return requests/s, best of `reps`
+/// replays (minimum wall time — the replay least disturbed by scheduling
+/// noise).
+fn measure_rps(engine: &Engine, script: &str, workers: usize, pipelined: bool, reps: usize) -> f64 {
     let requests = script.lines().count() as u64;
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -103,8 +128,12 @@ fn measure_rps(engine: &Engine, script: &str, workers: usize, reps: usize) -> f6
             ..Default::default()
         };
         let t = Instant::now();
-        let served = serve_lines(engine, script.as_bytes(), io::sink(), &opts)
-            .expect("serve_lines on an in-memory stream cannot fail");
+        let served = if pipelined {
+            serve_lines(engine, script.as_bytes(), io::sink(), &opts)
+        } else {
+            serve_lines(engine, LinePerRead(script.as_bytes()), io::sink(), &opts)
+        }
+        .expect("serve_lines on an in-memory stream cannot fail");
         let dt = t.elapsed().as_secs_f64();
         assert_eq!(served, requests, "every scripted request must be served");
         best = best.min(dt);
@@ -136,11 +165,15 @@ fn throughput_sweep(
         script.push_str(&one_pass);
         script.push('\n');
     }
-    let sweep = WORKER_SWEEP
+    let rows = WORKER_SWEEP
         .iter()
-        .map(|&workers| ThroughputPoint {
+        .map(|&w| (w, true))
+        .chain(UNPIPELINED_SWEEP.iter().map(|&w| (w, false)));
+    let sweep = rows
+        .map(|(workers, pipelined)| ThroughputPoint {
             workers,
-            requests_per_s: measure_rps(&engine, &script, workers, reps),
+            pipelined,
+            requests_per_s: measure_rps(&engine, &script, workers, pipelined, reps),
         })
         .collect();
     (sweep, engine)
@@ -263,12 +296,14 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
     let (sweep, warm_engine) = throughput_sweep(gpc_nodes, passes, reps);
     for pt in &sweep {
         println!(
-            "workers {}: {:>10.0} requests/s",
-            pt.workers, pt.requests_per_s
+            "workers {} ({}): {:>10.0} requests/s",
+            pt.workers,
+            stream(pt.pipelined),
+            pt.requests_per_s
         );
     }
     let rps1 = sweep[0].requests_per_s;
-    let rps8 = sweep.last().expect("sweep is nonempty").requests_per_s;
+    let rps8 = sweep[WORKER_SWEEP.len() - 1].requests_per_s;
     let speedup = rps8 / rps1;
     let speedup_asserted = parallelism >= 8;
     if speedup_asserted {
@@ -331,8 +366,10 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
         .iter()
         .map(|pt| {
             format!(
-                r#"    {{"workers": {}, "requests_per_s": {:.0}}}"#,
-                pt.workers, pt.requests_per_s
+                r#"    {{"workers": {}, "stream": "{}", "requests_per_s": {:.0}}}"#,
+                pt.workers,
+                stream(pt.pipelined),
+                pt.requests_per_s
             )
         })
         .collect();
@@ -373,6 +410,15 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
     std::fs::write(path, &json).expect("write BENCH_serve.json");
     println!("wrote {path}");
     print!("{json}");
+}
+
+/// The row label of a throughput point's input stream.
+fn stream(pipelined: bool) -> &'static str {
+    if pipelined {
+        "pipelined"
+    } else {
+        "unpipelined"
+    }
 }
 
 fn main() {

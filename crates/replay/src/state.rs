@@ -28,16 +28,35 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
         cfg.seed = seed;
     }
     let layout = spec.layout.initial();
-    let p = spec.p.map(|v| v as usize);
+    let p = spec
+        .p
+        .map(|p| {
+            id_count(p)
+                .ok_or_else(|| ReplayError::Apply(format!("p {p} exceeds the u32 rank id space")))
+        })
+        .transpose()?;
     match &spec.source {
         IngestSource::SnapshotText(text) => SessionCore::from_snapshot_text(text, layout, p, cfg)
             .map_err(|e| ReplayError::Apply(e.to_string())),
         IngestSource::GpcNodes(nodes) => {
+            let cpn = tarr_topo::NodeTopology::gpc().cores_per_node();
+            if nodes.checked_mul(cpn as u64).and_then(id_count).is_none() {
+                return Err(ReplayError::Apply(format!(
+                    "gpc_nodes {nodes} at {cpn} cores per node exceeds the u32 core id space"
+                )));
+            }
             let cluster = tarr_topo::Cluster::gpc(*nodes as usize);
             let p = p.unwrap_or_else(|| cluster.total_cores());
             Ok(SessionCore::from_layout(cluster, layout, p, cfg))
         }
     }
+}
+
+/// `n` as a count of core, node or rank ids, when it fits their `u32` id
+/// space. Checked before anything is allocated per id: release builds
+/// wrap on overflow where debug builds panic.
+fn id_count(n: u64) -> Option<usize> {
+    u32::try_from(n).ok().map(|n| n as usize)
 }
 
 /// Degrade a core with a seeded fault set — exactly the serve `fault` op.

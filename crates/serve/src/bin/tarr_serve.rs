@@ -264,11 +264,7 @@ fn main() -> ExitCode {
     if drained && args.snapshot_on_drain && args.state_dir.is_some() {
         // Same code path as the `snapshot` op, driven as a synthetic
         // request so the reply shape (and its error taxonomy) match.
-        let reply = engine.handle_request(
-            engine.next_request_id(),
-            Duration::ZERO,
-            r#"{"op":"snapshot"}"#,
-        );
+        let reply = engine.handle_line(r#"{"op":"snapshot"}"#);
         if reply.contains(r#""ok":true"#) {
             eprintln!("tarr-serve: drain snapshot written");
         } else {

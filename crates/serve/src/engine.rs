@@ -411,17 +411,23 @@ impl Engine {
     /// Process one raw request line into one serialized reply line,
     /// assigning it the next request id with zero queue-wait (the
     /// single-threaded / test entry point; the serve loop assigns ids at
-    /// admission and calls [`Engine::handle_request`] directly).
+    /// admission and calls [`Engine::handle_parsed`] directly).
     pub fn handle_line(&self, line: &str) -> String {
-        self.handle_request(self.next_request_id(), Duration::ZERO, line)
+        self.handle_parsed(self.next_request_id(), Duration::ZERO, &parse(line))
     }
 
-    /// Process one admitted request: `req_id` tags every span the request
+    /// Process one admitted request from the parse of its line (an `Err`
+    /// gets the `bad request` reply): `req_id` tags every span the request
     /// opens (via a [`tarr_trace::request_scope`]), `queue_wait` is the
     /// admission→dispatch delay measured by the caller, and RED metrics /
     /// the slow-request log are fed from the service time measured here,
     /// from dispatch to the encoded reply line.
-    pub fn handle_request(&self, req_id: u64, queue_wait: Duration, line: &str) -> String {
+    pub fn handle_parsed(
+        &self,
+        req_id: u64,
+        queue_wait: Duration,
+        parsed: &Result<Json, String>,
+    ) -> String {
         let started = Instant::now();
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         tarr_trace::counter_add!("serve.request", 1);
@@ -430,8 +436,7 @@ impl Engine {
         // one when something (the recorder or the slow log) consumes it.
         let scope =
             (tarr_trace::enabled() || slow_ns > 0).then(|| tarr_trace::request_scope(req_id));
-        let parsed = parse(line);
-        let (op, cluster) = match &parsed {
+        let (op, cluster) = match parsed {
             Ok(req) => (
                 req.get("op").and_then(Json::as_str),
                 req.get("cluster").and_then(Json::as_str),
@@ -440,7 +445,7 @@ impl Engine {
         };
         let op_idx = op_index(op.unwrap_or("other"));
         self.metrics.begin(op_idx, cluster);
-        let (reply, ok) = match &parsed {
+        let (reply, ok) = match parsed {
             Err(e) => (
                 encode(&err_reply(None, &format!("bad request: {e}"))),
                 false,

@@ -21,6 +21,22 @@
 //! scripted session produces byte-identical output at any worker count —
 //! the property the CI golden fixture pins.
 //!
+//! **Inline rule.** A read-only request also runs inline on the reader,
+//! skipping the queue's thread hop, when nothing can overlap with it: the
+//! pool is idle (nothing queued, nothing in flight) and the [`LineReader`]
+//! holds no further line. Both are facts of the input, not settings. An
+//! idle pool has written every earlier reply (workers deliver before they
+//! report done), so order and barrier semantics are those of the queue. A
+//! buffered line goes to the pool instead: inlining it would stall the
+//! requests pipelined behind it (a batch would lose its workers, and a
+//! request arriving while a slow one runs would wait for it). Mutating ops
+//! and idle read-only ops share one routine — busy gauge around the engine
+//! call, zero queue wait, reply to its slot. An inline request is parsed
+//! once: the engine gets the reader's parse ([`Engine::handle_parsed`]).
+//! A queued request carries its line and the worker parses it, so the
+//! reader, the serial stage of a pipelined stream, never frees a worker's
+//! allocations.
+//!
 //! On top of that base loop sits the overload hardening (all of it
 //! configured through [`ServeOpts`], all off-by-default-compatible with
 //! the original behaviour):
@@ -56,11 +72,12 @@
 //! [`Engine::next_request_id`]) and timestamps admission, so workers can
 //! split queue-wait (admission → dispatch) from service time (dispatch →
 //! reply) when they feed the engine's RED metrics. `serve.admitted` counts
-//! enqueued requests, the `serve.queue.depth` gauge tracks the
-//! instantaneous queue length, and `serve.workers.busy` tracks workers
-//! currently inside a request. [`serve_metrics`] is the companion scrape
-//! endpoint: a minimal HTTP/1.0 listener answering every request with the
-//! engine's Prometheus text snapshot.
+//! every request at admission (after quota and deadline shedding, inline
+//! or queued), the `serve.queue.depth` gauge tracks the instantaneous
+//! queue length, and `serve.workers.busy` tracks threads currently inside
+//! a request, the reader's inline runs included. [`serve_metrics`] is the
+//! companion scrape endpoint: a minimal HTTP/1.0 listener answering every
+//! request with the engine's Prometheus text snapshot.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -185,7 +202,6 @@ impl<'a> Queue<'a> {
             st = self.not_full.wait(st).expect("queue poisoned");
         }
         st.items.push_back((seq, req_id, Instant::now(), line));
-        tarr_trace::counter_add!("serve.admitted", 1);
         self.metrics.set_queue_depth(st.items.len() as u64);
         drop(st);
         self.not_empty.notify_one();
@@ -368,6 +384,12 @@ impl<R: Read> LineReader<R> {
         }
     }
 
+    /// Whether another line is already buffered: a complete one, or the
+    /// unterminated tail left at EOF. No read happens.
+    fn line_buffered(&self) -> bool {
+        self.buf.contains(&b'\n') || (self.eof && !self.buf.is_empty())
+    }
+
     fn next_event(&mut self) -> LineEvent {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
@@ -427,11 +449,12 @@ fn budget_hit(max: u64, count: u64) -> bool {
 /// `opts.workers` scoped threads; write replies to `output` in request
 /// order. State-mutating ops (`ingest`, `fault`) are barriers: the reader
 /// quiesces the pool and runs them inline, so every request observes the
-/// engine state its stream position implies. Protocol violations, quota
-/// rejections, and deadline sheds are answered with typed errors at the
-/// violating request's position in the reply order (they consume a
-/// sequence slot but never a worker). Returns the number of replies
-/// written.
+/// engine state its stream position implies; a read-only request runs
+/// inline too when the pool is idle and no further line is buffered.
+/// Protocol violations, quota rejections, and deadline sheds are answered
+/// with typed errors at the violating request's position in the reply
+/// order (they consume a sequence slot but never a worker). Returns the
+/// number of replies written.
 pub fn serve_lines(
     engine: &Engine,
     input: impl Read,
@@ -445,15 +468,20 @@ pub fn serve_lines(
     // Set by the reader (scope's own thread) when the shutdown flag is
     // observed; read after the scope joins to time the drain.
     let drain_started: Cell<Option<Instant>> = Cell::new(None);
+    // The one routine that runs a request, on a worker or inline on the
+    // reader: the busy gauge brackets the engine, and the reply goes to
+    // its slot in the reorder buffer.
+    let serve = |seq: u64, req_id: u64, wait: Duration, parsed: &Result<Json, String>| {
+        metrics.worker_busy(true);
+        let reply = engine.handle_parsed(req_id, wait, parsed);
+        metrics.worker_busy(false);
+        out.deliver(seq, reply);
+    };
     std::thread::scope(|scope| {
         for _ in 0..opts.workers.max(1) {
             scope.spawn(|| {
                 while let Some((seq, req_id, admitted, line)) = queue.pop() {
-                    let wait = admitted.elapsed();
-                    metrics.worker_busy(true);
-                    let reply = engine.handle_request(req_id, wait, &line);
-                    metrics.worker_busy(false);
-                    out.deliver(seq, reply);
+                    serve(seq, req_id, admitted.elapsed(), &parse(&line));
                     queue.done();
                 }
             });
@@ -525,8 +553,8 @@ pub fn serve_lines(
             if line.trim().is_empty() {
                 continue;
             }
-            let parsed = parse(&line).ok();
-            if parsed.is_none() {
+            let parsed = parse(&line);
+            if parsed.is_err() {
                 proto_errors += 1;
                 metrics.add_protocol_error("bad_json");
                 if budget_hit(opts.max_protocol_errors, proto_errors) {
@@ -544,16 +572,14 @@ pub fn serve_lines(
                 // malformed requests keep their established parse-error
                 // reply text.
             }
-            let op = parsed
-                .as_ref()
-                .and_then(|r| r.get("op"))
-                .and_then(Json::as_str);
+            let req = parsed.as_ref().ok();
+            let op = req.and_then(|r| r.get("op")).and_then(Json::as_str);
             let stop = matches!(op, Some("shutdown"));
             // Admission control, cheapest first: quota (a constant-time
             // bucket probe), then the deadline shed estimate. Both answer
             // at this request's reply position without costing a worker.
             // `shutdown` is exempt — a throttled client may always leave.
-            if let (Some(q), Some(req), false) = (&opts.quota, parsed.as_ref(), stop) {
+            if let (Some(q), Some(req), false) = (&opts.quota, req, stop) {
                 if let Err(retry_ms) = engine.quota_take(&opts.client, q.burst, q.per_sec) {
                     metrics.add_quota_rejected();
                     out.deliver(
@@ -569,8 +595,7 @@ pub fn serve_lines(
                     continue;
                 }
             }
-            if let Some(deadline_ms) = parsed
-                .as_ref()
+            if let Some(deadline_ms) = req
                 .and_then(|r| r.get("deadline_ms"))
                 .and_then(Json::as_u64)
             {
@@ -582,7 +607,7 @@ pub fn serve_lines(
                     out.deliver(
                         seq,
                         to_string(&err_reply_retry(
-                            parsed.as_ref(),
+                            req,
                             "overloaded",
                             "estimated queue wait exceeds deadline_ms; request shed",
                             est_ns.div_ceil(1_000_000).max(1),
@@ -595,14 +620,22 @@ pub fn serve_lines(
             // Ids are assigned here, at admission, so id order == arrival
             // order even when workers finish out of order.
             let req_id = engine.next_request_id();
-            if is_mutating(op) {
-                // Workers deliver before `done`, so once idle every earlier
-                // reply has been written and this one flushes in sequence.
-                // Runs inline without queueing: queue-wait is zero by
-                // construction (its wait shows up as barrier latency for
-                // *later* requests, not this one).
+            tarr_trace::counter_add!("serve.admitted", 1);
+            // Workers deliver before `done`, so once the pool is idle every
+            // earlier reply has been written and an inline reply flushes in
+            // sequence. Inline runs never queue: their queue-wait is zero
+            // (a barrier's wait shows up as latency of *later* requests).
+            // A read-only request runs inline only when no further line is
+            // buffered either: a pipelined batch keeps its workers. Only
+            // the reader pushes, so an idle pool stays idle meanwhile.
+            let inline = if is_mutating(op) {
                 queue.wait_idle();
-                out.deliver(seq, engine.handle_request(req_id, Duration::ZERO, &line));
+                true
+            } else {
+                queue.load() == (0, 0) && !reader.line_buffered()
+            };
+            if inline {
+                serve(seq, req_id, Duration::ZERO, &parsed);
             } else {
                 queue.push(seq, req_id, line);
             }

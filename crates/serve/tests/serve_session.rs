@@ -4,6 +4,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 use tarr_core::{Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_serve::{check_prometheus, serve_lines, serve_metrics, serve_tcp, Engine, ServeOpts};
@@ -114,13 +115,28 @@ fn errors_are_typed_not_fatal() {
         ),
         (r#"{"op":"ingest","cluster":"x"}"#, "ingest needs"),
         (r#"{"op":"price","cluster":"nope"}"#, "unknown cluster"),
+        // Core counts past the u32 id space are refused before any
+        // allocation, in release builds too (where the product wraps).
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":1000000000}"#,
+            "exceeds the u32 core id space",
+        ),
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":4611686018427387903}"#,
+            "exceeds the u32 core id space",
+        ),
     ] {
         let reply = parse(&engine.handle_line(line)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "line: {line}");
+        assert_ne!(
+            reply.get("code").and_then(Json::as_str),
+            Some("internal_error"),
+            "line: {line}"
+        );
         let msg = reply.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains(needle), "{msg:?} lacks {needle:?}");
     }
-    assert_eq!(engine.stats().errors(), 5);
+    assert_eq!(engine.stats().errors(), 7);
     // The engine still works after the error barrage.
     let ok = engine.handle_line(r#"{"op":"ingest","cluster":"x","gpc_nodes":2}"#);
     assert!(ok.contains("\"ok\":true"));
@@ -296,6 +312,98 @@ fn golden_fixture_is_byte_identical_with_metrics_enabled() {
         assert_eq!(engine.metrics().total_requests(), 12);
         let report = check_prometheus(&engine.metrics().render_prometheus()).unwrap();
         assert_eq!(report.requests_total, 12);
+    }
+    let _ = std::fs::remove_file(&snap_path);
+}
+
+/// A stream that hands out one line (with its newline) per `read` call:
+/// a client that sends each request only after the previous reply.
+struct LinePerRead<'a>(&'a [u8]);
+
+impl Read for LinePerRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let line = self
+            .0
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.0.len(), |i| i + 1);
+        let n = line.min(buf.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn golden_fixture_is_byte_identical_one_line_per_read() {
+    // Unpipelined, every request finds the pool idle and no line behind
+    // it, so the reader serves it inline: the reply stream must still be
+    // the golden at any worker count, and no request waits in the queue.
+    let (script, snap_path) = golden_script("unpipelined");
+    let golden = fixture("serve_session.golden");
+    for workers in [1, 2, 4, 8] {
+        let engine = Engine::new();
+        let mut out = Vec::new();
+        let served = serve_lines(
+            &engine,
+            LinePerRead(script.as_bytes()),
+            &mut out,
+            &ServeOpts {
+                workers,
+                queue_cap: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(served, 12);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            golden,
+            "golden fixture diverged at {workers} worker(s)"
+        );
+        let waits: Vec<_> = tarr_serve::metrics::OPS
+            .iter()
+            .map(|op| engine.metrics().queue_wait_snapshot(op))
+            .collect();
+        assert_eq!(waits.iter().map(|h| h.count).sum::<u64>(), 12);
+        assert_eq!(
+            waits.iter().map(|h| h.sum).sum::<u64>(),
+            0,
+            "an inline request never waits in the queue ({workers} worker(s))"
+        );
+    }
+    let _ = std::fs::remove_file(&snap_path);
+}
+
+#[test]
+fn parsed_entry_point_matches_handle_line() {
+    // The serve loop hands the engine the reader's parse; `handle_line`
+    // parses itself. Both must answer every golden line and every
+    // malformed line identically, with the parser's message verbatim
+    // behind `bad request: `.
+    let (script, snap_path) = golden_script("parsed");
+    let by_line = Engine::new();
+    let by_parse = Engine::new();
+    let malformed = [
+        "{not json",
+        "[1,2",
+        r#"{"op":}"#,
+        r#"{"op":"stats"} trailing"#,
+        "\"just a string\"",
+        "42",
+        "{}",
+    ];
+    for line in script.lines().chain(malformed) {
+        let parsed = parse(line);
+        let reply = by_parse.handle_parsed(by_parse.next_request_id(), Duration::ZERO, &parsed);
+        assert_eq!(reply, by_line.handle_line(line), "{line}");
+        if let Err(e) = &parsed {
+            let reply = parse(&reply).unwrap();
+            assert_eq!(
+                reply.get("error").and_then(Json::as_str),
+                Some(format!("bad request: {e}").as_str())
+            );
+        }
     }
     let _ = std::fs::remove_file(&snap_path);
 }
