@@ -3,9 +3,11 @@
 //!
 //! The persistence claim behind `tarr-serve --state-dir` is that restoring
 //! a session from a snapshot is much cheaper than rebuilding it: a cold
-//! boot re-ingests the cluster, recompiles every schedule and re-prices
-//! every collective, while a warm restore decodes the serialized caches
-//! and answers the same probes as hits.
+//! boot re-ingests the cluster, recomputes every mapping, compiles every
+//! schedule and re-prices every collective, while a warm restore decodes
+//! the stored mappings and price totals and answers the same probes as
+//! hits. The snapshot holds no compiled schedule and no communicator; a
+//! warm price never reads either, so the restore never rebuilds them.
 //!
 //! The measurement, at the acceptance scale of p = 65,536 ranks (8,192
 //! GPC nodes, 8 ranks each):
@@ -21,8 +23,9 @@
 //!    restarted daemon without a state dir repeats from scratch.
 //! 2. **Snapshot.** `EngineSnapshot::capture` + `encode` of the warmed
 //!    core — the bytes `tarr-serve`'s `snapshot` op writes to disk.
-//! 3. **Warm restore.** `decode` + `ClusterState::restore` + the same
-//!    probes, best of `WARM_REPS`. The probe answers must be
+//! 3. **Warm restore.** `decode` + `ClusterState::restore` (distance
+//!    oracle rebuild, mapping and price caches seeded) + the same probes,
+//!    best of `WARM_REPS`. The probe answers must be
 //!    **bit-identical** to the cold run's (floats compare as IEEE-754 bit
 //!    patterns) — a restore that is fast but wrong counts for nothing.
 //!
@@ -76,8 +79,9 @@ const SIZES: [u64; 8] = [
 /// collectives — flat allgather, hierarchical allgather and gather across
 /// schemes — what a mapping service that has answered a realistic mix of
 /// requests actually holds. Scale-safe at 65,536 ranks (bucketed mappers,
-/// compiled schedules), warms every cache kind the snapshot serializes
-/// (mapping, communicator, schedule, price), and renders floats as bit
+/// compiled schedules), warms every cache kind (mapping, communicator,
+/// schedule, price; the snapshot keeps the mappings and prices), and
+/// renders floats as bit
 /// patterns so "equal" means bit-identical. `bcast`/`allreduce` take the
 /// same cached path but are left out, so the probe work matches the
 /// committed `BENCH_replay.json` baseline.
@@ -185,7 +189,7 @@ fn run(nodes: u64, write_json: bool) {
 
     // 2. Snapshot the warmed session, exactly as the `snapshot` op would.
     let snap = EngineSnapshot::capture(1, &[("gpc".to_string(), core)]).expect("capture");
-    let bytes = snap.encode().expect("encode");
+    let bytes = snap.encode();
     let snapshot_bytes = bytes.len() as u64;
     eprintln!("replay_bench: snapshot {snapshot_bytes} bytes");
 

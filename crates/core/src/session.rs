@@ -485,14 +485,24 @@ impl Session {
     /// `block_bytes`, once per core. Summation follows `stage_order()`, so
     /// the result is bit-identical to an uncached [`TimedSchedule::time`]
     /// call. `None` when the schedule or communicator is unsupported.
+    ///
+    /// The price cache is read first: a hit answers from the entry alone,
+    /// so it neither reads nor (on a restored core) rebuilds the
+    /// communicator and schedule a cached total never needs.
     fn priced_time(&mut self, key: SchedKey, ck: CommKey, block_bytes: u64) -> Option<f64> {
+        let pkey = (key, ck, block_bytes);
+        if let Some(priced) = self.core.prices.get_hit(&pkey) {
+            let stages = u64::from(priced.num_stages);
+            self.record(Cache::Price { stages }, Lookup::Hit);
+            return Some(priced.total);
+        }
         let comm = match ck {
             CommKey::Default => None,
             CommKey::Reordered(mapper, pattern) => Some(self.reordered_comm(mapper, pattern)?),
         };
         let ts = self.sched(key)?;
         let core = &*self.core;
-        let (priced, outcome) = core.prices.get_or_compute(&(key, ck, block_bytes), || {
+        let (priced, outcome) = core.prices.get_or_compute(&pkey, || {
             let c = comm.as_deref().unwrap_or(&core.comm);
             core.price(&ts, c, block_bytes, vec![f64::NAN; ts.num_unique_stages()])
         });

@@ -18,9 +18,17 @@
 //! price each `(schedule, communicator, bytes)` once; allgatherv's per-rank
 //! sizes are priced per call by the analytic ring
 //! (`tarr_mpi::ring_allgatherv_time`) over the cached ring communicator. A
-//! price entry
-//! keeps its per-unique-stage prices next to the total, so a hit reads the
-//! total and a fault can re-price only the stages it reaches.
+//! price lookup reads the price cache first: a hit answers from the entry
+//! alone and never touches the communicator or schedule caches. A price
+//! entry keeps its per-unique-stage prices next to the total, so a fault
+//! can re-price only the stages it reaches.
+//!
+//! Mappings and prices are the core's *state*: a mapping is a heuristic
+//! run and a price a simulation, both worth persisting. Reordered
+//! communicators and compiled schedules are *caches*: pure functions of a
+//! mapping, `p` and the node groups. [`CoreState`] therefore
+//! carries only the binding, the mappings and the price totals; a restored
+//! core rebuilds a communicator or schedule on its first miss.
 //!
 //! A core never changes after a fault — handles elsewhere are concurrently
 //! reading it. [`SessionCore::apply_faults`] (`session/degraded.rs`) mints a
@@ -86,14 +94,16 @@ impl CoreCacheStats {
     }
 }
 
-/// The snapshot-facing export of a [`SessionCore`]: the rank→core binding
-/// plus the contents of the four shared caches, with all `Arc`s, sharding
-/// and wall-clock metadata stripped. Produced by
-/// [`SessionCore::export_state`], consumed by [`SessionCore::from_state`];
-/// the persistence layer (`tarr-replay`) owns the wire encoding. Cluster
-/// and [`SessionConfig`] travel separately — the cluster has its own
-/// versioned text format (`tarr-ingest`'s `ClusterSnapshot`) and the config
-/// is what `from_state` rebuilds the distance oracle from.
+/// The snapshot-facing export of a [`SessionCore`]: the rank→core binding,
+/// the mapping cache and the price totals, with all `Arc`s, sharding and
+/// wall-clock metadata stripped. Produced by [`SessionCore::export_state`],
+/// consumed by [`SessionCore::from_state`]; the persistence layer
+/// (`tarr-replay`) owns the wire encoding. Cluster and [`SessionConfig`]
+/// travel separately — the cluster has its own versioned text format
+/// (`tarr-ingest`'s `ClusterSnapshot`) and the config is what `from_state`
+/// rebuilds the distance oracle from. Reordered communicators and compiled
+/// schedules are not exported: a restored core derives them from the
+/// mappings on first use.
 #[derive(Debug, Clone)]
 pub struct CoreState {
     /// `cores[rank] = core id` of the initial communicator.
@@ -101,13 +111,8 @@ pub struct CoreState {
     /// Mapping-cache entries; `None` marks a cached "unsupported
     /// configuration" outcome, `Some` the permutation itself.
     pub mappings: Vec<PermEntry>,
-    /// Reordered-communicator cache entries as rank→core bindings.
-    pub comms: Vec<PermEntry>,
-    /// Compiled-schedule cache entries.
-    pub scheds: Vec<(SchedKey, Option<TimedSchedule>)>,
-    /// Price totals from the price cache (per-stage prices are not
-    /// exported).
-    pub prices: Vec<((SchedKey, CommKey, u64), f64)>,
+    /// Price-cache entries (per-stage prices are not exported).
+    pub prices: Vec<PriceEntry>,
 }
 
 /// One exported permutation-cache entry: the `(mapper, pattern)` key and
@@ -115,12 +120,19 @@ pub struct CoreState {
 /// configuration" outcome (`None`).
 pub type PermEntry = ((Mapper, PatternKind), Option<Vec<u32>>);
 
-/// One price-cache entry: the total latency, plus the per-unique-stage
-/// prices it sums (aligned with `unique_stages()`). Entries restored from a
-/// snapshot carry the total only.
+/// One exported price-cache entry: the `(schedule, communicator, bytes)`
+/// key, the total latency, and the number of unique stages that total
+/// sums (what a cache hit counts as reused).
+pub type PriceEntry = ((SchedKey, CommKey, u64), (f64, u32));
+
+/// One price-cache entry: the total latency, its schedule's unique-stage
+/// count, and the per-unique-stage prices it sums (aligned with
+/// `unique_stages()`). Entries restored from a snapshot carry the total
+/// and the count only.
 #[derive(Debug, Clone)]
 pub(super) struct Priced {
     pub(super) total: f64,
+    pub(super) num_stages: u32,
     pub(super) stages: Option<Arc<[f64]>>,
 }
 
@@ -239,13 +251,13 @@ impl SessionCore {
         }
     }
 
-    /// Export every piece of state a snapshot needs to rebuild this core
-    /// warm: the rank→core binding plus the contents of all four shared
-    /// caches. Wall-clock metadata ([`MappingInfo::compute`] /
-    /// `graph_build`, the distance-build time) is deliberately excluded —
-    /// it is not a function of the inputs and would make snapshots
-    /// non-reproducible. Entry order follows the sharded maps' internal
-    /// iteration order; callers that need determinism must sort.
+    /// Export the state a snapshot needs to rebuild this core warm: the
+    /// rank→core binding, the mapping cache and the price totals.
+    /// Wall-clock metadata ([`MappingInfo::compute`] / `graph_build`, the
+    /// distance-build time) is deliberately excluded — it is not a function
+    /// of the inputs and would make snapshots non-reproducible. Entry order
+    /// follows the sharded maps' internal iteration order; callers that
+    /// need determinism must sort.
     pub fn export_state(&self) -> CoreState {
         CoreState {
             cores: self.comm.cores().iter().map(|c| c.0).collect(),
@@ -255,23 +267,11 @@ impl SessionCore {
                 .into_iter()
                 .map(|(k, v)| (k, v.map(|info| info.mapping.clone())))
                 .collect(),
-            comms: self
-                .comms
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, v.map(|c| c.cores().iter().map(|c| c.0).collect())))
-                .collect(),
-            scheds: self
-                .scheds
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, v.map(|ts| (*ts).clone())))
-                .collect(),
             prices: self
                 .prices
                 .entries()
                 .into_iter()
-                .map(|(k, v)| (k, v.total))
+                .map(|(k, v)| (k, (v.total, v.num_stages)))
                 .collect(),
         }
     }
@@ -279,12 +279,12 @@ impl SessionCore {
     /// Rebuild a warm core from an exported [`CoreState`]: re-extract the
     /// distance oracle deterministically from `(cluster, cores, cfg)` —
     /// it is a pure function of those inputs, so persisting it would only
-    /// add bytes and a second source of truth — then seed the four shared
-    /// caches with the exported entries. Structural invariants are
-    /// validated (bindings in range, mappings are permutations, cached
-    /// communicators match the binding multiset, prices finite) so a
-    /// corrupted snapshot surfaces as `Err`, never as a panic or a silently
-    /// wrong answer downstream.
+    /// add bytes and a second source of truth — then seed the mapping and
+    /// price caches with the exported entries. Communicators and schedules
+    /// are rebuilt from the mappings on their first miss. Structural
+    /// invariants are validated (bindings in range, mappings are
+    /// permutations, prices finite) so a corrupted snapshot surfaces as
+    /// `Err`, never as a panic or a silently wrong answer downstream.
     pub fn from_state(
         cluster: Cluster,
         cfg: SessionConfig,
@@ -307,8 +307,6 @@ impl SessionCore {
         }
         let p = state.cores.len();
         let cores: Vec<tarr_topo::CoreId> = state.cores.iter().map(|&c| CoreId(c)).collect();
-        let mut sorted_cores = state.cores.clone();
-        sorted_cores.sort_unstable();
         let core = SessionCore::new(cluster, cores, cfg);
         for (k, v) in state.mappings {
             let v = match v {
@@ -337,35 +335,15 @@ impl SessionCore {
             };
             core.mappings.insert(k, v);
         }
-        for (k, v) in state.comms {
-            let v = match v {
-                None => None,
-                Some(cs) => {
-                    let mut sorted = cs.clone();
-                    sorted.sort_unstable();
-                    if sorted != sorted_cores {
-                        return Err(format!(
-                            "cached communicator for {k:?} binds a different core set"
-                        ));
-                    }
-                    Some(Arc::new(Communicator::new(
-                        cs.into_iter().map(CoreId).collect(),
-                    )))
-                }
-            };
-            core.comms.insert(k, v);
-        }
-        for (k, v) in state.scheds {
-            core.scheds.insert(k, v.map(Arc::new));
-        }
-        for (k, v) in state.prices {
-            if !v.is_finite() {
+        for (k, (total, num_stages)) in state.prices {
+            if !total.is_finite() {
                 return Err(format!("cached price for {k:?} is not finite"));
             }
             core.prices.insert(
                 k,
                 Priced {
-                    total: v,
+                    total,
+                    num_stages,
                     stages: None,
                 },
             );
@@ -439,6 +417,7 @@ impl SessionCore {
         let total = ts.time_with_cache(comm, &self.model(), block_bytes, &mut stages);
         Priced {
             total,
+            num_stages: ts.num_unique_stages() as u32,
             stages: Some(stages.into()),
         }
     }

@@ -172,6 +172,15 @@ where
         cell.get().cloned()
     }
 
+    /// The cached value for `key`, counted as a [`Lookup::Hit`] when
+    /// initialized. `None` counts nothing: the caller falls back to
+    /// [`ShardedOnceMap::get_or_compute`], which counts that lookup.
+    pub fn get_hit(&self, key: &K) -> Option<V> {
+        let v = self.get(key)?;
+        self.counters.record(Lookup::Hit);
+        Some(v)
+    }
+
     /// Pre-seed `key` with `value` (used when a fault mints a new core that
     /// shares the old one's surviving entries, and when a snapshot is
     /// restored). Overwrites nothing: if the key already
@@ -251,6 +260,17 @@ mod tests {
         let s = m.counters().snapshot();
         assert_eq!((s.hits, s.misses, s.coalesced), (1, 1, 0));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn get_hit_counts_only_initialized_entries() {
+        let m: ShardedOnceMap<u32, u64> = ShardedOnceMap::default();
+        assert_eq!(m.get_hit(&7), None);
+        assert_eq!(m.counters().snapshot(), CacheSnapshot::default());
+        m.insert(7, 42);
+        assert_eq!(m.get_hit(&7), Some(42));
+        let s = m.counters().snapshot();
+        assert_eq!((s.hits, s.misses, s.coalesced), (1, 0, 0));
     }
 
     #[test]

@@ -128,19 +128,9 @@ impl FunctionalState {
         s
     }
 
-    /// Give `rank` the raw payload (used when composing phases).
-    pub fn set_raw(&mut self, rank: Rank) {
-        self.raw[rank.idx()] = true;
-    }
-
     /// Buffer of `rank`.
     pub fn buffer(&self, rank: Rank) -> &[Option<u32>] {
         &self.bufs[rank.idx()]
-    }
-
-    /// Whether `rank` holds the raw payload.
-    pub fn has_raw(&self, rank: Rank) -> bool {
-        self.raw[rank.idx()]
     }
 
     /// Execute a schedule.

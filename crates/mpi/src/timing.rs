@@ -317,60 +317,6 @@ impl TimedSchedule {
         }
     }
 
-    /// Reassemble a compiled schedule from its exported parts (the
-    /// persistence path: `unique_stages()`, `stage_shifts()` and
-    /// `stage_order()` round-trip through a snapshot and come back through
-    /// here). Validates the invariants the constructors guarantee — one
-    /// shift below 64 per unique stage, every `order` entry indexes a
-    /// unique stage (or is [`EMPTY_STAGE`]) and every operand rank is below
-    /// `p` — so a corrupted snapshot surfaces as a typed error here instead
-    /// of an out-of-bounds panic at pricing time.
-    pub fn from_parts(
-        p: u32,
-        uniq: Vec<Vec<MergedOp>>,
-        shift: Vec<u8>,
-        order: Vec<u32>,
-    ) -> Result<Self, String> {
-        let n = uniq.len() as u32;
-        if shift.len() != uniq.len() {
-            return Err(format!(
-                "{} stage shifts for {n} unique stages",
-                shift.len()
-            ));
-        }
-        if let Some(k) = shift.iter().position(|&s| s >= 64) {
-            return Err(format!("unique stage {k} has shift {} ≥ 64", shift[k]));
-        }
-        for (si, stage) in uniq.iter().enumerate() {
-            if stage.is_empty() {
-                return Err(format!(
-                    "unique stage {si} is empty (compile never emits one)"
-                ));
-            }
-            for op in stage {
-                if op.from >= p || op.to >= p {
-                    return Err(format!(
-                        "unique stage {si} op {}→{} out of range for p={p}",
-                        op.from, op.to
-                    ));
-                }
-            }
-        }
-        for (oi, &slot) in order.iter().enumerate() {
-            if slot != EMPTY_STAGE && slot >= n {
-                return Err(format!(
-                    "stage order entry {oi} references unique stage {slot} of {n}"
-                ));
-            }
-        }
-        Ok(TimedSchedule {
-            p,
-            uniq,
-            shift,
-            order,
-        })
-    }
-
     /// Communicator size the schedule was compiled for.
     pub fn p(&self) -> u32 {
         self.p
@@ -1177,16 +1123,6 @@ mod tests {
             analytic.time(&comm, &model, 4096),
             reference::time_schedule(&tarr_ring(24), &comm, &model, 4096)
         );
-    }
-
-    #[test]
-    fn from_parts_validates_stage_shifts() {
-        let stage = vec![unit_op(0, 1)];
-        assert!(TimedSchedule::from_parts(2, vec![stage.clone()], vec![3], vec![0, 0]).is_ok());
-        let wrong_len = TimedSchedule::from_parts(2, vec![stage.clone()], vec![], vec![0]);
-        assert!(wrong_len.unwrap_err().contains("stage shifts"));
-        let too_big = TimedSchedule::from_parts(2, vec![stage], vec![64], vec![0]);
-        assert!(too_big.unwrap_err().contains("shift 64"));
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl FlowEngine {
         LinkIdx(self.capacity.len() - 1)
     }
 
-    /// Number of flows not yet completed.
-    pub fn active_flows(&self) -> usize {
-        self.flows.iter().filter(|f| f.phase != Phase::Done).count()
-    }
-
     /// Start a flow at the current time: it idles for `latency_s`, then
     /// drains `bytes` through `path` at the max-min fair rate.
     ///
@@ -108,11 +103,6 @@ impl FlowEngine {
             },
         });
         id
-    }
-
-    /// Cumulative bytes injected per link, indexed by [`LinkIdx`].
-    pub fn link_loads(&self) -> &[f64] {
-        &self.link_bytes
     }
 
     /// The `k` most heavily loaded links, by cumulative injected bytes,

@@ -108,10 +108,9 @@ fn check_snapshot(path: &Path) -> ExitCode {
     for (name, cs) in &snap.clusters {
         match cs.restore() {
             Ok(core) => println!(
-                "  {name}: {} ranks, {} cached mapping(s), {} schedule(s), {} price(s) — restores OK",
+                "  {name}: {} ranks, {} cached mapping(s), {} price(s) — restores OK",
                 core.size(),
                 cs.state.mappings.len(),
-                cs.state.scheds.len(),
                 cs.state.prices.len()
             ),
             Err(e) => {

@@ -6,7 +6,7 @@
 //! [`Event`]s in a checksummed write-ahead log ([`log`]), fsync'd before
 //! the reply is acknowledged. A [`snapshot`] captures every named
 //! cluster's warm [`tarr_core::SessionCore`] — binding, cached mappings,
-//! reordered communicators, compiled schedules, priced totals — so a
+//! priced totals — so a
 //! restarted service boots by loading the latest snapshot and replaying
 //! only the log tail ([`state::restore_dir`]) instead of re-pricing the
 //! world. Because every event is a *seeded* description of a

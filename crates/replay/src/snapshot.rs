@@ -1,12 +1,15 @@
 //! Versioned warm-state snapshots of the whole engine.
 //!
 //! A snapshot captures every named cluster's [`tarr_core::CoreState`]
-//! (binding + all four cache contents), its cluster as canonical
+//! (binding, cached mappings, price totals), its cluster as canonical
 //! `topo-ingest` text, and its [`SessionConfig`] — everything needed to
-//! rebuild a warm [`SessionCore`] without re-running a single mapping,
-//! schedule compile, or price. The distance oracle is *not* stored: it is a
-//! pure function of (cluster, binding, config) and is rebuilt in O(P) on
-//! restore.
+//! rebuild a warm [`SessionCore`] without re-running a mapping heuristic or
+//! a price simulation. Nothing derivable is stored. The distance oracle is
+//! a pure function of (cluster, binding, config) and is rebuilt in O(P) on
+//! restore. Reordered communicators and compiled schedules are pure
+//! functions of a mapping, `p` and the node groups; a restored core
+//! rebuilds each on its first miss, and a warm price answers from the
+//! price cache without either.
 //!
 //! File layout:
 //!
@@ -17,18 +20,39 @@
 //! [4]  CRC-32 over the body
 //! ```
 //!
-//! **Versioning policy.** [`SNAP_VERSION`] is the only version ever
-//! written. Decoding dispatches on the stored version: every version ever
-//! shipped keeps its decoder forever, and each old decoder *migrates
-//! forward* into the current in-memory [`EngineSnapshot`] (V1 → V2 fills
-//! the then-nonexistent `meta` section with its V2 default; V2 → V3 gives
-//! every compiled stage the halving shift 0, which is what every V2
-//! schedule had). V3 added the size-parametric broadcast and allreduce
-//! schedule keys and one shift byte per unique stage. A version
+//! The V4 body, all integers little-endian:
+//!
+//! ```text
+//! u64  last event id
+//! u32  meta count, then per entry: str key, str value
+//! u32  cluster count, then per cluster (sorted by name):
+//!        str     name
+//!        str     cluster text
+//!        cfg     u64 seed, 8 × u16 distance levels, 2 × f64 extraction,
+//!                f64 switch overhead, 7 × (f64 latency, f64 bandwidth)
+//!                channels, f64 memcpy latency, f64 memcpy bandwidth
+//!        vec_u32 binding (core id per rank)
+//!        u32     mapping count, then per entry: mapper, pattern,
+//!                u8 0 (unsupported) | 1 + vec_u32 permutation
+//!        u32     price count, then per entry: schedule key, communicator
+//!                key, u64 bytes, f64 total, u32 unique-stage count
+//! ```
+//!
+//! (`str` is a `u32` length plus UTF-8 bytes, `vec_u32` a `u32` count plus
+//! the elements.)
+//!
+//! **Versioning policy.** [`SNAP_VERSION`] (4) is the only version written.
+//! V1–V3 are frozen: the committed `tests/fixtures/snapshot_v{1,2,3}.tsnap`
+//! must decode, restore and answer probes on every build, and their
+//! decoders migrate forward into the current in-memory [`EngineSnapshot`].
+//! V1 has no `meta` section (it decodes empty). V1–V3 carry a legacy
+//! `cfg backend` byte after the seed (0 was the dense matrix, 1 the
+//! implicit oracle; both restore the same core, anything else is refused)
+//! and store reordered communicators and compiled schedules between the
+//! mappings and the prices. Their decoders parse and discard those
+//! sections; a price takes its unique-stage count from its schedule's
+//! header and is dropped when the body holds no such schedule. A version
 //! newer than [`SNAP_VERSION`] is a typed [`ReplayError::UnsupportedVersion`].
-//! `encode_with_version` can still write old versions — that is how the
-//! committed migration fixtures were generated and how the policy is
-//! tested — and refuses, typed, state an old version cannot represent.
 //!
 //! **Determinism.** Cache entries are sorted by their encoded key bytes
 //! and all wall-clock metadata is excluded, so two engines with identical
@@ -37,18 +61,18 @@
 
 use crate::wire::{crc32, Dec, Enc, WireError};
 use crate::ReplayError;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use tarr_collectives::{AllgatherAlg, InterAlg, IntraPattern};
 use tarr_core::{CommKey, CoreState, Mapper, PatternKind, SchedKey, SessionConfig, SessionCore};
 use tarr_ingest::ClusterSnapshot;
-use tarr_mpi::{MergedOp, TimedSchedule};
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 8] = b"TARRSNAP";
 
 /// Current (and only ever written) snapshot version.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Default snapshot file name inside a state directory.
 pub const SNAP_FILE: &str = "snapshot.tsnap";
@@ -60,7 +84,7 @@ pub struct ClusterState {
     pub cluster_text: String,
     /// The session config the core was extracted under.
     pub cfg: SessionConfig,
-    /// Exported binding + cache contents.
+    /// Exported binding, mappings and prices.
     pub state: CoreState,
 }
 
@@ -246,14 +270,6 @@ fn enc_sched_key(e: &mut Enc, k: SchedKey) {
     }
 }
 
-/// Whether `k` exists only from snapshot V3 on.
-fn is_v3_sched_key(k: SchedKey) -> bool {
-    matches!(
-        k,
-        SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner
-    )
-}
-
 fn dec_sched_key(d: &mut Dec) -> Result<SchedKey, WireError> {
     let at = d.pos();
     Ok(match d.u8("sched key tag")? {
@@ -319,13 +335,8 @@ fn dec_comm_key(d: &mut Dec) -> Result<CommKey, WireError> {
 // config
 // ---------------------------------------------------------------------------
 
-/// The legacy `cfg backend` byte: 0 was the dense matrix, 1 the implicit
-/// oracle. Both now restore the same oracle core; snapshots write 1.
-const CFG_BACKEND_IMPLICIT: u8 = 1;
-
 fn enc_cfg(e: &mut Enc, cfg: &SessionConfig) {
     e.u64(cfg.seed);
-    e.u8(CFG_BACKEND_IMPLICIT);
     let d = &cfg.dist;
     for v in [
         d.same_core,
@@ -359,13 +370,15 @@ fn enc_cfg(e: &mut Enc, cfg: &SessionConfig) {
     e.f64(n.memcpy.bandwidth_bps);
 }
 
-fn dec_cfg(d: &mut Dec) -> Result<SessionConfig, WireError> {
+fn dec_cfg(d: &mut Dec, version: u32) -> Result<SessionConfig, WireError> {
     let mut cfg = SessionConfig {
         seed: d.u64("cfg seed")?,
         ..SessionConfig::default()
     };
+    // V1–V3: the legacy backend byte, 0 (dense) or 1 (implicit). Both
+    // restore the same oracle core.
     let at = d.pos();
-    if d.u8("cfg backend")? > CFG_BACKEND_IMPLICIT {
+    if version < 4 && d.u8("cfg backend")? > 1 {
         return Err(WireError {
             offset: at,
             what: "cfg backend",
@@ -400,61 +413,66 @@ fn dec_cfg(d: &mut Dec) -> Result<SessionConfig, WireError> {
     Ok(cfg)
 }
 
-// ---------------------------------------------------------------------------
-// schedules
-// ---------------------------------------------------------------------------
-
-/// A compiled schedule; from V3 on each unique stage leads with its
-/// halving shift.
-fn enc_schedule(e: &mut Enc, ts: &TimedSchedule, version: u32) {
-    e.u32(ts.p());
-    let uniq = ts.unique_stages();
-    e.u32(uniq.len() as u32);
-    for (stage, &shift) in uniq.iter().zip(ts.stage_shifts()) {
-        if version >= 3 {
-            e.u8(shift);
-        }
-        e.u32(stage.len() as u32);
-        for op in stage {
-            e.u32(op.from);
-            e.u32(op.to);
-            e.u64(op.blocks);
-            e.u64(op.raw);
-        }
+/// A `u8 0 | 1 + vec_u32` entry: a cached "unsupported" outcome or a
+/// permutation.
+fn dec_opt_vec(d: &mut Dec, what: &'static str) -> Result<Option<Vec<u32>>, WireError> {
+    let at = d.pos();
+    match d.u8(what)? {
+        0 => Ok(None),
+        1 => Ok(Some(d.vec_u32(what)?)),
+        _ => Err(WireError { offset: at, what }),
     }
-    e.vec_u32(ts.stage_order());
 }
 
-fn dec_schedule(d: &mut Dec, version: u32) -> Result<TimedSchedule, WireError> {
-    let at = d.pos();
-    let p = d.u32("schedule p")?;
-    let n = d.u32("schedule unique count")? as usize;
-    let mut uniq = Vec::new();
-    let mut shift = Vec::new();
+// ---------------------------------------------------------------------------
+// V1–V3 cache sections, parsed and discarded
+// ---------------------------------------------------------------------------
+
+/// Parse past one V1–V3 compiled schedule, returning its unique-stage
+/// count. From V3 on each unique stage leads with a halving-shift byte.
+fn skip_schedule(d: &mut Dec, version: u32) -> Result<u32, WireError> {
+    d.u32("schedule p")?;
+    let n = d.u32("schedule unique count")?;
     for _ in 0..n {
-        // V1/V2 schedules were all unshifted.
-        shift.push(if version >= 3 {
-            d.u8("schedule stage shift")?
-        } else {
-            0
-        });
-        let m = d.u32("schedule stage op count")? as usize;
-        let mut stage = Vec::new();
-        for _ in 0..m {
-            stage.push(MergedOp {
-                from: d.u32("schedule op from")?,
-                to: d.u32("schedule op to")?,
-                blocks: d.u64("schedule op blocks")?,
-                raw: d.u64("schedule op raw")?,
-            });
+        if version >= 3 {
+            d.u8("schedule stage shift")?;
         }
-        uniq.push(stage);
+        // Per op: u32 from, u32 to, u64 blocks, u64 raw.
+        let ops = d.u32("schedule stage op count")? as usize;
+        d.raw(ops.saturating_mul(24), "schedule stage ops")?;
     }
-    let order = d.vec_u32("schedule order")?;
-    TimedSchedule::from_parts(p, uniq, shift, order).map_err(|_| WireError {
-        offset: at,
-        what: "schedule invariants",
-    })
+    d.vec_u32("schedule order")?;
+    Ok(n)
+}
+
+/// Parse past the V1–V3 communicator and schedule sections, returning the
+/// unique-stage count of every compiled schedule they held.
+fn skip_cache_sections(d: &mut Dec, version: u32) -> Result<HashMap<SchedKey, u32>, WireError> {
+    let n = d.u32("comm count")?;
+    for _ in 0..n {
+        dec_mapper(d)?;
+        dec_pattern(d)?;
+        dec_opt_vec(d, "comm entry")?;
+    }
+    let n = d.u32("sched count")?;
+    let mut stages = HashMap::new();
+    for _ in 0..n {
+        let key = dec_sched_key(d)?;
+        let at = d.pos();
+        match d.u8("sched entry flag")? {
+            0 => {}
+            1 => {
+                stages.insert(key, skip_schedule(d, version)?);
+            }
+            _ => {
+                return Err(WireError {
+                    offset: at,
+                    what: "sched entry flag",
+                })
+            }
+        }
+    }
+    Ok(stages)
 }
 
 // ---------------------------------------------------------------------------
@@ -487,11 +505,6 @@ impl ClusterState {
             enc_mapper(e, m);
             enc_pattern(e, p);
         });
-        sort_by_key_bytes(&mut state.comms, |e, (m, p)| {
-            enc_mapper(e, m);
-            enc_pattern(e, p);
-        });
-        sort_by_key_bytes(&mut state.scheds, enc_sched_key);
         sort_by_key_bytes(&mut state.prices, |e, (sk, ck, bytes)| {
             enc_sched_key(e, sk);
             enc_comm_key(e, ck);
@@ -517,23 +530,7 @@ impl ClusterState {
             .map_err(|what| ReplayError::BadSnapshot { what })
     }
 
-    /// Whether the state holds anything only snapshot V3 can encode: a
-    /// broadcast or allreduce schedule key, or a stage with a nonzero
-    /// halving shift.
-    fn needs_v3(&self) -> bool {
-        self.state.scheds.iter().any(|(k, ts)| {
-            is_v3_sched_key(*k)
-                || ts
-                    .as_ref()
-                    .is_some_and(|ts| ts.stage_shifts().iter().any(|&s| s != 0))
-        }) || self
-            .state
-            .prices
-            .iter()
-            .any(|((k, _, _), _)| is_v3_sched_key(*k))
-    }
-
-    fn encode(&self, e: &mut Enc, version: u32) {
+    fn encode(&self, e: &mut Enc) {
         e.str(&self.cluster_text);
         enc_cfg(e, &self.cfg);
         e.vec_u32(&self.state.cores);
@@ -549,84 +546,45 @@ impl ClusterState {
                 }
             }
         }
-        e.u32(self.state.comms.len() as u32);
-        for ((m, p), v) in &self.state.comms {
-            enc_mapper(e, *m);
-            enc_pattern(e, *p);
-            match v {
-                None => e.u8(0),
-                Some(cores) => {
-                    e.u8(1);
-                    e.vec_u32(cores);
-                }
-            }
-        }
-        e.u32(self.state.scheds.len() as u32);
-        for (k, v) in &self.state.scheds {
-            enc_sched_key(e, *k);
-            match v {
-                None => e.u8(0),
-                Some(ts) => {
-                    e.u8(1);
-                    enc_schedule(e, ts, version);
-                }
-            }
-        }
         e.u32(self.state.prices.len() as u32);
-        for ((sk, ck, bytes), price) in &self.state.prices {
+        for ((sk, ck, bytes), (total, stages)) in &self.state.prices {
             enc_sched_key(e, *sk);
             enc_comm_key(e, *ck);
             e.u64(*bytes);
-            e.f64(*price);
+            e.f64(*total);
+            e.u32(*stages);
         }
     }
 
     fn decode(d: &mut Dec, version: u32) -> Result<ClusterState, WireError> {
         let cluster_text = d.str("cluster text")?;
-        let cfg = dec_cfg(d)?;
+        let cfg = dec_cfg(d, version)?;
         let cores = d.vec_u32("binding")?;
-        let opt_vec = |d: &mut Dec, what: &'static str| -> Result<Option<Vec<u32>>, WireError> {
-            let at = d.pos();
-            match d.u8(what)? {
-                0 => Ok(None),
-                1 => Ok(Some(d.vec_u32(what)?)),
-                _ => Err(WireError { offset: at, what }),
-            }
-        };
         let n = d.u32("mapping count")? as usize;
         let mut mappings = Vec::new();
         for _ in 0..n {
             let key = (dec_mapper(d)?, dec_pattern(d)?);
-            mappings.push((key, opt_vec(d, "mapping entry")?));
+            mappings.push((key, dec_opt_vec(d, "mapping entry")?));
         }
-        let n = d.u32("comm count")? as usize;
-        let mut comms = Vec::new();
-        for _ in 0..n {
-            let key = (dec_mapper(d)?, dec_pattern(d)?);
-            comms.push((key, opt_vec(d, "comm entry")?));
-        }
-        let n = d.u32("sched count")? as usize;
-        let mut scheds = Vec::new();
-        for _ in 0..n {
-            let key = dec_sched_key(d)?;
-            let at = d.pos();
-            let v = match d.u8("sched entry flag")? {
-                0 => None,
-                1 => Some(dec_schedule(d, version)?),
-                _ => {
-                    return Err(WireError {
-                        offset: at,
-                        what: "sched entry flag",
-                    })
-                }
-            };
-            scheds.push((key, v));
-        }
+        let sched_stages = if version < 4 {
+            Some(skip_cache_sections(d, version)?)
+        } else {
+            None
+        };
         let n = d.u32("price count")? as usize;
         let mut prices = Vec::new();
         for _ in 0..n {
             let key = (dec_sched_key(d)?, dec_comm_key(d)?, d.u64("price bytes")?);
-            prices.push((key, d.f64("price value")?));
+            let total = d.f64("price value")?;
+            let stages = match &sched_stages {
+                None => Some(d.u32("price stage count")?),
+                // V1–V3: a price exported without its schedule (the two
+                // maps were read without a common lock) has no stage count.
+                Some(sched_stages) => sched_stages.get(&key.0).copied(),
+            };
+            if let Some(stages) = stages {
+                prices.push((key, (total, stages)));
+            }
         }
         Ok(ClusterState {
             cluster_text,
@@ -634,8 +592,6 @@ impl ClusterState {
             state: CoreState {
                 cores,
                 mappings,
-                comms,
-                scheds,
                 prices,
             },
         })
@@ -647,58 +603,29 @@ impl ClusterState {
 // ---------------------------------------------------------------------------
 
 impl EngineSnapshot {
-    /// Encode at the current [`SNAP_VERSION`].
-    pub fn encode(&self) -> Result<Vec<u8>, ReplayError> {
-        self.encode_with_version(SNAP_VERSION)
-    }
-
-    /// Encode at an explicit version — the migration-fixture generator and
-    /// the version-policy tests. V1 predates `meta` and V1/V2 predate the
-    /// broadcast/allreduce schedule keys and stage shifts, so encoding state
-    /// an old version cannot hold is a typed refusal rather than silent
-    /// data loss.
-    pub fn encode_with_version(&self, version: u32) -> Result<Vec<u8>, ReplayError> {
-        if version == 0 || version > SNAP_VERSION {
-            return Err(ReplayError::UnsupportedVersion(version));
-        }
-        if version < 2 && !self.meta.is_empty() {
-            return Err(ReplayError::BadSnapshot {
-                what: format!("metadata requires snapshot v2, asked to encode v{version}"),
-            });
-        }
-        if version < 3 {
-            if let Some((name, _)) = self.clusters.iter().find(|(_, cs)| cs.needs_v3()) {
-                return Err(ReplayError::BadSnapshot {
-                    what: format!(
-                        "cluster \"{name}\" holds broadcast/allreduce schedules, which \
-                         require snapshot v3, asked to encode v{version}"
-                    ),
-                });
-            }
-        }
+    /// Encode at [`SNAP_VERSION`], the only version written.
+    pub fn encode(&self) -> Vec<u8> {
         let mut body = Enc::new();
         body.u64(self.last_event_id);
-        if version >= 2 {
-            body.u32(self.meta.len() as u32);
-            for (k, v) in &self.meta {
-                body.str(k);
-                body.str(v);
-            }
+        body.u32(self.meta.len() as u32);
+        for (k, v) in &self.meta {
+            body.str(k);
+            body.str(v);
         }
         let mut clusters: Vec<&(String, ClusterState)> = self.clusters.iter().collect();
         clusters.sort_by(|a, b| a.0.cmp(&b.0));
         body.u32(clusters.len() as u32);
         for (name, cs) in clusters {
             body.str(name);
-            cs.encode(&mut body, version);
+            cs.encode(&mut body);
         }
         let body = body.into_bytes();
         let mut e = Enc::new();
         e.raw(SNAP_MAGIC);
-        e.u32(version);
+        e.u32(SNAP_VERSION);
         e.raw(&body);
         e.u32(crc32(&body));
-        Ok(e.into_bytes())
+        e.into_bytes()
     }
 
     /// Decode any supported version, migrating forward to the current
@@ -779,7 +706,7 @@ impl EngineSnapshot {
 /// crash at any point leaves either the old snapshot or the new one —
 /// never a torn mix.
 pub fn write_atomic(dir: &Path, snap: &EngineSnapshot) -> Result<u64, ReplayError> {
-    let bytes = snap.encode()?;
+    let bytes = snap.encode();
     let target = dir.join(SNAP_FILE);
     let tmp = dir.join(format!("{SNAP_FILE}.tmp"));
     match write_atomic_inner(dir, &target, &tmp, &bytes) {
@@ -843,6 +770,7 @@ pub fn load(dir: &Path) -> Result<Option<EngineSnapshot>, ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{probe_suite, BackendKind, IngestSource, IngestSpec, LayoutKind};
     use tarr_mapping::InitialMapping;
     use tarr_topo::Cluster;
 
@@ -871,15 +799,36 @@ mod tests {
         core
     }
 
+    /// The core the committed `tests/fixtures/snapshot_v*.tsnap` were
+    /// captured from (see `tests/migration.rs`): 16 seeded GPC ranks,
+    /// warmed by the probe suite.
+    fn fixture_core() -> Arc<SessionCore> {
+        let spec = IngestSpec {
+            source: IngestSource::GpcNodes(2),
+            layout: LayoutKind::BlockBunch,
+            p: None,
+            seed: Some(42),
+            backend: BackendKind::Implicit,
+            replace: false,
+        };
+        let core = Arc::new(crate::build_core(&spec).unwrap());
+        let _ = probe_suite(&core);
+        core
+    }
+
+    const V1: &[u8] = include_bytes!("../tests/fixtures/snapshot_v1.tsnap");
+    const V2: &[u8] = include_bytes!("../tests/fixtures/snapshot_v2.tsnap");
+    const V3: &[u8] = include_bytes!("../tests/fixtures/snapshot_v3.tsnap");
+
     #[test]
     fn snapshot_roundtrips_and_is_deterministic() {
         let core = warm_core();
         let snap = EngineSnapshot::capture(7, &[("gpc".into(), core)]).unwrap();
-        let a = snap.encode().unwrap();
+        let a = snap.encode();
         let decoded = EngineSnapshot::decode(&a).unwrap();
         assert_eq!(decoded.last_event_id, 7);
         assert_eq!(decoded.clusters.len(), 1);
-        let b = decoded.encode().unwrap();
+        let b = decoded.encode();
         assert_eq!(a, b, "encode→decode→encode must be a fixed point");
     }
 
@@ -887,12 +836,10 @@ mod tests {
     fn two_identically_warmed_cores_snapshot_identically() {
         let a = EngineSnapshot::capture(1, &[("x".into(), warm_core())])
             .unwrap()
-            .encode()
-            .unwrap();
+            .encode();
         let b = EngineSnapshot::capture(1, &[("x".into(), warm_core())])
             .unwrap()
-            .encode()
-            .unwrap();
+            .encode();
         assert_eq!(a, b);
     }
 
@@ -905,7 +852,7 @@ mod tests {
             (core, t)
         };
         let snap = EngineSnapshot::capture(1, &[("gpc".into(), before.0.clone())]).unwrap();
-        let bytes = snap.encode().unwrap();
+        let bytes = snap.encode();
         let restored = EngineSnapshot::decode(&bytes).unwrap().clusters[0]
             .1
             .restore()
@@ -929,8 +876,9 @@ mod tests {
 
     /// Broadcast and allreduce prices ride through a snapshot like every
     /// other collective: a restored core answers the warm ones from its
-    /// price cache, bit-identically, and prices a new size through the
-    /// restored (shifted) schedules without recompiling them.
+    /// price cache, bit-identically. A size never priced before recompiles
+    /// each of the three schedules once, from nothing but `p`, and prices
+    /// bit-identically to the live core.
     #[test]
     fn restored_core_answers_bcast_and_allreduce_from_the_cache() {
         type Ask = fn(&mut tarr_core::SessionHandle, u64, tarr_core::Scheme) -> f64;
@@ -955,16 +903,7 @@ mod tests {
         let core = warm_core();
         let warm = sweep(&core, &[1, 4096, 1 << 20]);
         let snap = EngineSnapshot::capture(1, &[("gpc".into(), core.clone())]).unwrap();
-        for old in [1, 2] {
-            assert!(
-                matches!(
-                    snap.encode_with_version(old),
-                    Err(ReplayError::BadSnapshot { .. })
-                ),
-                "v{old} cannot hold broadcast/allreduce schedules"
-            );
-        }
-        let bytes = snap.encode().unwrap();
+        let bytes = snap.encode();
         let restored = EngineSnapshot::decode(&bytes).unwrap().clusters[0]
             .1
             .restore()
@@ -974,48 +913,125 @@ mod tests {
         let stats = restored.cache_stats();
         assert_eq!(stats.misses(), 0, "warm prices recomputed: {stats:?}");
         assert_eq!(stats.prices.hits, warm.len() as u64);
-        // A size never priced before: a price miss over restored schedules.
+        // A size never priced before: each schedule is recompiled once.
         assert_eq!(sweep(&restored, &[7]), sweep(&core, &[7]));
-        assert_eq!(restored.cache_stats().since(stats).scheds.misses, 0);
+        let new_size = restored.cache_stats().since(stats);
+        assert_eq!(new_size.scheds.misses, 3, "{new_size:?}");
+        assert_eq!(sweep(&restored, &[9]), sweep(&core, &[9]));
+        assert_eq!(restored.cache_stats().since(stats).scheds.misses, 3);
+    }
+
+    /// Decode `bytes`, check the stored version, and restore its one
+    /// cluster.
+    fn restore_fixture(bytes: &[u8], version: u32) -> (EngineSnapshot, Arc<SessionCore>) {
+        assert_eq!(&bytes[8..12], &version.to_le_bytes());
+        let snap = EngineSnapshot::decode(bytes).unwrap();
+        assert_eq!(snap.last_event_id, 3);
+        assert_eq!(snap.clusters.len(), 1);
+        let core = Arc::new(snap.clusters[0].1.restore().unwrap());
+        (snap, core)
     }
 
     #[test]
     fn v1_snapshots_migrate_forward() {
-        let core = warm_core();
-        let snap = EngineSnapshot::capture(3, &[("gpc".into(), core)]).unwrap();
-        let v1 = snap.encode_with_version(1).unwrap();
-        let decoded = EngineSnapshot::decode(&v1).unwrap();
-        assert_eq!(decoded.last_event_id, 3);
+        let (decoded, restored) = restore_fixture(V1, 1);
         assert!(decoded.meta.is_empty());
-        assert_eq!(decoded.clusters.len(), 1);
-        decoded.clusters[0].1.restore().unwrap();
+        assert!(!decoded.clusters[0].1.state.prices.is_empty());
+        assert_eq!(probe_suite(&restored), probe_suite(&fixture_core()));
         // Re-encoding a migrated snapshot writes the current version.
-        let current = decoded.encode().unwrap();
+        let current = decoded.encode();
         assert_eq!(&current[8..12], &SNAP_VERSION.to_le_bytes());
     }
 
+    /// The V2 fixture is the fixture core minus the broadcast and
+    /// allreduce entries V2 could not hold, and the V3 fixture the fixture
+    /// core after a broadcast and allreduce sweep (shifted stages). Both
+    /// migrate to exactly the V4 snapshot of that state: every price keeps
+    /// its total and takes its stage count from its stored schedule.
     #[test]
     fn v2_snapshots_migrate_forward_with_unshifted_stages() {
-        let snap = EngineSnapshot::capture(3, &[("gpc".into(), warm_core())]).unwrap();
-        let v2 = snap.encode_with_version(2).unwrap();
-        let decoded = EngineSnapshot::decode(&v2).unwrap();
-        // V2 stored no shifts; every stage it held was unshifted, so the
-        // migrated snapshot re-encodes exactly as a direct V3 encode.
-        assert_eq!(decoded.encode().unwrap(), snap.encode().unwrap());
+        let v3_only = |k: &SchedKey| {
+            matches!(
+                k,
+                SchedKey::Bcast | SchedKey::AllreduceRd | SchedKey::AllreduceRabenseifner
+            )
+        };
+        let mut v2_state = EngineSnapshot::capture(3, &[("gpc".into(), fixture_core())]).unwrap();
+        v2_state.clusters[0]
+            .1
+            .state
+            .prices
+            .retain(|((k, _, _), _)| !v3_only(k));
+        let (decoded, _) = restore_fixture(V2, 2);
+        assert_eq!(decoded.encode(), v2_state.encode());
+
+        let core = fixture_core();
+        let mut h = core.handle();
+        for sc in [tarr_core::Scheme::Default, scheme(Mapper::Hrstc)] {
+            for b in [1u64, 4096, 1 << 20] {
+                let _ = h.bcast_time(b, sc);
+                let _ = h.allreduce_time(b, false, sc);
+                let _ = h.allreduce_time(b, true, sc);
+            }
+        }
+        let v3_state = EngineSnapshot::capture(3, &[("gpc".into(), core)]).unwrap();
+        let (decoded, _) = restore_fixture(V3, 3);
+        assert_eq!(decoded.encode(), v3_state.encode());
     }
 
+    /// A V3 price whose schedule is missing from the body (the export read
+    /// the schedule and price maps without a common lock) is dropped; the
+    /// rest of the snapshot restores.
     #[test]
-    fn meta_cannot_be_downgraded_to_v1() {
-        let mut snap = EngineSnapshot {
-            last_event_id: 0,
-            meta: Vec::new(),
-            clusters: Vec::new(),
-        };
-        snap.meta.push(("k".into(), "v".into()));
-        assert!(matches!(
-            snap.encode_with_version(1),
-            Err(ReplayError::BadSnapshot { .. })
-        ));
+    fn v3_price_without_its_schedule_is_dropped() {
+        let cluster = Cluster::gpc(2);
+        let mut cfg = Enc::new();
+        enc_cfg(&mut cfg, &SessionConfig::default());
+        let cfg = cfg.into_bytes();
+        let mut e = Enc::new();
+        e.u64(3); // last event id
+        e.u32(0); // meta
+        e.u32(1);
+        e.str("gpc");
+        e.str(&ClusterSnapshot::canonical_cluster_text(&cluster));
+        e.raw(&cfg[..8]);
+        e.u8(1); // legacy backend byte
+        e.raw(&cfg[8..]);
+        e.vec_u32(&(0..16).collect::<Vec<u32>>());
+        e.u32(0); // mappings
+        e.u32(0); // comms
+        e.u32(1); // scheds: a one-stage broadcast stand-in
+        enc_sched_key(&mut e, SchedKey::Bcast);
+        e.u8(1);
+        e.u32(16); // p
+        e.u32(1); // one unique stage
+        e.u8(0); // its halving shift
+        e.u32(1); // one op: 0 → 1, one block, no raw bytes
+        e.u32(0);
+        e.u32(1);
+        e.u64(1);
+        e.u64(0);
+        e.vec_u32(&[0]); // stage order
+        e.u32(2); // prices: one with its schedule, one without
+        for (k, total) in [(SchedKey::Bcast, 1.0), (SchedKey::Gather, 2.0)] {
+            enc_sched_key(&mut e, k);
+            enc_comm_key(&mut e, CommKey::Default);
+            e.u64(1024);
+            e.f64(total);
+        }
+        let body = e.into_bytes();
+        let mut file = Enc::new();
+        file.raw(SNAP_MAGIC);
+        file.u32(3);
+        file.raw(&body);
+        file.u32(crc32(&body));
+        let snap = EngineSnapshot::decode(&file.into_bytes()).unwrap();
+        let state = &snap.clusters[0].1.state;
+        assert_eq!(
+            state.prices,
+            vec![((SchedKey::Bcast, CommKey::Default, 1024), (1.0, 1))]
+        );
+        snap.clusters[0].1.restore().unwrap();
     }
 
     #[test]
@@ -1025,7 +1041,7 @@ mod tests {
             meta: Vec::new(),
             clusters: Vec::new(),
         };
-        let mut bytes = snap.encode().unwrap();
+        let mut bytes = snap.encode();
         bytes[8..12].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
         assert!(matches!(
             EngineSnapshot::decode(&bytes),
@@ -1037,7 +1053,7 @@ mod tests {
     fn corruption_is_typed() {
         let core = warm_core();
         let snap = EngineSnapshot::capture(1, &[("gpc".into(), core)]).unwrap();
-        let bytes = snap.encode().unwrap();
+        let bytes = snap.encode();
         // Checksum catches a flipped body byte.
         let mut bad = bytes.clone();
         bad[40] ^= 0xFF;
@@ -1062,47 +1078,30 @@ mod tests {
         assert!(n > 0);
         let loaded = load(&dir).unwrap().unwrap();
         assert_eq!(loaded.last_event_id, 5);
-        assert_eq!(loaded.encode().unwrap(), snap.encode().unwrap());
+        assert_eq!(loaded.encode(), snap.encode());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The probes a restored core must answer as the original does: warm
-    /// cache hits and answers computed cold on the restored oracle.
-    fn answers(core: &Arc<SessionCore>) -> Vec<u64> {
-        let mut h = core.handle();
-        let mut out = Vec::new();
-        for (mapper, pattern) in [
-            (Mapper::Hrstc, PatternKind::Rd),
-            (Mapper::Hrstc, PatternKind::Ring),
-            (Mapper::Greedy, PatternKind::BinomialBcast),
-        ] {
-            let m = h.mapping(mapper, pattern).unwrap();
-            out.extend(m.mapping.iter().map(|&v| v as u64));
-        }
-        out.push(h.allgather_time(4096, scheme(Mapper::Hrstc)).to_bits());
-        out.push(h.bcast_time(4096, scheme(Mapper::Hrstc)).to_bits());
-        out.push(h.gather_time(1024, scheme(Mapper::ScotchLike)).to_bits());
-        out
-    }
-
-    /// The `cfg backend` byte is a legacy tag: either legal value restores
-    /// the same oracle core, and any other value is a typed decode error.
+    /// The `cfg backend` byte is a legacy tag of V1–V3: either legal value
+    /// restores the same oracle core, and any other value is a typed decode
+    /// error. V4 writes no such byte.
     #[test]
     fn cfg_backend_byte_is_a_legacy_tag() {
-        let core = warm_core();
-        let snap = EngineSnapshot::capture(3, &[("gpc".into(), core.clone())]).unwrap();
-        let bytes = snap.encode().unwrap();
+        let core = fixture_core();
         let mut cfg = Enc::new();
         enc_cfg(&mut cfg, core.config());
         let cfg = cfg.into_bytes();
-        let at = bytes
-            .windows(cfg.len())
-            .position(|w| w == cfg)
-            .expect("the encoded config is in the snapshot")
+        // V3 stores the byte between the seed and the distance levels.
+        let mut legacy = cfg[..8].to_vec();
+        legacy.push(1);
+        legacy.extend_from_slice(&cfg[8..]);
+        let at = V3
+            .windows(legacy.len())
+            .position(|w| w == legacy)
+            .expect("the encoded config is in the V3 fixture")
             + 8; // after the seed
-        assert_eq!(bytes[at], CFG_BACKEND_IMPLICIT);
         let patched = |v: u8| {
-            let mut b = bytes.clone();
+            let mut b = V3.to_vec();
             b[at] = v;
             let n = b.len();
             let crc = crc32(&b[12..n - 4]);
@@ -1110,14 +1109,14 @@ mod tests {
             b
         };
 
-        let expected = answers(&core);
+        let expected = probe_suite(&core);
         for v in [0, 1] {
             let snap = EngineSnapshot::decode(&patched(v)).unwrap();
             let restored = Arc::new(snap.clusters[0].1.restore().unwrap());
-            assert_eq!(answers(&restored), expected, "backend byte {v}");
+            assert_eq!(probe_suite(&restored), expected, "backend byte {v}");
         }
 
-        let err = dec_cfg(&mut Dec::new(&patched(2)[at - 8..])).unwrap_err();
+        let err = dec_cfg(&mut Dec::new(&patched(2)[at - 8..]), 3).unwrap_err();
         assert_eq!(err.what, "cfg backend");
         match EngineSnapshot::decode(&patched(2)) {
             Err(ReplayError::BadSnapshot { what }) => {
@@ -1125,5 +1124,12 @@ mod tests {
             }
             other => panic!("backend byte 2 must be refused: {other:?}"),
         }
+
+        // V4: the config is stored as is, with no backend byte.
+        let v4 = EngineSnapshot::capture(3, &[("gpc".into(), core)])
+            .unwrap()
+            .encode();
+        assert!(v4.windows(cfg.len()).any(|w| w == cfg));
+        assert!(!v4.windows(legacy.len()).any(|w| w == legacy));
     }
 }

@@ -17,17 +17,19 @@ use std::path::Path;
 use std::sync::Arc;
 use tarr_core::{DegradationReport, Mapper, PatternKind, Scheme, SessionConfig, SessionCore};
 use tarr_faults::FaultSet;
+use tarr_ingest::ClusterSnapshot;
 use tarr_mapping::OrderFix;
 
 /// Build a fresh core from an ingest spec — exactly the semantics of the
 /// serve `ingest` op (same defaults, same error texts where possible). The
-/// legacy `backend` tag does not change the core.
+/// legacy `backend` tag does not change the core. A cluster without nodes,
+/// and a rank count the layouts cannot place (zero, not whole nodes, more
+/// than the cluster's cores), are refused before any layout work.
 pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
     let mut cfg = SessionConfig::default();
     if let Some(seed) = spec.seed {
         cfg.seed = seed;
     }
-    let layout = spec.layout.initial();
     let p = spec
         .p
         .map(|p| {
@@ -35,9 +37,10 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
                 .ok_or_else(|| ReplayError::Apply(format!("p {p} exceeds the u32 rank id space")))
         })
         .transpose()?;
-    match &spec.source {
-        IngestSource::SnapshotText(text) => SessionCore::from_snapshot_text(text, layout, p, cfg)
-            .map_err(|e| ReplayError::Apply(e.to_string())),
+    let cluster = match &spec.source {
+        IngestSource::SnapshotText(text) => ClusterSnapshot::parse(text)
+            .and_then(|s| s.to_cluster())
+            .map_err(|e| ReplayError::Apply(e.to_string()))?,
         IngestSource::GpcNodes(nodes) => {
             let cpn = tarr_topo::NodeTopology::gpc().cores_per_node();
             if nodes.checked_mul(cpn as u64).and_then(id_count).is_none() {
@@ -45,11 +48,33 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
                     "gpc_nodes {nodes} at {cpn} cores per node exceeds the u32 core id space"
                 )));
             }
-            let cluster = tarr_topo::Cluster::gpc(*nodes as usize);
-            let p = p.unwrap_or_else(|| cluster.total_cores());
-            Ok(SessionCore::from_layout(cluster, layout, p, cfg))
+            tarr_topo::Cluster::try_new(tarr_topo::ClusterConfig {
+                node: tarr_topo::NodeTopology::gpc(),
+                fabric: tarr_topo::FatTreeConfig::gpc(),
+                num_nodes: *nodes as usize,
+            })
+            .map_err(|e| ReplayError::Apply(format!("gpc_nodes {nodes}: {e}")))?
         }
+    };
+    let p = p.unwrap_or_else(|| cluster.total_cores());
+    let cpn = cluster.cores_per_node();
+    if p == 0 || !p.is_multiple_of(cpn) {
+        return Err(ReplayError::Apply(format!(
+            "p {p} is not a positive multiple of the {cpn} cores per node"
+        )));
     }
+    if p > cluster.total_cores() {
+        return Err(ReplayError::Apply(format!(
+            "p {p} exceeds the cluster's {} cores",
+            cluster.total_cores()
+        )));
+    }
+    Ok(SessionCore::from_layout(
+        cluster,
+        spec.layout.initial(),
+        p,
+        cfg,
+    ))
 }
 
 /// `n` as a count of core, node or rank ids, when it fits their `u32` id

@@ -17,6 +17,13 @@
 //! live and die with the core — every swap replaces both in one step — so
 //! a reply can never carry a mapping of a core that is no longer served.
 //!
+//! Persistence (`--state-dir`): `ingest` and `fault` are logged before
+//! they are acknowledged, and the `snapshot` op writes each cluster's
+//! binding, cached mappings and price totals (`tarr_replay::snapshot`).
+//! A cluster restored at boot answers warm `price` requests from its
+//! price cache alone, and rebuilds a reordered communicator or compiled
+//! schedule from its mappings the first time a price misses.
+//!
 //! Metrics: `serve.request` / `serve.error` count dispatches, and
 //! `serve.coalesce` counts requests that reused shared-core state — a cache
 //! hit or a share of another thread's in-flight compute. The same totals
@@ -818,9 +825,12 @@ impl Engine {
     }
 
     /// Write a snapshot of the current state to the state directory. The
-    /// encode and the atomic file write run off-lock: the cloned Arcs are
-    /// immutable, and a concurrent mutation only advances the WAL past the
-    /// recorded `last_event_id` — boot replays the difference.
+    /// encode and the atomic file write run off-lock: a concurrent mutation
+    /// swaps in a new core and only advances the WAL past the recorded
+    /// `last_event_id` — boot replays the difference. Requests may still
+    /// fill the captured cores' caches during the export; every mapping and
+    /// price restores on its own, so any mix of entries the export sees is
+    /// a snapshot the daemon can boot from.
     fn op_snapshot(&self, req: &Json) -> Result<Json, OpError> {
         let p = self.persist.as_ref().ok_or_else(Self::no_state_dir)?;
         let _sp = tarr_trace::span("serve.snapshot");

@@ -351,11 +351,6 @@ impl ServeMetrics {
         self.fsync.snapshot()
     }
 
-    /// Requests dispatched for `op` so far.
-    pub fn op_requests(&self, op: &str) -> u64 {
-        self.ops[op_index(op)].requests.load(Relaxed)
-    }
-
     /// Sum of per-op request counters (equals the engine's request total).
     pub fn total_requests(&self) -> u64 {
         self.ops.iter().map(|o| o.requests.load(Relaxed)).sum()

@@ -32,7 +32,7 @@
 //! into a reply byte-identical to the tree's serialization.
 
 use tarr_core::{Mapper, PatternKind, Scheme};
-use tarr_mapping::{InitialMapping, OrderFix};
+use tarr_mapping::OrderFix;
 use tarr_trace::json::{write_escaped, write_f64, write_u64, Json};
 
 /// Serialize a [`Json`] value, fields in insertion order, no whitespace.
@@ -198,19 +198,6 @@ pub fn parse_pattern(name: &str) -> Result<PatternKind, String> {
         "gather" => Ok(PatternKind::BinomialGather),
         other => Err(format!(
             "unknown pattern \"{other}\" (rd|ring|bruck|bcast|gather)"
-        )),
-    }
-}
-
-/// Parse an initial-layout name.
-pub fn parse_layout(name: &str) -> Result<InitialMapping, String> {
-    match name {
-        "block_bunch" => Ok(InitialMapping::BLOCK_BUNCH),
-        "block_scatter" => Ok(InitialMapping::BLOCK_SCATTER),
-        "cyclic_bunch" => Ok(InitialMapping::CYCLIC_BUNCH),
-        "cyclic_scatter" => Ok(InitialMapping::CYCLIC_SCATTER),
-        other => Err(format!(
-            "unknown layout \"{other}\" (block_bunch|block_scatter|cyclic_bunch|cyclic_scatter)"
         )),
     }
 }

@@ -106,6 +106,15 @@ fn engine_agrees_with_solo_session() {
 #[test]
 fn errors_are_typed_not_fatal() {
     let engine = Engine::new();
+    // A 16-core cluster as inline snapshot text, for the rank-count rows.
+    let mut text = String::new();
+    tarr_trace::json::write_escaped(
+        &mut text,
+        &tarr_ingest::ClusterSnapshot::canonical_cluster_text(&Cluster::gpc(2)),
+    );
+    let from_text =
+        |p: u64| format!(r#"{{"op":"ingest","cluster":"x","snapshot":{text},"p":{p}}}"#);
+    let (text_p0, text_p12, text_p_big) = (from_text(0), from_text(12), from_text(100000));
     for (line, needle) in [
         ("{not json", "bad request"),
         (r#"{"op":"frobnicate"}"#, "unknown op"),
@@ -125,6 +134,33 @@ fn errors_are_typed_not_fatal() {
             r#"{"op":"ingest","cluster":"x","gpc_nodes":4611686018427387903}"#,
             "exceeds the u32 core id space",
         ),
+        // Empty clusters and rank counts the layouts cannot place are
+        // refused before any layout work, from either cluster source.
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":0}"#,
+            "gpc_nodes 0: cluster must have at least one node",
+        ),
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":4,"p":0}"#,
+            "not a positive multiple of the 8 cores per node",
+        ),
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":4,"p":12}"#,
+            "not a positive multiple of the 8 cores per node",
+        ),
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":4,"p":100000}"#,
+            "exceeds the cluster's 32 cores",
+        ),
+        (
+            text_p0.as_str(),
+            "not a positive multiple of the 8 cores per node",
+        ),
+        (
+            text_p12.as_str(),
+            "not a positive multiple of the 8 cores per node",
+        ),
+        (text_p_big.as_str(), "exceeds the cluster's 16 cores"),
     ] {
         let reply = parse(&engine.handle_line(line)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "line: {line}");
@@ -136,7 +172,7 @@ fn errors_are_typed_not_fatal() {
         let msg = reply.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains(needle), "{msg:?} lacks {needle:?}");
     }
-    assert_eq!(engine.stats().errors(), 7);
+    assert_eq!(engine.stats().errors(), 14);
     // The engine still works after the error barrage.
     let ok = engine.handle_line(r#"{"op":"ingest","cluster":"x","gpc_nodes":2}"#);
     assert!(ok.contains("\"ok\":true"));

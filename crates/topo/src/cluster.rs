@@ -2,7 +2,7 @@
 
 use crate::error::TopoError;
 use crate::fattree::{FatTree, FatTreeConfig};
-use crate::ids::{CoreId, LeafId, NodeId};
+use crate::ids::{CoreId, NodeId};
 use crate::irregular::IrregularFabric;
 use crate::node::{IntraLevel, NodeTopology};
 use crate::path::{Hop, HopKind};
@@ -292,18 +292,6 @@ impl Cluster {
         CoreId::from_idx(node.idx() * self.cores_per_node() + local)
     }
 
-    /// Leaf switch of the node hosting `core` (fat-tree fabrics only).
-    ///
-    /// # Panics
-    /// Panics on a torus fabric.
-    #[inline]
-    pub fn leaf_of_core(&self, core: CoreId) -> LeafId {
-        self.fabric
-            .as_fattree()
-            .expect("leaf switches exist only on fat-tree fabrics")
-            .leaf_of(self.node_of(core))
-    }
-
     /// The closest shared hierarchy level between two cores of the *same*
     /// node.
     ///
@@ -440,6 +428,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::LeafId;
     use crate::path::HopKind;
 
     #[test]

@@ -837,12 +837,6 @@ impl Histogram {
         self.max.fetch_max(v, Relaxed);
     }
 
-    /// Record a duration, in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos() as u64);
-    }
-
     /// Record a non-negative float (e.g. simulated seconds scaled to ns),
     /// saturating at `u64::MAX`.
     #[inline]
