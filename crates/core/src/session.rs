@@ -504,7 +504,8 @@ impl Session {
         let core = &*self.core;
         let (priced, outcome) = core.prices.get_or_compute(&pkey, || {
             let c = comm.as_deref().unwrap_or(&core.comm);
-            core.price(&ts, c, block_bytes, vec![f64::NAN; ts.num_unique_stages()])
+            let stages = vec![f64::NAN; ts.num_unique_stages()];
+            core.price((key, ck), &ts, c, block_bytes, stages)
         });
         let stages = ts.num_unique_stages() as u64;
         self.record(Cache::Price { stages }, outcome);

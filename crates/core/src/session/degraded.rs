@@ -18,7 +18,10 @@
 //!   kept as long as no rank moved;
 //! * prices over a surviving schedule and communicator, with only the
 //!   stages the fault reaches re-priced (stage-selective repair),
-//!   so the new core holds complete entries only.
+//!   so the new core holds complete entries only;
+//! * the stage profiles of exactly the stages whose prices survive
+//!   untouched; the re-priced stages rebuild theirs on demand, once per
+//!   (schedule, communicator) however many sizes were priced over it.
 //!
 //! Everything that reads the distance oracle (every topology-aware
 //! mapping and whatever was compiled from it) is dropped, because the
@@ -30,11 +33,12 @@
 use super::{CommKey, Mapper, SchedKey, Scheme, Session, SessionCore};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 use tarr_faults::{DegradationSummary, FabricDelta, FaultError, FaultSet};
 use tarr_mpi::cache::ShardedOnceMap;
-use tarr_mpi::Communicator;
+use tarr_mpi::{Communicator, TimedSchedule};
 use tarr_topo::{CoreId, Hop, ImplicitDistance, IrregularFabric, Rank};
 
 /// Which collective a [`ProbePoint`] prices.
@@ -303,6 +307,9 @@ impl SessionCore {
             for (k, v) in self.prices.entries() {
                 new.prices.insert(k, v);
             }
+            for (k, v) in self.profiles.entries() {
+                new.profiles.insert(k, v);
+            }
             (0, 0, 0)
         };
 
@@ -332,9 +339,10 @@ impl SessionCore {
         Ok((new, report))
     }
 
-    /// Carry this core's price entries into the degraded core `new`, whose
-    /// schedule and communicator caches are already filled. Returns
-    /// `(entries dropped, stage prices re-priced, stage prices kept)`.
+    /// Carry this core's price entries and stage profiles into the degraded
+    /// core `new`, whose schedule and communicator caches are already
+    /// filled. Returns `(entries dropped, stage prices re-priced, stage
+    /// prices kept)`.
     ///
     /// Entries whose schedule or communicator was invalidated are dropped
     /// whole. For the survivors, each stage price is kept unless the fault
@@ -345,6 +353,10 @@ impl SessionCore {
     /// [`FabricDelta`] drops everything — renumbered switches leave no
     /// per-row provenance to reason from — and so does an entry without
     /// stage prices.
+    ///
+    /// A stage profile follows its stage price: kept exactly when the
+    /// stage is, otherwise left unbuilt so the re-pricing routes that stage
+    /// once for every size priced over the same schedule and communicator.
     fn repair_prices(
         &self,
         new: &SessionCore,
@@ -359,35 +371,102 @@ impl SessionCore {
         if fabric_changed && delta.is_none() {
             return (entries.len(), 0, 0);
         }
-        let cluster = &new.cluster;
-        let fabric = cluster.fabric().as_irregular();
-        // Route-stability memo, keyed (source switch, destination node): a
-        // cached price survives only if re-simulating would walk identical
-        // hops, i.e. the destination's BFS row is clean and no switch the
-        // route traverses had its adjacency (links or trunk counts) repaired.
-        let mut route_ok: HashMap<(u32, u32), bool> = HashMap::new();
+        let mut survey = StageSurvey {
+            new,
+            moved,
+            delta,
+            route_ok: HashMap::new(),
+            pairs: HashMap::new(),
+        };
+        for (pair, profiles) in self.profiles.entries() {
+            if let Some(s) = survey.survive(pair) {
+                let kept = profiles.carry(|k| s.stable[k]);
+                new.profiles.insert(pair, Arc::new(kept));
+            }
+        }
         let (mut dropped, mut repriced, mut reused) = (0usize, 0usize, 0usize);
         for (key @ (sk, ck, bytes), priced) in entries {
-            let comm = match ck {
-                CommKey::Default => Some(None),
-                CommKey::Reordered(m, pat) => new.comms.get(&(m, pat)).flatten().map(Some),
-            };
-            let (Some(ts), Some(comm), Some(stages)) = (
-                new.scheds.get(&sk).flatten(),
-                comm,
-                priced.stages.as_deref(),
-            ) else {
+            let (Some(s), Some(stages)) = (survey.survive((sk, ck)), priced.stages.as_deref())
+            else {
                 dropped += 1;
                 continue;
             };
-            let c = comm.as_deref().unwrap_or(&new.comm);
             let mut fresh = stages.to_vec();
-            for (k, ops) in ts.unique_stages().iter().enumerate() {
-                let stable = ops.iter().all(|op| {
-                    if moved[op.from as usize] || moved[op.to as usize] {
+            for (k, &stable) in s.stable.iter().enumerate() {
+                if stable {
+                    reused += 1;
+                } else {
+                    fresh[k] = f64::NAN;
+                    repriced += 1;
+                }
+            }
+            let priced = if fresh.iter().any(|v| v.is_nan()) {
+                let c = s.comm.as_deref().unwrap_or(&new.comm);
+                new.price((sk, ck), &s.ts, c, bytes, fresh)
+            } else {
+                priced
+            };
+            new.prices.insert(key, priced);
+        }
+        (dropped, repriced, reused)
+    }
+}
+
+/// A (schedule, communicator) pair that survived a fault into the degraded
+/// core, with which of its unique stages the fault leaves untouched.
+struct Survivor {
+    ts: Arc<TimedSchedule>,
+    /// `None` for the core's initial communicator.
+    comm: Option<Arc<Communicator>>,
+    stable: Vec<bool>,
+}
+
+/// Per-pair stage stability on a degraded core, computed once per
+/// (schedule, communicator) and shared by every price and profile of the
+/// pair.
+struct StageSurvey<'a> {
+    new: &'a SessionCore,
+    moved: &'a [bool],
+    delta: Option<&'a FabricDelta>,
+    /// Route-stability memo, keyed (source switch, destination node): a
+    /// stage survives only if re-simulating would walk identical hops, i.e.
+    /// the destination's BFS row is clean and no switch the route
+    /// traverses had its adjacency (links or trunk counts) repaired.
+    route_ok: HashMap<(u32, u32), bool>,
+    pairs: HashMap<(SchedKey, CommKey), Option<Rc<Survivor>>>,
+}
+
+impl StageSurvey<'_> {
+    /// The pair's survivor record, or `None` when its schedule or
+    /// communicator did not survive the fault.
+    fn survive(&mut self, pair: (SchedKey, CommKey)) -> Option<Rc<Survivor>> {
+        if let Some(s) = self.pairs.get(&pair) {
+            return s.clone();
+        }
+        let s = self.compute(pair).map(Rc::new);
+        self.pairs.insert(pair, s.clone());
+        s
+    }
+
+    fn compute(&mut self, (sk, ck): (SchedKey, CommKey)) -> Option<Survivor> {
+        let new = self.new;
+        let comm = match ck {
+            CommKey::Default => None,
+            CommKey::Reordered(m, pat) => Some(new.comms.get(&(m, pat)).flatten()?),
+        };
+        let ts = new.scheds.get(&sk).flatten()?;
+        let c = comm.as_deref().unwrap_or(&new.comm);
+        let cluster = &new.cluster;
+        let fabric = cluster.fabric().as_irregular();
+        let stable = ts
+            .unique_stages()
+            .iter()
+            .map(|ops| {
+                ops.iter().all(|op| {
+                    if self.moved[op.from as usize] || self.moved[op.to as usize] {
                         return false;
                     }
-                    let Some(delta) = delta else { return true };
+                    let Some(delta) = self.delta else { return true };
                     let (ca, cb) = (c.core_of(Rank(op.from)), c.core_of(Rank(op.to)));
                     if ca == cb {
                         return true; // local copy: no fabric involved
@@ -398,25 +477,14 @@ impl SessionCore {
                     }
                     let g = fabric.expect("identity delta implies an irregular fabric");
                     let src_sw = g.switch_of(na);
-                    *route_ok
+                    *self
+                        .route_ok
                         .entry((src_sw, nb.idx() as u32))
                         .or_insert_with(|| route_is_stable(g, delta, src_sw, na, nb))
-                });
-                if stable {
-                    reused += 1;
-                } else {
-                    fresh[k] = f64::NAN;
-                    repriced += 1;
-                }
-            }
-            let priced = if fresh.iter().any(|v| v.is_nan()) {
-                new.price(&ts, c, bytes, fresh)
-            } else {
-                priced
-            };
-            new.prices.insert(key, priced);
-        }
-        (dropped, repriced, reused)
+                })
+            })
+            .collect();
+        Some(Survivor { ts, comm, stable })
     }
 }
 

@@ -23,12 +23,21 @@
 //! entry keeps its per-unique-stage prices next to the total, so a fault
 //! can re-price only the stages it reaches.
 //!
+//! A price miss does not route a stage it has routed before. The core
+//! keeps one lazily built [`tarr_netsim::StageProfile`] per unique stage of
+//! every (schedule, communicator) pair it has priced
+//! ([`tarr_mpi::StageProfiles`]): the stage routed once and reduced to a
+//! few size-free terms. A miss at a new size over the same pair prices
+//! every stage from its profile, bit-identically to routing it again. A
+//! fault keeps a stage's profile exactly when it keeps that stage's price.
+//!
 //! Mappings and prices are the core's *state*: a mapping is a heuristic
 //! run and a price a simulation, both worth persisting. Reordered
-//! communicators and compiled schedules are *caches*: pure functions of a
-//! mapping, `p` and the node groups. [`CoreState`] therefore
-//! carries only the binding, the mappings and the price totals; a restored
-//! core rebuilds a communicator or schedule on its first miss.
+//! communicators, compiled schedules and stage profiles are *caches*: pure
+//! functions of a mapping, `p`, the node groups and the fabric. [`CoreState`]
+//! therefore carries only the binding, the mappings and the price totals,
+//! and no snapshot holds a profile; a restored core rebuilds a
+//! communicator, schedule or profile on its first miss.
 //!
 //! A core never changes after a fault — handles elsewhere are concurrently
 //! reading it. [`SessionCore::apply_faults`] (`session/degraded.rs`) mints a
@@ -45,7 +54,7 @@ use tarr_collectives::gather::binomial_gather;
 use tarr_collectives::AllgatherAlg;
 use tarr_mapping::init_comm_schedule;
 use tarr_mpi::cache::{CacheSnapshot, ShardedOnceMap};
-use tarr_mpi::{Communicator, Schedule, TimedSchedule};
+use tarr_mpi::{Communicator, Schedule, StageProfiles, TimedSchedule};
 use tarr_netsim::StageModel;
 use tarr_topo::{Cluster, CoreId, ImplicitDistance, Rank};
 
@@ -147,6 +156,9 @@ pub struct SessionCore {
     pub(super) comms: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<Communicator>>>,
     pub(super) scheds: ShardedOnceMap<SchedKey, Option<Arc<TimedSchedule>>>,
     pub(super) prices: ShardedOnceMap<(SchedKey, CommKey, u64), Priced>,
+    /// Size-free stage profiles per (schedule, communicator); a cache, like
+    /// the schedules, so never exported.
+    pub(super) profiles: ShardedOnceMap<(SchedKey, CommKey), Arc<StageProfiles>>,
 }
 
 impl SessionCore {
@@ -177,6 +189,7 @@ impl SessionCore {
             comms: ShardedOnceMap::default(),
             scheds: ShardedOnceMap::default(),
             prices: ShardedOnceMap::default(),
+            profiles: ShardedOnceMap::default(),
         }
     }
 
@@ -381,7 +394,7 @@ impl SessionCore {
             SchedKey::FlatInit(alg, _) => {
                 TimedSchedule::compile(&init_comm_schedule(mapping?).then(alg.schedule(p)))
             }
-            SchedKey::Gather => TimedSchedule::compile(&binomial_gather(p, Rank(0))),
+            SchedKey::Gather => TimedSchedule::binomial_gather(p),
             SchedKey::GatherInit(_) => TimedSchedule::compile(
                 &init_comm_schedule(mapping?).then(binomial_gather(p, Rank(0))),
             ),
@@ -405,20 +418,34 @@ impl SessionCore {
         })
     }
 
-    /// Price `ts` over `comm` at `block_bytes`, simulating every stage
-    /// whose entry in `stages` is `NaN` and reusing the rest.
+    /// Price `ts` (the schedule `key` names) over `comm` (the communicator
+    /// `ck` names) at `block_bytes`, pricing every stage whose entry in
+    /// `stages` is `NaN` from the pair's cached [`StageProfiles`] and
+    /// reusing the rest. A stage whose profile is not built yet is routed
+    /// once and its profile kept for every later size.
     pub(super) fn price(
         &self,
+        (key, ck): (SchedKey, CommKey),
         ts: &TimedSchedule,
         comm: &Communicator,
         block_bytes: u64,
         mut stages: Vec<f64>,
     ) -> Priced {
-        let total = ts.time_with_cache(comm, &self.model(), block_bytes, &mut stages);
+        let (profiles, _) = self.profiles.get_or_compute(&(key, ck), || {
+            Arc::new(StageProfiles::new(ts.num_unique_stages()))
+        });
+        let total = ts.time_with_profiles(comm, &self.model(), block_bytes, &mut stages, &profiles);
         Priced {
             total,
             num_stages: ts.num_unique_stages() as u32,
             stages: Some(stages.into()),
         }
+    }
+
+    /// The stage profiles cached for schedule `sched` over communicator
+    /// `comm`, if any price over the pair has run on this core (or survived
+    /// a fault into it). Slots of stages not priced since are unbuilt.
+    pub fn stage_profiles(&self, sched: SchedKey, comm: CommKey) -> Option<Arc<StageProfiles>> {
+        self.profiles.get(&(sched, comm))
     }
 }

@@ -2,7 +2,8 @@
 //! schedules against the materialized schedules they replace.
 //!
 //! * The analytic constructors ([`TimedSchedule::binomial_bcast`],
-//!   [`TimedSchedule::rd_allreduce`], [`TimedSchedule::rabenseifner_allreduce`])
+//!   [`TimedSchedule::binomial_gather`], [`TimedSchedule::rd_allreduce`],
+//!   [`TimedSchedule::rabenseifner_allreduce`])
 //!   equal [`TimedSchedule::compile`] of the materialized
 //!   `tarr_collectives` schedules: same stage order, same operand pairs per
 //!   unique stage, and the same bytes per op once resolved at a size.
@@ -24,6 +25,7 @@ use std::sync::Arc;
 use tarr_collectives::allgather::ring;
 use tarr_collectives::allreduce::{rabenseifner_allreduce, rd_allreduce};
 use tarr_collectives::bcast::binomial_bcast;
+use tarr_collectives::gather::binomial_gather;
 use tarr_core::{Mapper, PatternKind, Scheme, Session, SessionConfig, SessionCore};
 use tarr_mapping::{InitialMapping, OrderFix};
 use tarr_mpi::{
@@ -71,6 +73,30 @@ fn analytic_bcast_equals_the_compiled_materialized_schedule() {
         let analytic = TimedSchedule::binomial_bcast(p);
         assert!(analytic.stage_shifts().iter().all(|&s| s == 0));
         assert_same_compiled(&analytic, |b| binomial_bcast(p, Rank(0), b));
+    }
+}
+
+#[test]
+fn analytic_gather_equals_the_compiled_materialized_schedule() {
+    let ps = (1u32..=64).chain([100, 511, 512, 4096, 65_536]);
+    for p in ps {
+        let analytic = TimedSchedule::binomial_gather(p);
+        let dense = TimedSchedule::compile(&binomial_gather(p, Rank(0)));
+        assert_eq!(analytic.p(), dense.p());
+        assert_eq!(analytic.stage_order(), dense.stage_order(), "p {p}");
+        assert_eq!(analytic.stage_shifts(), dense.stage_shifts(), "p {p}");
+        assert_eq!(analytic.unique_stages(), dense.unique_stages(), "p {p}");
+
+        let cluster = Cluster::gpc((p as usize).div_ceil(8));
+        let comm = Communicator::new(cluster.cores().take(p as usize).collect());
+        let model = StageModel::new(&cluster, SessionConfig::default().net);
+        for b in [1u64, 1 << 10, 1 << 16] {
+            assert_eq!(
+                analytic.time(&comm, &model, b).to_bits(),
+                dense.time(&comm, &model, b).to_bits(),
+                "p {p} b {b}"
+            );
+        }
     }
 }
 

@@ -47,5 +47,6 @@ pub use exec::{ExecError, FunctionalState};
 pub use schedule::{Payload, Schedule, SendOp, Stage};
 pub use stats::TrafficBreakdown;
 pub use timing::{
-    ring_allgatherv_time, time_schedule, time_schedule_async, MergedOp, TimedSchedule,
+    ring_allgatherv_time, time_schedule, time_schedule_async, MergedOp, StageProfiles,
+    TimedSchedule,
 };

@@ -17,10 +17,16 @@
 //!   byte count `b` for `s = 0`, and `max(b >> s, 1)` otherwise — the
 //!   `1/2^s` share of the vector that Rabenseifner's reduce-scatter and
 //!   allgather stages exchange. [`TimedSchedule::binomial_bcast`],
-//!   [`TimedSchedule::rd_allreduce`] and
-//!   [`TimedSchedule::rabenseifner_allreduce`] build those compiled forms
-//!   analytically in O(P log P), so every collective compiles once and is
-//!   priced at any size.
+//!   [`TimedSchedule::binomial_gather`], [`TimedSchedule::rd_allreduce`]
+//!   and [`TimedSchedule::rabenseifner_allreduce`] build those compiled
+//!   forms analytically in O(P log P), so every collective compiles once
+//!   and is priced at any size.
+//! * **Size-free stage profiles.** [`TimedSchedule::time_with_profiles`]
+//!   prices a unique stage from its [`StageProfile`] — the stage routed
+//!   once over a communicator and reduced to a few `(α, ρ)` terms — held in
+//!   a caller-owned [`StageProfiles`] set, so a second size over the same
+//!   schedule and communicator routes nothing. Prices are bit-identical to
+//!   [`TimedSchedule::time_with_cache`].
 //! * [`ring_allgatherv_time`] — the ring `MPI_Allgatherv` with per-block
 //!   sizes, priced analytically in O(P) memory: variable sizes defeat the
 //!   size-independent unique stage, so it rewrites one message buffer per
@@ -41,9 +47,10 @@
 use crate::comm::Communicator;
 use crate::schedule::{Payload, Schedule};
 use crate::stats::{hop_class, TrafficBreakdown};
+use std::sync::{Arc, OnceLock};
 use tarr_netsim::{
     fx_hash_one, FlowEngine, FlowLinks, FxHashMap, FxHasher, LinkIdx, Message, NetParams,
-    StageModel,
+    StageModel, StageProfile,
 };
 use tarr_topo::Rank;
 use tarr_trace::counter_add;
@@ -275,6 +282,38 @@ impl TimedSchedule {
         }
     }
 
+    /// The compiled binomial gather to rank 0 (the tree of
+    /// `tarr_collectives::gather::binomial_gather`), built in O(P) without
+    /// a materialized schedule: in stage `k`, every relative rank
+    /// `r ∈ {2ᵏ, 3·2ᵏ, …}` sends its accumulated `min(2ᵏ, p − r)` blocks to
+    /// `r − 2ᵏ`. No two ops of a stage share a sender and no two stages
+    /// share a sender set, so merging and dedup are identities and the
+    /// stages are stored in order.
+    pub fn binomial_gather(p: u32) -> Self {
+        counter_add!("mpi.compile.analytic_gather", 1);
+        let levels = p.next_power_of_two().trailing_zeros();
+        let uniq: Vec<Vec<MergedOp>> = (0..levels)
+            .map(|k| {
+                let step = 1u32 << k;
+                (step..p)
+                    .step_by(2 * step as usize)
+                    .map(|r| MergedOp {
+                        from: r,
+                        to: r - step,
+                        blocks: u64::from(step.min(p - r)),
+                        raw: 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        TimedSchedule {
+            p,
+            shift: vec![0; uniq.len()],
+            order: (0..uniq.len() as u32).collect(),
+            uniq,
+        }
+    }
+
     /// The compiled recursive-doubling allreduce: stage `k` exchanges the
     /// whole vector (shift 0) with the XOR partner at distance `2^k`.
     ///
@@ -379,10 +418,7 @@ impl TimedSchedule {
     ) -> f64 {
         self.resolve(k, comm, block_bytes, msgs);
         let t = model.stage_time(msgs);
-        if tarr_trace::enabled() {
-            counter_add!("mpi.price.stages_priced", 1);
-            tarr_trace::histogram("mpi.price.stage_sim_ns").record_f64(t * 1e9);
-        }
+        record_stage_price(t);
         t
     }
 
@@ -402,6 +438,82 @@ impl TimedSchedule {
         block_bytes: u64,
         cache: &mut [f64],
     ) -> f64 {
+        let mut msgs: Vec<Message> = Vec::new();
+        self.accumulate(comm, block_bytes, cache, |k| {
+            self.price_unique_stage(k, comm, model, block_bytes, &mut msgs)
+        })
+    }
+
+    /// [`time_with_cache`](Self::time_with_cache) that prices a missing
+    /// stage from its [`StageProfile`] in `profiles`, routing the stage only
+    /// when its profile is not built yet. Bit-identical to
+    /// [`time_with_cache`](Self::time_with_cache): a profile prices exactly
+    /// as [`StageModel::stage_time`] does (see [`StageProfile`]).
+    ///
+    /// # Panics
+    /// Panics if `cache.len()` or `profiles.len()` differs from the number
+    /// of unique stages.
+    pub fn time_with_profiles(
+        &self,
+        comm: &Communicator,
+        model: &StageModel<'_>,
+        block_bytes: u64,
+        cache: &mut [f64],
+        profiles: &StageProfiles,
+    ) -> f64 {
+        assert_eq!(
+            profiles.len(),
+            self.uniq.len(),
+            "profiles/schedule size mismatch"
+        );
+        self.accumulate(comm, block_bytes, cache, |k| {
+            let mut built = false;
+            let profile = profiles.slots[k as usize].get_or_init(|| {
+                built = true;
+                Arc::new(self.stage_profile(k, comm, model))
+            });
+            if built {
+                counter_add!("mpi.price.profile.miss", 1);
+            } else {
+                counter_add!("mpi.price.profile.hit", 1);
+            }
+            let t = profile.time(self.unit(k as usize, block_bytes));
+            record_stage_price(t);
+            t
+        })
+    }
+
+    /// The size-free [`StageProfile`] of unique stage `k` under `comm`:
+    /// the stage routed once, priceable at any size.
+    pub fn stage_profile(
+        &self,
+        k: u32,
+        comm: &Communicator,
+        model: &StageModel<'_>,
+    ) -> StageProfile {
+        let ops = &self.uniq[k as usize];
+        model.stage_profile(
+            ops.len(),
+            |i| {
+                (
+                    comm.core_of(Rank(ops[i].from)),
+                    comm.core_of(Rank(ops[i].to)),
+                )
+            },
+            |i| (ops[i].blocks, ops[i].raw),
+        )
+    }
+
+    /// Sum the stage prices along the original stage order, pricing each
+    /// unique stage whose `cache` entry is `NaN` with `price` and writing
+    /// it back.
+    fn accumulate(
+        &self,
+        comm: &Communicator,
+        block_bytes: u64,
+        cache: &mut [f64],
+        mut price: impl FnMut(u32) -> f64,
+    ) -> f64 {
         assert_eq!(self.p as usize, comm.size(), "schedule/comm size mismatch");
         assert_eq!(cache.len(), self.uniq.len(), "cache/schedule size mismatch");
         let _span = tarr_trace::span("mpi.price")
@@ -409,7 +521,6 @@ impl TimedSchedule {
             .arg("block_bytes", block_bytes)
             .arg("stages", self.order.len())
             .arg("unique_stages", self.uniq.len());
-        let mut msgs: Vec<Message> = Vec::new();
         let mut total = 0.0;
         for &k in &self.order {
             if k == EMPTY_STAGE {
@@ -417,7 +528,7 @@ impl TimedSchedule {
             }
             let mut t = cache[k as usize];
             if t.is_nan() {
-                t = self.price_unique_stage(k, comm, model, block_bytes, &mut msgs);
+                t = price(k);
                 cache[k as usize] = t;
             }
             total += t;
@@ -564,6 +675,68 @@ pub fn ring_allgatherv_time(comm: &Communicator, model: &StageModel<'_>, sizes: 
         total += t;
     }
     total
+}
+
+/// Count one priced unique stage and record its simulated time.
+fn record_stage_price(t: f64) {
+    if tarr_trace::enabled() {
+        counter_add!("mpi.price.stages_priced", 1);
+        tarr_trace::histogram("mpi.price.stage_sim_ns").record_f64(t * 1e9);
+    }
+}
+
+/// The [`StageProfile`]s of one compiled schedule over one communicator:
+/// one slot per unique stage, each built on first use by
+/// [`TimedSchedule::time_with_profiles`] and then shared by every size
+/// priced after it. Concurrent pricers of one stage build its profile once.
+#[derive(Debug)]
+pub struct StageProfiles {
+    slots: Box<[OnceLock<Arc<StageProfile>>]>,
+}
+
+impl StageProfiles {
+    /// A set of `unique_stages` unbuilt slots.
+    pub fn new(unique_stages: usize) -> Self {
+        StageProfiles {
+            slots: (0..unique_stages).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Number of slots (the schedule's unique stages).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the schedule has no unique stages.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The built profile of unique stage `k`, if any.
+    pub fn get(&self, k: usize) -> Option<&Arc<StageProfile>> {
+        self.slots[k].get()
+    }
+
+    /// Number of slots whose profile is built.
+    pub fn built(&self) -> usize {
+        self.slots.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// A set of the same length that shares this set's built profile of
+    /// every stage `keep` accepts and leaves the other slots unbuilt.
+    pub fn carry(&self, keep: impl Fn(usize) -> bool) -> Self {
+        StageProfiles {
+            slots: self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(k, s)| match s.get() {
+                    Some(p) if keep(k) => OnceLock::from(Arc::clone(p)),
+                    _ => OnceLock::new(),
+                })
+                .collect(),
+        }
+    }
 }
 
 /// A merged op carrying one unit from `from` to `to`.

@@ -38,4 +38,4 @@ pub use fxhash::{fx_hash_one, FxHashMap, FxHasher};
 pub use memcpy::MemcpyModel;
 pub use message::Message;
 pub use params::{ChannelParams, NetParams};
-pub use stage::StageModel;
+pub use stage::{StageModel, StageProfile};

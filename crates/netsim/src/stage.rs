@@ -17,10 +17,12 @@
 //! in a reused per-thread vector, and a link's channel constants come from
 //! its id range.
 
+use crate::fxhash::FxHashMap;
+use crate::memcpy::MemcpyModel;
 use crate::message::Message;
 use crate::params::{LinkChannels, NetParams};
 use std::cell::RefCell;
-use tarr_topo::Cluster;
+use tarr_topo::{Cluster, CoreId};
 
 /// Analytic stage-timing model bound to a cluster and parameter set.
 #[derive(Debug, Clone)]
@@ -31,8 +33,8 @@ pub struct StageModel<'a> {
     channels: LinkChannels,
 }
 
-/// Per-thread buffers [`StageModel::stage_time`] reuses across calls and
-/// models, so a warmed-up thread prices a stage without allocating.
+/// Per-thread buffers the routing kernel reuses across calls and models, so
+/// a warmed-up thread prices a stage without allocating.
 #[derive(Default)]
 struct StageScratch {
     /// Link ids of every message's path, back to back.
@@ -93,13 +95,109 @@ impl<'a> StageModel<'a> {
         if msgs.is_empty() {
             return 0.0;
         }
-        SCRATCH.with_borrow_mut(|s| self.stage_time_in(msgs, s))
+        let ends = |i: usize| (msgs[i].src, msgs[i].dst);
+        SCRATCH.with_borrow_mut(|s| {
+            self.route_stage(msgs.len(), ends, s, 0.0f64, |worst, i, path| {
+                let bytes = msgs[i].bytes;
+                let t = match path {
+                    None => self.params.memcpy.copy_time(bytes),
+                    Some((alpha, inv_rate)) => alpha + bytes as f64 * inv_rate,
+                };
+                if t > worst {
+                    t
+                } else {
+                    worst
+                }
+            })
+        })
     }
 
-    fn stage_time_in(&self, msgs: &[Message], s: &mut StageScratch) -> f64 {
+    /// Route one stage of size-free messages once and keep what pricing it
+    /// at any unit size needs: a [`StageProfile`]. Its
+    /// [`time`](StageProfile::time) at `unit` is bit-identical to
+    /// [`stage_time`](Self::stage_time) of the same messages carrying
+    /// `blocks · unit + raw` bytes each.
+    ///
+    /// Routing and contention counting are [`stage_time`](Self::stage_time)'s
+    /// own pass. Each remote message then reduces to its latency sum `α` and
+    /// its bottleneck seconds per byte `ρ`, and only the Pareto frontier of
+    /// `(α, ρ)` per distinct `(blocks, raw)` is kept: a message no slower in
+    /// either term than another with the same payload can never be the
+    /// stage's slowest at any size.
+    ///
+    /// The `n` messages are read in place: message `i` runs
+    /// `ends(i) = (src, dst)` and carries `payload(i) = (blocks, raw)`.
+    pub fn stage_profile(
+        &self,
+        n: usize,
+        ends: impl Fn(usize) -> (CoreId, CoreId),
+        payload: impl Fn(usize) -> (u64, u64),
+    ) -> StageProfile {
+        tarr_trace::counter_add!("netsim.stage.profiles", 1);
+        tarr_trace::counter_add!("netsim.stage.msgs", n as u64);
+        let mut groups: Vec<ProfileGroup> = Vec::new();
+        let mut index: FxHashMap<(u64, u64), usize> = FxHashMap::default();
+        let mut local: Vec<(u64, u64)> = Vec::new();
+        if n > 0 {
+            SCRATCH.with_borrow_mut(|s| {
+                self.route_stage(n, ends, s, (), |(), i, path| {
+                    let payload = payload(i);
+                    let Some((alpha, rho)) = path else {
+                        if !local.contains(&payload) {
+                            local.push(payload);
+                        }
+                        return;
+                    };
+                    let g = match groups.last() {
+                        Some(g) if g.payload == payload => groups.len() - 1,
+                        _ => *index.entry(payload).or_insert_with(|| {
+                            groups.push(ProfileGroup {
+                                payload,
+                                frontier: Vec::new(),
+                            });
+                            groups.len() - 1
+                        }),
+                    };
+                    groups[g].insert(alpha, rho);
+                });
+            });
+        }
+        StageProfile {
+            remote: groups
+                .into_iter()
+                .flat_map(|g| {
+                    let (blocks, raw) = g.payload;
+                    g.frontier.into_iter().map(move |(alpha, rho)| RemoteTerm {
+                        blocks,
+                        raw,
+                        alpha,
+                        rho,
+                    })
+                })
+                .collect(),
+            local,
+            memcpy: self.params.memcpy,
+        }
+    }
+
+    /// The routing kernel every stage pricing shares. Routes the `n`
+    /// messages `ends(i) = (src, dst)`, counts per-link loads, then folds
+    /// `visit(acc, i, None)` over a local copy (`src == dst`) and
+    /// `visit(acc, i, Some((α, ρ)))` over a remote message, in message
+    /// order: `α` is the software overhead plus the link latencies summed
+    /// in path order, `ρ` the largest load/bandwidth over the path (seconds
+    /// per byte on the bottleneck link).
+    fn route_stage<T>(
+        &self,
+        n: usize,
+        ends: impl Fn(usize) -> (CoreId, CoreId),
+        s: &mut StageScratch,
+        init: T,
+        mut visit: impl FnMut(T, usize, Option<(f64, f64)>) -> T,
+    ) -> T {
         let StageScratch {
             ids,
-            ends,
+            ends: path_ends,
             load,
             touched,
         } = s;
@@ -110,16 +208,17 @@ impl<'a> StageModel<'a> {
         }
         touched.clear();
         ids.clear();
-        ends.clear();
+        path_ends.clear();
         let links = self.cluster.link_count();
         if load.len() < links {
             load.resize(links, 0);
         }
 
-        for m in msgs {
+        for i in 0..n {
+            let (src, dst) = ends(i);
             let start = ids.len();
-            if !m.is_local() {
-                self.cluster.route_into(m.src, m.dst, ids);
+            if src != dst {
+                self.cluster.route_into(src, dst, ids);
             }
             for &id in &ids[start..] {
                 let l = &mut load[id as usize];
@@ -128,34 +227,32 @@ impl<'a> StageModel<'a> {
                 }
                 *l += 1;
             }
-            ends.push(ids.len() as u32);
+            path_ends.push(ids.len() as u32);
         }
 
-        let mut worst = 0.0f64;
+        let mut acc = init;
         let mut start = 0usize;
-        for (m, &end) in msgs.iter().zip(ends.iter()) {
+        for (i, &end) in path_ends.iter().enumerate() {
             let path = &ids[start..end as usize];
             start = end as usize;
-            let t = if m.is_local() {
-                self.params.memcpy.copy_time(m.bytes)
-            } else {
-                let mut alpha = self.params.sw_overhead_s;
-                let mut inv_rate = 0.0f64; // seconds per byte on the bottleneck hop
-                for &id in path {
-                    let ch = self.channels.get(id);
-                    alpha += ch.latency_s;
-                    let contended = load[id as usize] as f64 / ch.bandwidth_bps;
-                    if contended > inv_rate {
-                        inv_rate = contended;
-                    }
-                }
-                alpha + m.bytes as f64 * inv_rate
-            };
-            if t > worst {
-                worst = t;
+            // Only a local copy has an empty path.
+            if path.is_empty() {
+                acc = visit(acc, i, None);
+                continue;
             }
+            let mut alpha = self.params.sw_overhead_s;
+            let mut inv_rate = 0.0f64; // seconds per byte on the bottleneck hop
+            for &id in path {
+                let ch = self.channels.get(id);
+                alpha += ch.latency_s;
+                let contended = load[id as usize] as f64 / ch.bandwidth_bps;
+                if contended > inv_rate {
+                    inv_rate = contended;
+                }
+            }
+            acc = visit(acc, i, Some((alpha, inv_rate)));
         }
-        worst
+        acc
     }
 
     /// Total time of a sequence of synchronized stages.
@@ -168,6 +265,78 @@ impl<'a> StageModel<'a> {
             .into_iter()
             .map(|s| self.stage_time(s.as_ref()))
             .sum()
+    }
+}
+
+/// One remote term of a [`StageProfile`]: a message with payload
+/// `(blocks, raw)`, latency sum `alpha` and bottleneck seconds per byte
+/// `rho`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RemoteTerm {
+    blocks: u64,
+    raw: u64,
+    alpha: f64,
+    rho: f64,
+}
+
+/// The remote messages of one payload while a profile is built: the
+/// `(α, ρ)` pairs no other message of the payload matches or exceeds in
+/// both terms.
+struct ProfileGroup {
+    payload: (u64, u64),
+    frontier: Vec<(f64, f64)>,
+}
+
+impl ProfileGroup {
+    /// Add `(alpha, rho)` unless a kept pair is at least as large in both
+    /// terms; drop the kept pairs it is at least as large as in both.
+    fn insert(&mut self, alpha: f64, rho: f64) {
+        if self.frontier.iter().any(|&(a, r)| a >= alpha && r >= rho) {
+            return;
+        }
+        self.frontier.retain(|&(a, r)| !(alpha >= a && rho >= r));
+        self.frontier.push((alpha, rho));
+    }
+}
+
+/// One stage, routed once, priced at any unit size: its messages in
+/// size-free form, each carrying `blocks` units plus `raw` literal bytes,
+/// turned into bytes only when the profile is priced.
+///
+/// Built by [`StageModel::stage_profile`]. [`time`](Self::time) evaluates
+/// `α + (blocks · unit + raw) · ρ` for every kept remote term and the copy
+/// time of every distinct local payload, and returns the largest: the same
+/// floating-point operations [`StageModel::stage_time`] performs per
+/// message, over a subset that always contains its maximum. Float rounding
+/// is monotone, so a term no larger in `α` and `ρ` than another of the
+/// same payload never prices above it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageProfile {
+    /// Per distinct remote payload, its Pareto frontier of `(α, ρ)`.
+    remote: Vec<RemoteTerm>,
+    /// The distinct `(blocks, raw)` payloads of local copies.
+    local: Vec<(u64, u64)>,
+    memcpy: MemcpyModel,
+}
+
+impl StageProfile {
+    /// Completion time (seconds) of the stage when one unit is `unit`
+    /// bytes. An empty stage costs nothing.
+    pub fn time(&self, unit: u64) -> f64 {
+        let mut worst = 0.0f64;
+        for r in &self.remote {
+            let t = r.alpha + (r.blocks * unit + r.raw) as f64 * r.rho;
+            if t > worst {
+                worst = t;
+            }
+        }
+        for &(blocks, raw) in &self.local {
+            let t = self.memcpy.copy_time(blocks * unit + raw);
+            if t > worst {
+                worst = t;
+            }
+        }
+        worst
     }
 }
 
@@ -337,5 +506,52 @@ mod tests {
         let light = m.stage_time(&mk(2));
         let heavy = m.stage_time(&mk(30));
         assert!(heavy > 2.0 * light, "light {light} heavy {heavy}");
+    }
+
+    /// A stage message in size-free form: `(src, dst, blocks, raw)`.
+    type UnitMsg = (u32, u32, u64, u64);
+
+    /// `stage_profile(..).time(unit)` against `stage_time` of the resolved
+    /// messages, bit for bit.
+    fn assert_profile_matches(m: &StageModel<'_>, msgs: &[UnitMsg]) {
+        let profile = m.stage_profile(
+            msgs.len(),
+            |i| (CoreId(msgs[i].0), CoreId(msgs[i].1)),
+            |i| (msgs[i].2, msgs[i].3),
+        );
+        for unit in [0u64, 1, 1023, 1024, 65536, 1 << 24] {
+            let resolved: Vec<Message> = msgs
+                .iter()
+                .map(|&(src, dst, blocks, raw)| {
+                    Message::new(CoreId(src), CoreId(dst), blocks * unit + raw)
+                })
+                .collect();
+            assert_eq!(
+                profile.time(unit).to_bits(),
+                m.stage_time(&resolved).to_bits(),
+                "unit {unit}"
+            );
+        }
+    }
+
+    #[test]
+    fn profile_prices_like_stage_time() {
+        let c = Cluster::gpc(60);
+        let m = model(&c);
+        let p = c.total_cores() as u32;
+        assert_profile_matches(&m, &[]);
+        // A ring mixing intra-socket, cross-socket, same-leaf and
+        // cross-leaf hops, with uneven payloads and local copies.
+        let msgs: Vec<UnitMsg> = (0..p)
+            .map(|i| match i % 7 {
+                0 => (i, i, 2, 0),
+                1 => (i, (i + 37) % p, 1, 16),
+                _ => (i, (i + 1 + 8 * (i % 5)) % p, 1 + u64::from(i % 3), 0),
+            })
+            .collect();
+        assert_profile_matches(&m, &msgs);
+        // Every node of leaf 0 sends to leaf 1: contended uplinks.
+        let fan: Vec<UnitMsg> = (0..30).map(|n| (n * 8, (30 + n) * 8, 1, 0)).collect();
+        assert_profile_matches(&m, &fan);
     }
 }

@@ -35,7 +35,9 @@ pub use snapshot::{
     load as load_snapshot, write_atomic as write_snapshot, ClusterState, EngineSnapshot, SNAP_FILE,
     SNAP_MAGIC, SNAP_VERSION,
 };
-pub use state::{build_core, fault_core, probe_suite, restore_dir, ReplayState, Restore};
+pub use state::{
+    build_core, fault_core, probe_suite, restore_dir, ReplayState, Restore, MAX_INGEST_CORES,
+};
 pub use wire::{crc32, Dec, Enc, WireError};
 
 use std::path::Path;

@@ -20,11 +20,20 @@ use tarr_faults::FaultSet;
 use tarr_ingest::ClusterSnapshot;
 use tarr_mapping::OrderFix;
 
+/// The most cores an ingested cluster may have: 2^20, sixteen times the
+/// 65,536 ranks of the largest served workload. Memory grows faster than
+/// the core count in places — the distance oracle's line-peer table holds
+/// about L²/6 entries for L leaf switches on a GPC fabric — so an
+/// in-range request such as `gpc_nodes` 500,000,000 must be refused before
+/// anything is built.
+pub const MAX_INGEST_CORES: u64 = 1 << 20;
+
 /// Build a fresh core from an ingest spec — exactly the semantics of the
 /// serve `ingest` op (same defaults, same error texts where possible). The
-/// legacy `backend` tag does not change the core. A cluster without nodes,
-/// and a rank count the layouts cannot place (zero, not whole nodes, more
-/// than the cluster's cores), are refused before any layout work.
+/// legacy `backend` tag does not change the core. A cluster above
+/// [`MAX_INGEST_CORES`] or without nodes, and a rank count the layouts
+/// cannot place (zero, not whole nodes, more than the cluster's cores), are
+/// refused before any layout or oracle work.
 pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
     let mut cfg = SessionConfig::default();
     if let Some(seed) = spec.seed {
@@ -38,9 +47,13 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
         })
         .transpose()?;
     let cluster = match &spec.source {
-        IngestSource::SnapshotText(text) => ClusterSnapshot::parse(text)
-            .and_then(|s| s.to_cluster())
-            .map_err(|e| ReplayError::Apply(e.to_string()))?,
+        IngestSource::SnapshotText(text) => {
+            let snap =
+                ClusterSnapshot::parse(text).map_err(|e| ReplayError::Apply(e.to_string()))?;
+            within_ceiling(snap.num_nodes as u64, &snap.node)?;
+            snap.to_cluster()
+                .map_err(|e| ReplayError::Apply(e.to_string()))?
+        }
         IngestSource::GpcNodes(nodes) => {
             let cpn = tarr_topo::NodeTopology::gpc().cores_per_node();
             if nodes.checked_mul(cpn as u64).and_then(id_count).is_none() {
@@ -48,6 +61,7 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
                     "gpc_nodes {nodes} at {cpn} cores per node exceeds the u32 core id space"
                 )));
             }
+            within_ceiling(*nodes, &tarr_topo::NodeTopology::gpc())?;
             tarr_topo::Cluster::try_new(tarr_topo::ClusterConfig {
                 node: tarr_topo::NodeTopology::gpc(),
                 fabric: tarr_topo::FatTreeConfig::gpc(),
@@ -75,6 +89,20 @@ pub fn build_core(spec: &IngestSpec) -> Result<SessionCore, ReplayError> {
         p,
         cfg,
     ))
+}
+
+/// Refuse a cluster of `nodes` nodes of shape `node` whose core count
+/// exceeds [`MAX_INGEST_CORES`] (or overflows `u64` on the way there).
+fn within_ceiling(nodes: u64, node: &tarr_topo::NodeTopology) -> Result<(), ReplayError> {
+    let cores = [node.sockets, node.cores_per_socket, node.smt]
+        .into_iter()
+        .try_fold(nodes, |acc, n| acc.checked_mul(n as u64));
+    match cores {
+        Some(c) if c <= MAX_INGEST_CORES => Ok(()),
+        _ => Err(ReplayError::Apply(format!(
+            "a cluster of {nodes} nodes exceeds the ingest ceiling of {MAX_INGEST_CORES} cores"
+        ))),
+    }
 }
 
 /// `n` as a count of core, node or rank ids, when it fits their `u32` id

@@ -17,10 +17,17 @@
 //! repair it stage by stage: it drops the entry at the next fault and
 //! re-prices it on demand, where the live core re-prices only the stages
 //! the fault reaches.
+//!
+//! A second test follows the size-free stage profiles through the same two
+//! faults: a core warmed at several sizes per (schedule, communicator)
+//! answers like a cold core on the degraded cluster after each fault, and
+//! the identity-delta fault rebuilds only the profiles of the stages it
+//! reaches, once per pair whatever the number of sizes.
 
 use std::sync::Arc;
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
-use tarr_core::{Mapper, PatternKind, Scheme, SessionCore};
+use tarr_collectives::AllgatherAlg;
+use tarr_core::{CommKey, Mapper, PatternKind, SchedKey, Scheme, SessionCore};
 use tarr_mapping::OrderFix;
 use tarr_replay::{
     build_core, fault_core, BackendKind, EngineSnapshot, FaultSpec, IngestSource, IngestSpec,
@@ -150,4 +157,116 @@ fn restored_core_answers_like_the_live_one_through_two_faults() {
         after_second,
         "restored between the faults"
     );
+}
+
+/// The warm sizes of the profile test: three per schedule, all in the
+/// ring region of the allgather at 512 ranks.
+const PROFILE_SIZES: [u64; 3] = [4096, 65536, 1 << 20];
+
+/// The schedules the profile test prices, all over the initial
+/// communicator, none of which a cable fault invalidates.
+const PROFILED: [SchedKey; 5] = [
+    SchedKey::Flat(AllgatherAlg::Ring),
+    SchedKey::Gather,
+    SchedKey::Bcast,
+    SchedKey::AllreduceRd,
+    SchedKey::AllreduceRabenseifner,
+];
+
+/// The default-scheme prices of every [`PROFILED`] schedule at every
+/// [`PROFILE_SIZES`] size, as bit patterns.
+fn default_prices(core: &Arc<SessionCore>) -> Vec<u64> {
+    let mut h = core.handle();
+    let mut out = Vec::new();
+    for b in PROFILE_SIZES {
+        out.push(h.allgather_time(b, Scheme::Default).to_bits());
+        out.push(h.gather_time(b, Scheme::Default).to_bits());
+        out.push(h.bcast_time(b, Scheme::Default).to_bits());
+        out.push(h.allreduce_time(b, false, Scheme::Default).to_bits());
+        out.push(h.allreduce_time(b, true, Scheme::Default).to_bits());
+    }
+    out
+}
+
+/// A cold core on `core`'s (degraded) cluster with its binding.
+fn cold_twin(core: &SessionCore) -> Arc<SessionCore> {
+    Arc::new(SessionCore::new(
+        core.cluster().clone(),
+        core.comm().cores().to_vec(),
+        core.config().clone(),
+    ))
+}
+
+/// Per profiled schedule: (profiles shared with `before`, profiles built
+/// anew, unique stages).
+fn profile_provenance(before: &SessionCore, after: &SessionCore) -> Vec<(usize, usize, usize)> {
+    PROFILED
+        .iter()
+        .map(|&key| {
+            let new = after
+                .stage_profiles(key, CommKey::Default)
+                .expect("priced pair");
+            let old = before.stage_profiles(key, CommKey::Default);
+            let (mut shared, mut fresh) = (0, 0);
+            for k in 0..new.len() {
+                let Some(p) = new.get(k) else { continue };
+                match old.as_ref().and_then(|o| o.get(k)) {
+                    Some(q) if Arc::ptr_eq(p, q) => shared += 1,
+                    _ => fresh += 1,
+                }
+            }
+            (shared, fresh, new.len())
+        })
+        .collect()
+}
+
+#[test]
+fn faults_rebuild_only_the_stage_profiles_they_reach() {
+    let spec = IngestSpec {
+        source: IngestSource::GpcNodes(64),
+        layout: LayoutKind::BlockBunch,
+        p: None,
+        seed: Some(42),
+        backend: BackendKind::Implicit,
+        replace: false,
+    };
+    let live = Arc::new(build_core(&spec).unwrap());
+    let warm = default_prices(&live);
+    assert_eq!(default_prices(&cold_twin(&live)), warm);
+    for (shared, fresh, stages) in profile_provenance(&live, &live) {
+        assert_eq!((shared, fresh), (stages, 0), "every stage profiled once");
+    }
+
+    // Fault 1 rebuilds the fabric without an identity delta: every price
+    // and profile is dropped and rebuilt on demand.
+    let (after_first, report) = fault_core(&live, &cable_fault(7)).unwrap();
+    let after_first = Arc::new(after_first);
+    assert_eq!(report.price_stages_reused, 0, "{report:?}");
+    assert!(PROFILED
+        .iter()
+        .all(|&k| after_first.stage_profiles(k, CommKey::Default).is_none()));
+    let first = default_prices(&after_first);
+    assert_ne!(first, warm, "the first fault must change some price");
+    assert_eq!(default_prices(&cold_twin(&after_first)), first);
+
+    // Fault 2 repairs the irregular fabric through the identity delta:
+    // stages it does not reach keep their profile (the same `Arc`), the
+    // others are routed again once, during the repair, for all three sizes.
+    let (after_second, report) = fault_core(&after_first, &cable_fault(11)).unwrap();
+    let after_second = Arc::new(after_second);
+    assert!(report.price_stages_reused > 0, "{report:?}");
+    assert!(report.price_stages_repriced > 0, "{report:?}");
+    let provenance = profile_provenance(&after_first, &after_second);
+    let n = PROFILE_SIZES.len();
+    let shared: usize = provenance.iter().map(|p| p.0).sum();
+    let fresh: usize = provenance.iter().map(|p| p.1).sum();
+    assert_eq!(shared * n, report.price_stages_reused, "{provenance:?}");
+    assert_eq!(fresh * n, report.price_stages_repriced, "{provenance:?}");
+    for (shared, fresh, stages) in &provenance {
+        assert_eq!(shared + fresh, *stages, "{provenance:?}");
+    }
+    let second = default_prices(&after_second);
+    assert_eq!(default_prices(&cold_twin(&after_second)), second);
+    // Answering built nothing more: the repair already priced every size.
+    assert_eq!(profile_provenance(&after_first, &after_second), provenance);
 }

@@ -33,7 +33,7 @@
 
 use tarr_core::{Mapper, PatternKind, Scheme};
 use tarr_mapping::OrderFix;
-use tarr_trace::json::{write_escaped, write_f64, write_u64, Json};
+use tarr_trace::json::{write_escaped, write_f64, Json, DIGIT_PAIRS};
 
 /// Serialize a [`Json`] value, fields in insertion order, no whitespace.
 pub fn write_json(out: &mut String, v: &Json) {
@@ -74,19 +74,60 @@ pub fn to_string(v: &Json) -> String {
     s
 }
 
-/// Integers as a JSON array (`[3,0,1]`), written straight into a string
-/// pre-sized for six-digit values: no [`Json`] tree, no f64 formatting.
-pub(crate) fn int_array(values: impl ExactSizeIterator<Item = u32>) -> String {
-    let mut out = String::with_capacity(2 + 7 * values.len());
-    out.push('[');
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_u64(&mut out, u64::from(v));
+/// `QUADS[n]` spells `n` in four ASCII digits, zero-padded, for n < 10,000.
+static QUADS: [[u8; 4]; 10_000] = {
+    let mut t = [[0u8; 4]; 10_000];
+    let mut n = 0;
+    while n < 10_000 {
+        let (hi, lo) = (2 * (n / 100), 2 * (n % 100));
+        t[n] = [
+            DIGIT_PAIRS[hi],
+            DIGIT_PAIRS[hi + 1],
+            DIGIT_PAIRS[lo],
+            DIGIT_PAIRS[lo + 1],
+        ];
+        n += 1;
     }
-    out.push(']');
-    out
+    t
+};
+
+/// Integers as a JSON array (`[3,0,1]`): no [`Json`] tree, no f64
+/// formatting, no per-value string append or UTF-8 check. Each value up to
+/// eight digits is spelled from two [`QUADS`] entries as one zero-padded
+/// eight-byte word, shifted to drop its leading zeros and stored with one
+/// fixed-size write into a byte buffer pre-sized for ten-digit values (plus
+/// eight bytes of slack); the text is checked as UTF-8 once, at the end.
+pub(crate) fn int_array(values: impl ExactSizeIterator<Item = u32>) -> String {
+    // `u32::MAX` has ten digits; each value adds one comma (the last
+    // becomes the closing bracket), plus the opening bracket.
+    let mut out = vec![0u8; 2 + 11 * values.len() + 8];
+    out[0] = b'[';
+    let mut pos = 1;
+    for v in values {
+        let digits = v.checked_ilog10().unwrap_or(0) as usize + 1;
+        let eight = |v: u32| {
+            let [a, b, c, d] = QUADS[(v / 10_000) as usize];
+            let [e, f, g, h] = QUADS[(v % 10_000) as usize];
+            u64::from_le_bytes([a, b, c, d, e, f, g, h])
+        };
+        if digits <= 8 {
+            // Little-endian: the shift drops the first `8 - digits` bytes.
+            let word = eight(v) >> ((8 - digits) * 8);
+            out[pos..pos + 8].copy_from_slice(&word.to_le_bytes());
+        } else {
+            let head = digits - 8;
+            let top = QUADS[(v / 100_000_000) as usize];
+            out[pos..pos + head].copy_from_slice(&top[4 - head..]);
+            out[pos + head..pos + digits].copy_from_slice(&eight(v % 100_000_000).to_le_bytes());
+        }
+        out[pos + digits] = b',';
+        pos += digits + 1;
+    }
+    // An empty array closes right after its opening bracket.
+    let end = pos.max(2);
+    out[end - 1] = b']';
+    out.truncate(end);
+    String::from_utf8(out).expect("digits, commas and brackets are ASCII")
 }
 
 /// An ok reply whose one result field is already-encoded JSON text:
@@ -272,4 +313,61 @@ pub fn err_reply_retry(req: Option<&Json>, code: &str, msg: &str, retry_after_ms
 /// 2^53).
 pub fn num(v: u64) -> Json {
     Json::Num(v as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The encoder `int_array` replaced: one `write_u64` per value.
+    fn int_array_reference(values: &[u32]) -> String {
+        let mut out = String::from("[");
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            tarr_trace::json::write_u64(&mut out, u64::from(v));
+        }
+        out.push(']');
+        out
+    }
+
+    #[test]
+    fn int_array_matches_reference_at_digit_boundaries() {
+        let edges = [
+            0u32,
+            9,
+            10,
+            99,
+            100,
+            65_535,
+            999_999,
+            99_999_999,
+            100_000_000,
+            999_999_999,
+            1_000_000_000,
+            u32::MAX,
+        ];
+        assert_eq!(int_array(std::iter::empty()), "[]");
+        for &v in &edges {
+            assert_eq!(int_array([v].into_iter()), int_array_reference(&[v]));
+        }
+        assert_eq!(
+            int_array(edges.iter().copied()),
+            int_array_reference(&edges)
+        );
+        assert_eq!(int_array([7, 0, 42].into_iter()), "[7,0,42]");
+    }
+
+    proptest! {
+        #[test]
+        fn int_array_matches_reference_on_random_vectors(
+            values in proptest::collection::vec(any::<u32>(), 0..200),
+            small in proptest::collection::vec(0u32..70_000, 0..200),
+        ) {
+            prop_assert_eq!(int_array(values.iter().copied()), int_array_reference(&values));
+            prop_assert_eq!(int_array(small.iter().copied()), int_array_reference(&small));
+        }
+    }
 }

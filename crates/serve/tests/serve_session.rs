@@ -115,6 +115,14 @@ fn errors_are_typed_not_fatal() {
     let from_text =
         |p: u64| format!(r#"{{"op":"ingest","cluster":"x","snapshot":{text},"p":{p}}}"#);
     let (text_p0, text_p12, text_p_big) = (from_text(0), from_text(12), from_text(100000));
+    // The same cluster text with a node count far above the ingest ceiling.
+    let mut huge = String::new();
+    tarr_trace::json::write_escaped(
+        &mut huge,
+        &tarr_ingest::ClusterSnapshot::canonical_cluster_text(&Cluster::gpc(2))
+            .replace("[nodes] 2", "[nodes] 500000000"),
+    );
+    let text_huge = format!(r#"{{"op":"ingest","cluster":"x","snapshot":{huge}}}"#);
     for (line, needle) in [
         ("{not json", "bad request"),
         (r#"{"op":"frobnicate"}"#, "unknown op"),
@@ -161,6 +169,21 @@ fn errors_are_typed_not_fatal() {
             "not a positive multiple of the 8 cores per node",
         ),
         (text_p_big.as_str(), "exceeds the cluster's 16 cores"),
+        // Clusters above the ingest ceiling (2^20 cores) are refused
+        // before any layout or oracle work, from either cluster source,
+        // even where the core count fits the u32 id space.
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":500000000}"#,
+            "exceeds the ingest ceiling of 1048576 cores",
+        ),
+        (
+            r#"{"op":"ingest","cluster":"x","gpc_nodes":131073,"p":8}"#,
+            "exceeds the ingest ceiling of 1048576 cores",
+        ),
+        (
+            text_huge.as_str(),
+            "exceeds the ingest ceiling of 1048576 cores",
+        ),
     ] {
         let reply = parse(&engine.handle_line(line)).unwrap();
         assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "line: {line}");
@@ -172,7 +195,7 @@ fn errors_are_typed_not_fatal() {
         let msg = reply.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains(needle), "{msg:?} lacks {needle:?}");
     }
-    assert_eq!(engine.stats().errors(), 14);
+    assert_eq!(engine.stats().errors(), 17);
     // The engine still works after the error barrage.
     let ok = engine.handle_line(r#"{"op":"ingest","cluster":"x","gpc_nodes":2}"#);
     assert!(ok.contains("\"ok\":true"));

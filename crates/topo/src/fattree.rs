@@ -155,6 +155,51 @@ impl FatTree {
         false
     }
 
+    /// For every leaf, the sorted other leaves it shares a line switch with:
+    /// the lists [`leaves_share_line`](Self::leaves_share_line) answers pair
+    /// by pair, built from per-(core switch, line) member lists instead, in
+    /// O(L·c·u + Σ peers·log) for L leaves, c core switches and u uplinks
+    /// per core rather than the O(L²·c·u²) all-pairs test.
+    pub fn line_peer_table(&self) -> Vec<Vec<u32>> {
+        let c = &self.cfg;
+        let leaves = self.num_leaves();
+        // members[core · lines + line]: the leaves with an uplink landing
+        // on that line switch, ascending, each once.
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); c.core_switches * c.lines_per_core];
+        for leaf in 0..leaves {
+            for core in 0..c.core_switches {
+                for up in 0..c.uplinks_per_core {
+                    let line = self.line_of(LeafId::from_idx(leaf), core, up);
+                    let list = &mut members[core * c.lines_per_core + line];
+                    if list.last() != Some(&(leaf as u32)) {
+                        list.push(leaf as u32);
+                    }
+                }
+            }
+        }
+        // `seen[b] == a + 1` marks leaf b as already collected for leaf a.
+        let mut seen = vec![0u32; leaves];
+        (0..leaves)
+            .map(|a| {
+                seen[a] = a as u32 + 1;
+                let mut peers = Vec::new();
+                for core in 0..c.core_switches {
+                    for up in 0..c.uplinks_per_core {
+                        let line = self.line_of(LeafId::from_idx(a), core, up);
+                        for &b in &members[core * c.lines_per_core + line] {
+                            if seen[b as usize] != a as u32 + 1 {
+                                seen[b as usize] = a as u32 + 1;
+                                peers.push(b);
+                            }
+                        }
+                    }
+                }
+                peers.sort_unstable();
+                peers
+            })
+            .collect()
+    }
+
     /// Number of switch-to-switch fabric links on the *routed* path between
     /// two nodes (0 = same leaf).
     pub fn fabric_hops(&self, src: NodeId, dst: NodeId) -> usize {

@@ -81,10 +81,15 @@ pub struct SlotPath {
 /// O(P)-memory distance oracle answering queries directly from the cluster
 /// hierarchy.
 ///
-/// Build cost is O(P) for the slot paths plus O(L²) for the line-sharing
-/// table over the fabric's L leaf switches — negligible next to the O(P²)
-/// dense build, and the whole structure fits in a few machine words per
-/// slot regardless of P.
+/// Build cost is O(P) for the slot paths plus the line-sharing table over
+/// the fabric's L leaf switches, built from per-line member lists
+/// ([`FatTree::line_peer_table`](crate::fattree::FatTree::line_peer_table))
+/// in time proportional to the peers it stores. That table is not
+/// negligible: on a GPC fabric a leaf shares a line with about a sixth of
+/// the others, so it holds about L²/6 entries (12,240 at the 274 leaves of
+/// 65,536 ranks), and the O(L²) all-pairs test that used to build it took
+/// 3.6–4.0 ms there. Everything else fits in a few machine words per slot
+/// regardless of P.
 #[derive(Debug, Clone)]
 pub struct ImplicitDistance {
     cluster: Cluster,
@@ -119,8 +124,19 @@ impl ImplicitDistance {
             return Err(crate::error::TopoError::EmptyAllocation);
         }
         {
-            let mut sorted = cores.to_vec();
-            sorted.sort_unstable();
+            // Layouts usually list cores in ascending order, which needs no
+            // sorted copy to find the largest core or a duplicate.
+            let copy: Vec<CoreId>;
+            let sorted = if cores.windows(2).all(|w| w[0] < w[1]) {
+                cores
+            } else {
+                copy = {
+                    let mut v = cores.to_vec();
+                    v.sort_unstable();
+                    v
+                };
+                &copy
+            };
             if let Some(&last) = sorted.last() {
                 if last.idx() >= cluster.total_cores() {
                     return Err(crate::error::TopoError::CoreOutOfRange {
@@ -137,26 +153,11 @@ impl ImplicitDistance {
         let _span = tarr_trace::span("topo.distance.build")
             .arg("p", cores.len())
             .arg("kind", "implicit");
-        let paths: Vec<SlotPath> = cores.iter().map(|&c| slot_path(cluster, c)).collect();
+        let deriver = PathDeriver::new(cluster);
+        let paths: Vec<SlotPath> = cores.iter().map(|&c| deriver.path(c)).collect();
 
         let line_peers = match cluster.fabric() {
-            Fabric::FatTree(f) => {
-                let leaves = f.num_leaves();
-                (0..leaves)
-                    .map(|a| {
-                        (0..leaves)
-                            .filter(|&b| {
-                                a != b
-                                    && f.leaves_share_line(
-                                        crate::ids::LeafId::from_idx(a),
-                                        crate::ids::LeafId::from_idx(b),
-                                    )
-                            })
-                            .map(|b| b as u32)
-                            .collect()
-                    })
-                    .collect()
-            }
+            Fabric::FatTree(f) => f.line_peer_table(),
             Fabric::Torus(_) | Fabric::Irregular(_) => Vec::new(),
         };
 
@@ -206,6 +207,7 @@ impl ImplicitDistance {
         let _span = tarr_trace::span("topo.distance.repair")
             .arg("p", self.cores.len())
             .arg("slots", changed.len());
+        let deriver = PathDeriver::new(&self.cluster);
         for &(slot, core) in changed {
             assert!(slot < self.cores.len(), "slot {slot} out of range");
             assert!(
@@ -214,7 +216,7 @@ impl ImplicitDistance {
                 core.idx()
             );
             self.cores[slot] = core;
-            self.paths[slot] = slot_path(&self.cluster, core);
+            self.paths[slot] = deriver.path(core);
         }
         {
             let mut sorted = self.cores.clone();
@@ -242,26 +244,59 @@ impl ImplicitDistance {
     }
 }
 
-/// Position of `core` in the cluster hierarchy — the single derivation both
-/// the full oracle build and the slot repair share.
-fn slot_path(cluster: &Cluster, core: CoreId) -> SlotPath {
-    let nt = cluster.node_topology();
-    let phys_per_node = (nt.sockets * nt.cores_per_socket) as u32;
-    let l2_per_node = phys_per_node / nt.cores_per_l2 as u32;
-    let sockets = nt.sockets as u32;
-    let node = cluster.node_of(core).idx() as u32;
-    let local = cluster.local_of(core);
-    let leaf = match cluster.fabric() {
-        Fabric::FatTree(f) => f.leaf_of(cluster.node_of(core)).idx() as u32,
-        Fabric::Torus(_) => node,
-        Fabric::Irregular(g) => g.switch_of(cluster.node_of(core)),
-    };
-    SlotPath {
-        core: node * phys_per_node + nt.core_of_local(local) as u32,
-        l2: node * l2_per_node + nt.l2_group_of_local(local) as u32,
-        socket: node * sockets + nt.socket_of_local(local) as u32,
-        node,
-        leaf,
+/// Position of a core in the cluster hierarchy — the single derivation both
+/// the full oracle build and the slot repair share. The per-cluster work is
+/// done once: the node-local part of every key is tabulated per local PU
+/// index, so a core costs one division for its node and one for its leaf.
+struct PathDeriver<'a> {
+    cluster: &'a Cluster,
+    cores_per_node: u32,
+    phys_per_node: u32,
+    l2_per_node: u32,
+    sockets: u32,
+    /// Per node-local PU index: its (physical core, L2 group, socket)
+    /// within the node.
+    local: Vec<(u32, u32, u32)>,
+}
+
+impl<'a> PathDeriver<'a> {
+    fn new(cluster: &'a Cluster) -> Self {
+        let nt = cluster.node_topology();
+        let phys_per_node = (nt.sockets * nt.cores_per_socket) as u32;
+        PathDeriver {
+            cluster,
+            cores_per_node: cluster.cores_per_node() as u32,
+            phys_per_node,
+            l2_per_node: phys_per_node / nt.cores_per_l2 as u32,
+            sockets: nt.sockets as u32,
+            local: (0..cluster.cores_per_node())
+                .map(|l| {
+                    (
+                        nt.core_of_local(l) as u32,
+                        nt.l2_group_of_local(l) as u32,
+                        nt.socket_of_local(l) as u32,
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn path(&self, core: CoreId) -> SlotPath {
+        let node = core.0 / self.cores_per_node;
+        let (phys, l2, socket) = self.local[(core.0 - node * self.cores_per_node) as usize];
+        let leaf = match self.cluster.fabric() {
+            Fabric::FatTree(f) => f.leaf_of(crate::ids::NodeId(node)).idx() as u32,
+            Fabric::Torus(_) => node,
+            Fabric::Irregular(g) => g.switch_of(crate::ids::NodeId(node)),
+        };
+        SlotPath {
+            core: node * self.phys_per_node + phys,
+            l2: node * self.l2_per_node + l2,
+            socket: node * self.sockets + socket,
+            node,
+            leaf,
+        }
     }
 }
 

@@ -92,3 +92,62 @@ fn manycore_tiny(nodes: usize) -> Cluster {
         num_nodes: nodes,
     })
 }
+
+/// The line-peer table [`ImplicitDistance`] walks must hold, for every
+/// leaf, exactly the other leaves `leaves_share_line` accepts, ascending.
+fn assert_line_peers_match(tree: &tarr_topo::FatTree) -> Result<(), TestCaseError> {
+    let table = tree.line_peer_table();
+    prop_assert_eq!(table.len(), tree.num_leaves());
+    for (a, peers) in table.iter().enumerate() {
+        let expect: Vec<u32> = (0..tree.num_leaves())
+            .filter(|&b| {
+                b != a
+                    && tree.leaves_share_line(
+                        tarr_topo::LeafId::from_idx(a),
+                        tarr_topo::LeafId::from_idx(b),
+                    )
+            })
+            .map(|b| b as u32)
+            .collect();
+        prop_assert_eq!(peers, &expect, "leaf {}", a);
+    }
+    Ok(())
+}
+
+#[test]
+fn line_peers_match_pairwise_test_on_gpc_and_tiny() {
+    for (cfg, nodes) in [
+        (tarr_topo::FatTreeConfig::gpc(), 8192),
+        (tarr_topo::FatTreeConfig::gpc(), 31),
+        (tarr_topo::FatTreeConfig::tiny(), 64),
+        (tarr_topo::FatTreeConfig::tiny(), 1),
+    ] {
+        assert_line_peers_match(&tarr_topo::FatTree::new(cfg, nodes)).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random wirings, including ones where several uplinks of one leaf
+    /// land on the same line switch (more uplinks than lines, or offsets
+    /// that wrap onto each other).
+    #[test]
+    fn line_peers_match_pairwise_test_on_random_wirings(
+        nodes_per_leaf in 1usize..4,
+        core_switches in 1usize..4,
+        uplinks_per_core in 1usize..8,
+        lines_per_core in 1usize..6,
+        num_nodes in 1usize..120,
+    ) {
+        let cfg = tarr_topo::FatTreeConfig {
+            nodes_per_leaf,
+            core_switches,
+            uplinks_per_core,
+            lines_per_core,
+            spines_per_core: 1,
+            line_spine_links: 1,
+        };
+        assert_line_peers_match(&tarr_topo::FatTree::new(cfg, num_nodes))?;
+    }
+}

@@ -84,7 +84,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// `DIGIT_PAIRS[2n..2n + 2]` spells `n` in two ASCII digits, for n < 100.
-const DIGIT_PAIRS: [u8; 200] = {
+pub const DIGIT_PAIRS: [u8; 200] = {
     let mut t = [0u8; 200];
     let mut n = 0;
     while n < 100 {
