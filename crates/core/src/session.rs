@@ -22,8 +22,10 @@
 //!   (allgatherv prices the ring analytically per call, since its per-rank
 //!   sizes change the bytes of every stage);
 //! * the **price cache** — the total latency of each (schedule,
-//!   communicator, message size), next to its per-unique-stage prices so a
-//!   fault re-prices only the stages it reaches.
+//!   communicator, message size) and its unique-stage count. The per-stage
+//!   state behind it is the core's size-free stage profiles, one set per
+//!   (schedule, communicator), from which a fault re-prices only the
+//!   stages it reaches.
 //!
 //! The distance structure is the O(P)-memory [`ImplicitDistance`] oracle,
 //! which takes a 65,536-rank session from an 8 GiB dense extraction to a
@@ -491,10 +493,10 @@ impl Session {
     /// communicator and schedule a cached total never needs.
     fn priced_time(&mut self, key: SchedKey, ck: CommKey, block_bytes: u64) -> Option<f64> {
         let pkey = (key, ck, block_bytes);
-        if let Some(priced) = self.core.prices.get_hit(&pkey) {
-            let stages = u64::from(priced.num_stages);
+        if let Some((total, num_stages)) = self.core.prices.get_hit(&pkey) {
+            let stages = u64::from(num_stages);
             self.record(Cache::Price { stages }, Lookup::Hit);
-            return Some(priced.total);
+            return Some(total);
         }
         let comm = match ck {
             CommKey::Default => None,
@@ -502,14 +504,13 @@ impl Session {
         };
         let ts = self.sched(key)?;
         let core = &*self.core;
-        let (priced, outcome) = core.prices.get_or_compute(&pkey, || {
+        let ((total, _), outcome) = core.prices.get_or_compute(&pkey, || {
             let c = comm.as_deref().unwrap_or(&core.comm);
-            let stages = vec![f64::NAN; ts.num_unique_stages()];
-            core.price((key, ck), &ts, c, block_bytes, stages)
+            core.price((key, ck), &ts, c, block_bytes)
         });
         let stages = ts.num_unique_stages() as u64;
         self.record(Cache::Price { stages }, outcome);
-        Some(priced.total)
+        Some(total)
     }
 
     /// Simulated latency of one non-hierarchical `MPI_Allgather` with

@@ -16,12 +16,14 @@
 //! * default-order hierarchical schedules ([`SchedKey::Hier`] with no
 //!   mapper), which read the node grouping of the initial communicator —
 //!   kept as long as no rank moved;
-//! * prices over a surviving schedule and communicator, with only the
-//!   stages the fault reaches re-priced (stage-selective repair),
-//!   so the new core holds complete entries only;
-//! * the stage profiles of exactly the stages whose prices survive
-//!   untouched; the re-priced stages rebuild theirs on demand, once per
-//!   (schedule, communicator) however many sizes were priced over it.
+//! * the stage profiles of a surviving schedule and communicator, for
+//!   exactly the stages the fault does not reach;
+//! * prices over a surviving schedule and communicator: as they are when
+//!   the fault reaches none of their stages, otherwise re-priced from the
+//!   carried profiles with only the reached stages routed again, once per
+//!   (schedule, communicator) however many sizes were priced over it
+//!   (stage-selective repair). A pair with no profiles (restored from a
+//!   snapshot and not priced since) loses its prices instead.
 //!
 //! Everything that reads the distance oracle (every topology-aware
 //! mapping and whatever was compiled from it) is dropped, because the
@@ -148,8 +150,8 @@ pub struct DegradationReport {
     /// Compiled-schedule cache entries that survived the fault.
     pub scheds_kept: usize,
     /// Price-cache entries dropped whole (their schedule or communicator
-    /// was invalidated, the rebuild was not fault-local, or the entry was
-    /// restored from a snapshot without its stage prices).
+    /// was invalidated, the rebuild was not fault-local, or their pair had
+    /// no stage profiles: restored from a snapshot and not priced since).
     pub price_entries_dropped: usize,
     /// Cached unique-stage prices re-priced selectively — stages whose
     /// operand ranks migrated or whose routes crossed repaired fabric.
@@ -345,18 +347,19 @@ impl SessionCore {
     /// prices kept)`.
     ///
     /// Entries whose schedule or communicator was invalidated are dropped
-    /// whole. For the survivors, each stage price is kept unless the fault
+    /// whole. For the survivors, each unique stage is kept unless the fault
     /// provably reaches it: an operand rank migrated, or (fabric repaired
     /// under an identity renumbering) one of its messages routes through a
-    /// switch whose BFS row or adjacency the repair touched. Those stages
-    /// are re-priced on `new` now. A fabric rebuild without an identity
-    /// [`FabricDelta`] drops everything — renumbered switches leave no
-    /// per-row provenance to reason from — and so does an entry without
-    /// stage prices.
+    /// switch whose BFS row or adjacency the repair touched. A fabric
+    /// rebuild without an identity [`FabricDelta`] drops everything —
+    /// renumbered switches leave no per-row provenance to reason from.
     ///
-    /// A stage profile follows its stage price: kept exactly when the
-    /// stage is, otherwise left unbuilt so the re-pricing routes that stage
-    /// once for every size priced over the same schedule and communicator.
+    /// A surviving pair's profiles are carried with the kept stages' slots
+    /// shared and the others unbuilt. An entry with every stage kept is
+    /// carried as it is; any other is re-priced on `new` from the carried
+    /// profiles, which routes each reached stage once per pair whatever the
+    /// number of sizes. An entry whose pair has no profiles on this core is
+    /// dropped.
     fn repair_prices(
         &self,
         new: &SessionCore,
@@ -364,6 +367,9 @@ impl SessionCore {
         fabric_changed: bool,
         delta: Option<&FabricDelta>,
     ) -> (usize, usize, usize) {
+        // Prices before profiles: `price` installs a pair's profile set
+        // before its total lands, so every entry read here finds its
+        // profiles even while other handles price this core.
         let entries = self.prices.entries();
         let _span = tarr_trace::span("fault.price_repair")
             .arg("entries", entries.len())
@@ -386,23 +392,19 @@ impl SessionCore {
         }
         let (mut dropped, mut repriced, mut reused) = (0usize, 0usize, 0usize);
         for (key @ (sk, ck, bytes), priced) in entries {
-            let (Some(s), Some(stages)) = (survey.survive((sk, ck)), priced.stages.as_deref())
+            let Some(s) = survey
+                .survive((sk, ck))
+                .filter(|_| new.profiles.get(&(sk, ck)).is_some())
             else {
                 dropped += 1;
                 continue;
             };
-            let mut fresh = stages.to_vec();
-            for (k, &stable) in s.stable.iter().enumerate() {
-                if stable {
-                    reused += 1;
-                } else {
-                    fresh[k] = f64::NAN;
-                    repriced += 1;
-                }
-            }
-            let priced = if fresh.iter().any(|v| v.is_nan()) {
+            let reached = s.stable.iter().filter(|&&stable| !stable).count();
+            repriced += reached;
+            reused += s.stable.len() - reached;
+            let priced = if reached > 0 {
                 let c = s.comm.as_deref().unwrap_or(&new.comm);
-                new.price((sk, ck), &s.ts, c, bytes, fresh)
+                new.price((sk, ck), &s.ts, c, bytes)
             } else {
                 priced
             };

@@ -20,16 +20,15 @@
 //! (`tarr_mpi::ring_allgatherv_time`) over the cached ring communicator. A
 //! price lookup reads the price cache first: a hit answers from the entry
 //! alone and never touches the communicator or schedule caches. A price
-//! entry keeps its per-unique-stage prices next to the total, so a fault
-//! can re-price only the stages it reaches.
+//! entry is what a snapshot stores: the total and its unique-stage count.
 //!
-//! A price miss does not route a stage it has routed before. The core
-//! keeps one lazily built [`tarr_netsim::StageProfile`] per unique stage of
-//! every (schedule, communicator) pair it has priced
-//! ([`tarr_mpi::StageProfiles`]): the stage routed once and reduced to a
-//! few size-free terms. A miss at a new size over the same pair prices
-//! every stage from its profile, bit-identically to routing it again. A
-//! fault keeps a stage's profile exactly when it keeps that stage's price.
+//! The one per-stage state is the stage profiles. The core keeps one
+//! lazily built [`tarr_netsim::StageProfile`] per unique stage of every
+//! (schedule, communicator) pair it has priced ([`tarr_mpi::StageProfiles`]):
+//! the stage routed once and reduced to a few size-free terms. A miss at a
+//! new size over the same pair prices every stage from its profile,
+//! bit-identically to routing it again, and a fault re-prices a price entry
+//! from its pair's profiles with only the stages it reaches routed again.
 //!
 //! Mappings and prices are the core's *state*: a mapping is a heuristic
 //! run and a price a simulation, both worth persisting. Reordered
@@ -120,7 +119,7 @@ pub struct CoreState {
     /// Mapping-cache entries; `None` marks a cached "unsupported
     /// configuration" outcome, `Some` the permutation itself.
     pub mappings: Vec<PermEntry>,
-    /// Price-cache entries (per-stage prices are not exported).
+    /// Price-cache entries.
     pub prices: Vec<PriceEntry>,
 }
 
@@ -129,21 +128,10 @@ pub struct CoreState {
 /// configuration" outcome (`None`).
 pub type PermEntry = ((Mapper, PatternKind), Option<Vec<u32>>);
 
-/// One exported price-cache entry: the `(schedule, communicator, bytes)`
-/// key, the total latency, and the number of unique stages that total
-/// sums (what a cache hit counts as reused).
+/// One price-cache entry, live or exported: the `(schedule, communicator,
+/// bytes)` key, the total latency, and the number of unique stages that
+/// total sums (what a cache hit counts as reused).
 pub type PriceEntry = ((SchedKey, CommKey, u64), (f64, u32));
-
-/// One price-cache entry: the total latency, its schedule's unique-stage
-/// count, and the per-unique-stage prices it sums (aligned with
-/// `unique_stages()`). Entries restored from a snapshot carry the total
-/// and the count only.
-#[derive(Debug, Clone)]
-pub(super) struct Priced {
-    pub(super) total: f64,
-    pub(super) num_stages: u32,
-    pub(super) stages: Option<Arc<[f64]>>,
-}
 
 /// The shared state of a session. See the module docs.
 pub struct SessionCore {
@@ -155,7 +143,7 @@ pub struct SessionCore {
     pub(super) mappings: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<MappingInfo>>>,
     pub(super) comms: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<Communicator>>>,
     pub(super) scheds: ShardedOnceMap<SchedKey, Option<Arc<TimedSchedule>>>,
-    pub(super) prices: ShardedOnceMap<(SchedKey, CommKey, u64), Priced>,
+    pub(super) prices: ShardedOnceMap<(SchedKey, CommKey, u64), (f64, u32)>,
     /// Size-free stage profiles per (schedule, communicator); a cache, like
     /// the schedules, so never exported.
     pub(super) profiles: ShardedOnceMap<(SchedKey, CommKey), Arc<StageProfiles>>,
@@ -280,12 +268,7 @@ impl SessionCore {
                 .into_iter()
                 .map(|(k, v)| (k, v.map(|info| info.mapping.clone())))
                 .collect(),
-            prices: self
-                .prices
-                .entries()
-                .into_iter()
-                .map(|(k, v)| (k, (v.total, v.num_stages)))
-                .collect(),
+            prices: self.prices.entries(),
         }
     }
 
@@ -348,18 +331,11 @@ impl SessionCore {
             };
             core.mappings.insert(k, v);
         }
-        for (k, (total, num_stages)) in state.prices {
-            if !total.is_finite() {
+        for (k, priced) in state.prices {
+            if !priced.0.is_finite() {
                 return Err(format!("cached price for {k:?} is not finite"));
             }
-            core.prices.insert(
-                k,
-                Priced {
-                    total,
-                    num_stages,
-                    stages: None,
-                },
-            );
+            core.prices.insert(k, priced);
         }
         Ok(core)
     }
@@ -419,27 +395,29 @@ impl SessionCore {
     }
 
     /// Price `ts` (the schedule `key` names) over `comm` (the communicator
-    /// `ck` names) at `block_bytes`, pricing every stage whose entry in
-    /// `stages` is `NaN` from the pair's cached [`StageProfiles`] and
-    /// reusing the rest. A stage whose profile is not built yet is routed
-    /// once and its profile kept for every later size.
+    /// `ck` names) at `block_bytes` from the pair's cached [`StageProfiles`],
+    /// as a price-cache entry. A stage whose profile is not built yet is
+    /// routed once and its profile kept for every later size. The pair's
+    /// profile set is installed before the total is returned, so every
+    /// price entry a reader sees has its profile set in place.
     pub(super) fn price(
         &self,
         (key, ck): (SchedKey, CommKey),
         ts: &TimedSchedule,
         comm: &Communicator,
         block_bytes: u64,
-        mut stages: Vec<f64>,
-    ) -> Priced {
+    ) -> (f64, u32) {
         let (profiles, _) = self.profiles.get_or_compute(&(key, ck), || {
             Arc::new(StageProfiles::new(ts.num_unique_stages()))
         });
-        let total = ts.time_with_profiles(comm, &self.model(), block_bytes, &mut stages, &profiles);
-        Priced {
-            total,
-            num_stages: ts.num_unique_stages() as u32,
-            stages: Some(stages.into()),
-        }
+        let total = ts.time_with_profiles(comm, &self.model(), block_bytes, &profiles);
+        (total, ts.num_unique_stages() as u32)
+    }
+
+    /// The compiled schedule cached under `key`, if one has been compiled
+    /// on this core (or survived a fault into it).
+    pub fn schedule(&self, key: SchedKey) -> Option<Arc<TimedSchedule>> {
+        self.scheds.get(&key).flatten()
     }
 
     /// The stage profiles cached for schedule `sched` over communicator

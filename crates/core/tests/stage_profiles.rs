@@ -83,11 +83,11 @@ fn assert_profiles_match(tag: &str, cluster: &Cluster, params: NetParams) {
             let profiles = StageProfiles::new(ts.num_unique_stages());
             for b in SIZES {
                 let at = format!("{tag} {name} {cname} b {b}");
-                let mut cache = vec![f64::NAN; ts.num_unique_stages()];
-                let total = ts.time_with_profiles(comm, &model, b, &mut cache, &profiles);
+                let total = ts.time_with_profiles(comm, &model, b, &profiles);
                 assert_eq!(total.to_bits(), ts.time(comm, &model, b).to_bits(), "{at}");
                 let mut msgs = Vec::new();
-                for (k, &t) in cache.iter().enumerate() {
+                for k in 0..ts.num_unique_stages() {
+                    let t = profiles.get(k).expect("priced stage").time(unit(&ts, k, b));
                     let want = ts.price_unique_stage(k as u32, comm, &model, b, &mut msgs);
                     assert_eq!(t.to_bits(), want.to_bits(), "{at} stage {k}");
                     let fresh = ts.stage_profile(k as u32, comm, &model);

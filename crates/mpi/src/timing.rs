@@ -22,11 +22,11 @@
 //!   forms analytically in O(P log P), so every collective compiles once
 //!   and is priced at any size.
 //! * **Size-free stage profiles.** [`TimedSchedule::time_with_profiles`]
-//!   prices a unique stage from its [`StageProfile`] — the stage routed
+//!   prices every unique stage from its [`StageProfile`] — the stage routed
 //!   once over a communicator and reduced to a few `(α, ρ)` terms — held in
-//!   a caller-owned [`StageProfiles`] set, so a second size over the same
-//!   schedule and communicator routes nothing. Prices are bit-identical to
-//!   [`TimedSchedule::time_with_cache`].
+//!   a [`StageProfiles`] set, so a second size over the same schedule and
+//!   communicator routes nothing. The set is the one per-stage state a
+//!   caller keeps; prices are bit-identical to [`TimedSchedule::time`].
 //! * [`ring_allgatherv_time`] — the ring `MPI_Allgatherv` with per-block
 //!   sizes, priced analytically in O(P) memory: variable sizes defeat the
 //!   size-independent unique stage, so it rewrites one message buffer per
@@ -422,43 +422,19 @@ impl TimedSchedule {
         t
     }
 
-    /// Total latency with a caller-owned per-unique-stage cache: entries
-    /// that are `NaN` are priced (and written back), everything else is
-    /// reused verbatim. Accumulation runs in original stage order, so with
-    /// correct cache contents the result is bit-identical to
-    /// [`TimedSchedule::time`] — stage times are pure functions of the
-    /// communicator contents, so a cached value equals a recomputed one.
+    /// Total latency with every unique stage priced from its
+    /// [`StageProfile`] in `profiles`, routing a stage only when its
+    /// profile is not built yet. Bit-identical to [`TimedSchedule::time`]:
+    /// a profile prices exactly as [`StageModel::stage_time`] does (see
+    /// [`StageProfile`]).
     ///
     /// # Panics
-    /// Panics if `cache.len()` differs from the number of unique stages.
-    pub fn time_with_cache(
-        &self,
-        comm: &Communicator,
-        model: &StageModel<'_>,
-        block_bytes: u64,
-        cache: &mut [f64],
-    ) -> f64 {
-        let mut msgs: Vec<Message> = Vec::new();
-        self.accumulate(comm, block_bytes, cache, |k| {
-            self.price_unique_stage(k, comm, model, block_bytes, &mut msgs)
-        })
-    }
-
-    /// [`time_with_cache`](Self::time_with_cache) that prices a missing
-    /// stage from its [`StageProfile`] in `profiles`, routing the stage only
-    /// when its profile is not built yet. Bit-identical to
-    /// [`time_with_cache`](Self::time_with_cache): a profile prices exactly
-    /// as [`StageModel::stage_time`] does (see [`StageProfile`]).
-    ///
-    /// # Panics
-    /// Panics if `cache.len()` or `profiles.len()` differs from the number
-    /// of unique stages.
+    /// Panics if `profiles.len()` differs from the number of unique stages.
     pub fn time_with_profiles(
         &self,
         comm: &Communicator,
         model: &StageModel<'_>,
         block_bytes: u64,
-        cache: &mut [f64],
         profiles: &StageProfiles,
     ) -> f64 {
         assert_eq!(
@@ -466,7 +442,7 @@ impl TimedSchedule {
             self.uniq.len(),
             "profiles/schedule size mismatch"
         );
-        self.accumulate(comm, block_bytes, cache, |k| {
+        let (total, _) = self.accumulate(comm, block_bytes, |k| {
             let mut built = false;
             let profile = profiles.slots[k as usize].get_or_init(|| {
                 built = true;
@@ -480,7 +456,8 @@ impl TimedSchedule {
             let t = profile.time(self.unit(k as usize, block_bytes));
             record_stage_price(t);
             t
-        })
+        });
+        total
     }
 
     /// The size-free [`StageProfile`] of unique stage `k` under `comm`:
@@ -505,17 +482,16 @@ impl TimedSchedule {
     }
 
     /// Sum the stage prices along the original stage order, pricing each
-    /// unique stage whose `cache` entry is `NaN` with `price` and writing
-    /// it back.
+    /// unique stage once with `price`. Returns the total and the price of
+    /// every unique stage.
     fn accumulate(
         &self,
         comm: &Communicator,
         block_bytes: u64,
-        cache: &mut [f64],
         mut price: impl FnMut(u32) -> f64,
-    ) -> f64 {
+    ) -> (f64, Vec<f64>) {
         assert_eq!(self.p as usize, comm.size(), "schedule/comm size mismatch");
-        assert_eq!(cache.len(), self.uniq.len(), "cache/schedule size mismatch");
+        let mut cache = vec![f64::NAN; self.uniq.len()];
         let _span = tarr_trace::span("mpi.price")
             .arg("p", self.p)
             .arg("block_bytes", block_bytes)
@@ -533,7 +509,20 @@ impl TimedSchedule {
             }
             total += t;
         }
-        total
+        (total, cache)
+    }
+
+    /// [`accumulate`](Self::accumulate) with every unique stage routed.
+    fn time_routed(
+        &self,
+        comm: &Communicator,
+        model: &StageModel<'_>,
+        block_bytes: u64,
+    ) -> (f64, Vec<f64>) {
+        let mut msgs: Vec<Message> = Vec::new();
+        self.accumulate(comm, block_bytes, |k| {
+            self.price_unique_stage(k, comm, model, block_bytes, &mut msgs)
+        })
     }
 
     /// Resolve unique stage `k` to messages under `comm` and `block_bytes`.
@@ -554,8 +543,7 @@ impl TimedSchedule {
     /// accumulation runs in original stage order, so the result is
     /// bit-identical to the reference executor's memoized sum.
     pub fn time(&self, comm: &Communicator, model: &StageModel<'_>, block_bytes: u64) -> f64 {
-        let mut cache: Vec<f64> = vec![f64::NAN; self.uniq.len()];
-        let total = self.time_with_cache(comm, model, block_bytes, &mut cache);
+        let (total, _) = self.time_routed(comm, model, block_bytes);
         counter_add!("mpi.price.calls", 1);
         total
     }
@@ -568,8 +556,7 @@ impl TimedSchedule {
         model: &StageModel<'_>,
         block_bytes: u64,
     ) -> Vec<f64> {
-        let mut cache: Vec<f64> = vec![f64::NAN; self.uniq.len()];
-        self.time_with_cache(comm, model, block_bytes, &mut cache);
+        let (_, cache) = self.time_routed(comm, model, block_bytes);
         self.order
             .iter()
             .map(|&k| {

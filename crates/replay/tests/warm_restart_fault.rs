@@ -12,17 +12,22 @@
 //! snapshot of the live one between the faults, takes the second fault
 //! with restored prices on an irregular fabric.
 //!
-//! Only answers are compared, not cache counters. A restored price carries
-//! its total but not its per-stage prices, so a restored core cannot
-//! repair it stage by stage: it drops the entry at the next fault and
-//! re-prices it on demand, where the live core re-prices only the stages
-//! the fault reaches.
+//! Only answers are compared, not cache counters. A restored core holds
+//! price totals but no stage profiles, so at the next fault it drops the
+//! prices of every pair it has not priced since the restore and re-prices
+//! them on demand, where the live core re-prices them from its profiles
+//! with only the stages the fault reaches routed again. Another test pins
+//! the other side of that rule: a restored pair priced at a new size before
+//! the fault has its restored prices repaired, not dropped.
 //!
 //! A second test follows the size-free stage profiles through the same two
 //! faults: a core warmed at several sizes per (schedule, communicator)
 //! answers like a cold core on the degraded cluster after each fault, and
 //! the identity-delta fault rebuilds only the profiles of the stages it
 //! reaches, once per pair whatever the number of sizes.
+//!
+//! A metamorphic test closes the file: a fault drawn with every rate zero
+//! changes no answer and shares every cache entry.
 
 use std::sync::Arc;
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
@@ -269,4 +274,140 @@ fn faults_rebuild_only_the_stage_profiles_they_reach() {
     assert_eq!(default_prices(&cold_twin(&after_second)), second);
     // Answering built nothing more: the repair already priced every size.
     assert_eq!(profile_provenance(&after_first, &after_second), provenance);
+}
+
+/// The warm GPC core the tests below start from: 64 nodes, block-bunch.
+fn gpc_spec() -> IngestSpec {
+    IngestSpec {
+        source: IngestSource::GpcNodes(64),
+        layout: LayoutKind::BlockBunch,
+        p: None,
+        seed: Some(42),
+        backend: BackendKind::Implicit,
+        replace: false,
+    }
+}
+
+#[test]
+fn restored_prices_of_a_pair_priced_since_the_restore_are_repaired() {
+    let live = Arc::new(build_core(&gpc_spec()).unwrap());
+    answers(&live);
+    let (live, _) = fault_core(&live, &cable_fault(7)).unwrap();
+    let live = Arc::new(live);
+    answers(&live);
+    let restored = restore(&live);
+    let restored_prices = restored.export_state().prices;
+    let (ring, def) = (SchedKey::Flat(AllgatherAlg::Ring), CommKey::Default);
+    let of_ring: Vec<u64> = restored_prices
+        .iter()
+        .filter(|((sk, ck, _), _)| (*sk, *ck) == (ring, def))
+        .map(|((_, _, bytes), _)| *bytes)
+        .collect();
+    assert!(!of_ring.is_empty());
+    assert!(restored.stage_profiles(ring, def).is_none());
+
+    // Pricing the ring at a size no answer asks for builds its profiles.
+    restored.handle().allgather_time(1 << 20, Scheme::Default);
+    assert!(restored.stage_profiles(ring, def).is_some());
+
+    // The identity-delta fault drops only the profile-less pairs' prices;
+    // the ring's restored entries and its new one are repaired.
+    let (degraded, report) = fault_core(&restored, &cable_fault(11)).unwrap();
+    assert_eq!(
+        report.price_entries_dropped,
+        restored_prices.len() - of_ring.len(),
+        "{report:?}"
+    );
+    assert_eq!(
+        report.price_stages_repriced + report.price_stages_reused,
+        of_ring.len() + 1,
+        "one unique ring stage per entry: {report:?}"
+    );
+    let degraded = Arc::new(degraded);
+    let mut h = degraded.handle();
+    for bytes in of_ring {
+        h.allgather_time(bytes, Scheme::Default);
+    }
+    assert_eq!(h.cache_stats().price_computed, 0, "{:?}", h.cache_stats());
+    assert_eq!(answers(&degraded), answers(&cold_twin(&degraded)));
+}
+
+/// Every schedule key [`answers`] can compile.
+fn sched_keys() -> Vec<SchedKey> {
+    let mut keys = vec![
+        SchedKey::Gather,
+        SchedKey::GatherInit(Mapper::Hrstc),
+        SchedKey::Bcast,
+        SchedKey::AllreduceRd,
+        SchedKey::AllreduceRabenseifner,
+    ];
+    for alg in [
+        AllgatherAlg::RecursiveDoubling,
+        AllgatherAlg::Ring,
+        AllgatherAlg::Bruck,
+    ] {
+        keys.extend([SchedKey::Flat(alg), SchedKey::FlatInit(alg, Mapper::Hrstc)]);
+    }
+    for pattern in PATTERNS {
+        if let PatternKind::Hier(inter, intra) = pattern {
+            keys.extend([
+                SchedKey::Hier(inter, intra, None),
+                SchedKey::Hier(inter, intra, Some(Mapper::Hrstc)),
+                SchedKey::HierInit(inter, intra, Mapper::Hrstc),
+            ]);
+        }
+    }
+    keys
+}
+
+#[test]
+fn a_fault_with_every_rate_zero_changes_nothing() {
+    let live = Arc::new(build_core(&gpc_spec()).unwrap());
+    let warm = answers(&live);
+    let zero = FaultSpec {
+        seed: 7,
+        link_fail: 0.0,
+        switch_fail: 0.0,
+        node_drain: 0.0,
+        core_drain: 0.0,
+    };
+    let (same, report) = fault_core(&live, &zero).unwrap();
+    assert_eq!(
+        (
+            report.ranks_migrated,
+            report.mappings_dropped,
+            report.comms_dropped,
+            report.scheds_dropped,
+            report.price_entries_dropped,
+        ),
+        (0, 0, 0, 0, 0),
+        "{report:?}"
+    );
+    let same = Arc::new(same);
+    let mut shared = 0;
+    for key in sched_keys() {
+        match (live.schedule(key), same.schedule(key)) {
+            (Some(a), Some(b)) => {
+                assert!(Arc::ptr_eq(&a, &b), "{key:?}");
+                shared += 1;
+            }
+            (None, None) => {}
+            (a, b) => panic!("{key:?}: {} before, {} after", a.is_some(), b.is_some()),
+        }
+    }
+    assert!(shared > 0);
+
+    let before = same.cache_stats();
+    assert_eq!(answers(&same), warm);
+    let st = same.cache_stats().since(before);
+    assert_eq!(
+        (
+            st.mappings.misses,
+            st.comms.misses,
+            st.scheds.misses,
+            st.prices.misses
+        ),
+        (0, 0, 0, 0),
+        "{st:?}"
+    );
 }
