@@ -22,11 +22,12 @@
 //! including the tarr-trace instrumentation overhead on the compiled
 //! pricing sweep (asserted under 2% with the recorder enabled).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tarr_collectives::allgather::ring;
 use tarr_collectives::gather::{binomial_gather, chain_gather};
-use tarr_core::{refine, Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
+use tarr_core::{refine, Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_faults::FaultSet;
 use tarr_mapping::InitialMapping;
 use tarr_mpi::{time_schedule, timing, Communicator, Schedule, TimedSchedule};
@@ -215,20 +216,28 @@ fn fault_summary() -> String {
     // below is pure re-convergence, not first-touch compilation. The 512 B
     // probe compiles to recursive doubling, whose 17 unique stages give the
     // stage-selective re-pricer survivors to keep.
-    session.allgather_time(MSG, Scheme::Default);
-    session.allgather_time(512, Scheme::Default);
-    let probes = [
-        ProbePoint::allgather(MSG, Scheme::Default),
-        ProbePoint::allgather(512, Scheme::Default),
-    ];
+    let probes = [MSG, 512];
+    for msg in probes {
+        session.allgather_time(msg, Scheme::Default);
+    }
     let set = FaultSet {
         failed_cables: vec![(sw_a, sw_b, 1)],
         ..FaultSet::default()
     };
+    // Timed: the two probes priced before the fault, the fault, and the
+    // same probes priced on a fresh handle onto the degraded core.
     let t = Instant::now();
-    let report = session
-        .apply_faults(&set, &probes)
+    for msg in probes {
+        session.allgather_time(msg, Scheme::Default);
+    }
+    let (degraded, report) = session
+        .core()
+        .apply_faults(&set)
         .expect("one leaf uplink cannot partition the GPC fabric");
+    session = Arc::new(degraded).handle();
+    for msg in probes {
+        session.allgather_time(msg, Scheme::Default);
+    }
     let apply_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report.summary.cables_removed, 1);
     assert!(

@@ -2,9 +2,10 @@
 //! whether topology-aware reordering still pays on it.
 //!
 //! For each process count and link-failure rate the harness draws seeded
-//! random [`FaultSet`]s, applies them to a live [`Session`] with
-//! [`Session::apply_faults`] (keyed cache invalidation + remap on the
-//! degraded oracle), and prices every heuristic's use case before and after:
+//! random [`FaultSet`]s, applies them to a live session's core with
+//! [`SessionCore::apply_faults`] (keyed cache invalidation + remap on the
+//! degraded oracle), and prices every heuristic's use case before the fault
+//! and on a fresh handle onto the degraded core after it:
 //!
 //! * RDMH — recursive-doubling allgather, 512 B;
 //! * RMH — ring allgather, 64 KiB (in-place fix);
@@ -31,22 +32,23 @@
 //!       [--quick] [--incremental] [--procs N] [--link-fail R] [--seed S]
 //!       [--cluster PATH|-] [--trace-out PATH] [--trace-chrome PATH]`
 
+use std::sync::Arc;
 use tarr_bench::{chorded_mesh_cluster, load_cluster_snapshot, size_label, TraceOpts};
 use tarr_collectives::gather::chain_gather;
-use tarr_core::{refine, Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
+use tarr_core::{refine, Mapper, PatternKind, Scheme, Session, SessionConfig, SessionCore};
 use tarr_faults::{FaultError, FaultRates, FaultSet};
 use tarr_mapping::{is_permutation, InitialMapping, OrderFix};
 use tarr_mpi::Communicator;
 use tarr_netsim::NetParams;
 use tarr_topo::{Cluster, CoreId, Rank};
 
-/// One heuristic's use case: label, probe size, reordered scheme, and the
-/// (mapper, pattern) whose mapping must stay bijective on the degraded
-/// fabric. `bruck` marks the P − 8 companion session.
+/// One heuristic's use case: label, probe size and collective, reordered
+/// scheme, and the (mapper, pattern) whose mapping must stay bijective on
+/// the degraded fabric. `bruck` marks the P − 8 companion session.
 struct UseCase {
     label: &'static str,
     msg_bytes: u64,
-    probe: fn(u64, Scheme) -> ProbePoint,
+    price: fn(&mut Session, u64, Scheme) -> f64,
     scheme: Scheme,
     pattern: PatternKind,
     bruck: bool,
@@ -57,7 +59,7 @@ fn use_cases() -> Vec<UseCase> {
         UseCase {
             label: "RDMH",
             msg_bytes: 512,
-            probe: ProbePoint::allgather,
+            price: Session::allgather_time,
             scheme: Scheme::hrstc(OrderFix::InitComm),
             pattern: PatternKind::Rd,
             bruck: false,
@@ -65,7 +67,7 @@ fn use_cases() -> Vec<UseCase> {
         UseCase {
             label: "RMH",
             msg_bytes: 64 * 1024,
-            probe: ProbePoint::allgather,
+            price: Session::allgather_time,
             scheme: Scheme::hrstc(OrderFix::InPlace),
             pattern: PatternKind::Ring,
             bruck: false,
@@ -73,7 +75,7 @@ fn use_cases() -> Vec<UseCase> {
         UseCase {
             label: "BBMH",
             msg_bytes: 4096,
-            probe: ProbePoint::bcast,
+            price: Session::bcast_time,
             scheme: Scheme::hrstc(OrderFix::InPlace),
             pattern: PatternKind::BinomialBcast,
             bruck: false,
@@ -81,7 +83,7 @@ fn use_cases() -> Vec<UseCase> {
         UseCase {
             label: "BGMH",
             msg_bytes: 4096,
-            probe: ProbePoint::gather,
+            price: Session::gather_time,
             scheme: Scheme::hrstc(OrderFix::InitComm),
             pattern: PatternKind::BinomialGather,
             bruck: false,
@@ -89,7 +91,7 @@ fn use_cases() -> Vec<UseCase> {
         UseCase {
             label: "BKMH",
             msg_bytes: 256,
-            probe: ProbePoint::allgather,
+            price: Session::allgather_time,
             scheme: Scheme::hrstc(OrderFix::InitComm),
             pattern: PatternKind::Bruck,
             bruck: true,
@@ -145,17 +147,17 @@ fn eval_seed(
     let mut reorder_improvement = Vec::with_capacity(cases.len());
     for case in cases {
         let ranks = if case.bruck { p - 8 } else { p };
-        let mut session = Session::from_layout(
+        let core = Arc::new(SessionCore::from_layout(
             make_cluster(),
             InitialMapping::CYCLIC_BUNCH,
             ranks,
             SessionConfig::default(),
-        );
-        let probes = [
-            (case.probe)(case.msg_bytes, Scheme::Default),
-            (case.probe)(case.msg_bytes, case.scheme),
-        ];
-        let report = match session.apply_faults(&set, &probes) {
+        ));
+        let price = |s: &mut Session| {
+            [Scheme::Default, case.scheme].map(|scheme| (case.price)(s, case.msg_bytes, scheme))
+        };
+        let before = price(&mut core.handle());
+        let (degraded, report) = match core.apply_faults(&set) {
             Ok(r) => r,
             Err(FaultError::PartitionedFabric { .. }) => {
                 return SeedOutcome::Partitioned {
@@ -165,6 +167,8 @@ fn eval_seed(
             }
             Err(e) => return SeedOutcome::Fatal(format!("seed {seed:#x} rate {rate}: {e}")),
         };
+        let mut session = Arc::new(degraded).handle();
+        let [default, reordered] = price(&mut session);
         // Link failures never kill cores: nobody migrates, and the mapping
         // recomputed on the degraded oracle must still be a bijection of
         // the surviving job.
@@ -178,11 +182,8 @@ fn eval_seed(
             "{} mapping not bijective at rate {rate} seed {seed:#x}",
             case.label
         );
-        let [default, reordered] = &report.probes[..] else {
-            unreachable!("two probes per case");
-        };
-        default_slowdown.push(default.slowdown());
-        reorder_improvement.push(100.0 * (default.after - reordered.after) / default.after);
+        default_slowdown.push(default / before[0]);
+        reorder_improvement.push(100.0 * (default - reordered) / default);
     }
     SeedOutcome::Applied {
         cables_removed: set
@@ -214,24 +215,27 @@ fn run_incremental(ranks: usize, trace: &TraceOpts) {
     );
     // Warm the schedule and price caches: the timed region is pure
     // re-convergence, not first-touch compilation.
-    session.allgather_time(64 * 1024, Scheme::Default);
-    session.allgather_time(512, Scheme::Default);
-    let probes = [
-        ProbePoint::allgather(64 * 1024, Scheme::Default),
-        ProbePoint::allgather(512, Scheme::Default),
-    ];
+    let probes = [64 * 1024, 512];
+    for msg in probes {
+        session.allgather_time(msg, Scheme::Default);
+    }
     let set = FaultSet {
         failed_cables: vec![(sw_a, sw_b, 1)],
         ..FaultSet::default()
     };
     let t = std::time::Instant::now();
-    let report = match session.apply_faults(&set, &probes) {
-        Ok(r) => r,
+    let before = probes.map(|msg| session.allgather_time(msg, Scheme::Default));
+    let report = match session.core().apply_faults(&set) {
+        Ok((degraded, report)) => {
+            session = Arc::new(degraded).handle();
+            report
+        }
         Err(e) => {
             eprintln!("error: incremental fault failed to apply: {e}");
             std::process::exit(1);
         }
     };
+    let after = probes.map(|msg| session.allgather_time(msg, Scheme::Default));
     let apply_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report.summary.cables_removed, 1, "one cable requested");
     assert_eq!(report.ranks_migrated, 0, "a cable fault drains no cores");
@@ -252,13 +256,11 @@ fn run_incremental(ranks: usize, trace: &TraceOpts) {
         report.price_stages_reused,
         report.price_entries_dropped,
     );
-    for p in &report.probes {
+    for ((msg, b), a) in probes.into_iter().zip(before).zip(after) {
         println!(
-            "   probe {}: {:.6e} -> {:.6e} ({:.4}x)",
-            size_label(p.probe.msg_bytes),
-            p.before,
-            p.after,
-            p.slowdown()
+            "   probe {}: {b:.6e} -> {a:.6e} ({:.4}x)",
+            size_label(msg),
+            a / b
         );
     }
 

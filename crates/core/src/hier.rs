@@ -117,7 +117,8 @@ pub fn hierarchical_mapping<O: DistanceOracle>(
 }
 
 /// The node groups of the *reordered* communicator: same sizes, permuted by
-/// the leader order.
+/// the leader order. `groups` are contiguous and in ascending start order,
+/// as [`tarr_collectives::allgather::groups_by_node`] returns them.
 pub fn reordered_groups(groups: &[(u32, u32)], m: &[u32]) -> Vec<(u32, u32)> {
     // Recover the leader permutation from the mapping by matching group
     // starts in order.
@@ -125,11 +126,14 @@ pub fn reordered_groups(groups: &[(u32, u32)], m: &[u32]) -> Vec<(u32, u32)> {
     let mut next = 0u32;
     let mut idx = 0usize;
     while idx < m.len() {
-        // The group containing slot m[idx].
+        // The group containing slot m[idx]: the last one starting at or
+        // before it, found by binary search over the ascending starts.
         let slot = m[idx];
-        let (_, len) = *groups
-            .iter()
-            .find(|&&(s, l)| slot >= s && slot < s + l)
+        let (_, len) = groups
+            .partition_point(|&(s, _)| s <= slot)
+            .checked_sub(1)
+            .map(|g| groups[g])
+            .filter(|&(s, l)| slot < s + l)
             .expect("slot outside all groups");
         out.push((next, len));
         next += len;
@@ -249,5 +253,66 @@ mod tests {
         .unwrap();
         let rg = reordered_groups(&groups, &m);
         assert_eq!(rg, groups); // uniform sizes ⇒ same boundaries
+    }
+
+    /// The linear scan `reordered_groups` used before its binary search.
+    fn reordered_groups_by_scan(groups: &[(u32, u32)], m: &[u32]) -> Vec<(u32, u32)> {
+        let mut out = Vec::with_capacity(groups.len());
+        let mut next = 0u32;
+        let mut idx = 0usize;
+        while idx < m.len() {
+            let slot = m[idx];
+            let (_, len) = *groups
+                .iter()
+                .find(|&&(s, l)| slot >= s && slot < s + l)
+                .expect("slot outside all groups");
+            out.push((next, len));
+            next += len;
+            idx += len as usize;
+        }
+        out
+    }
+
+    #[test]
+    fn reordered_groups_binary_search_matches_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        for _ in 0..200 {
+            // Contiguous groups of unequal length, 1..=12 ranks each.
+            let num_groups = 1 + next(40);
+            let mut groups = Vec::new();
+            let mut start = 0u32;
+            for _ in 0..num_groups {
+                let len = 1 + next(12);
+                groups.push((start, len));
+                start += len;
+            }
+            // A mapping that places whole groups in a shuffled leader order,
+            // each group's slots in a shuffled order.
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, next(i as u32 + 1) as usize);
+            }
+            let mut m = Vec::new();
+            for &g in &order {
+                let (s, l) = groups[g];
+                let mut slots: Vec<u32> = (s..s + l).collect();
+                for i in (1..slots.len()).rev() {
+                    slots.swap(i, next(i as u32 + 1) as usize);
+                }
+                m.extend(slots);
+            }
+            assert!(is_permutation(&m));
+            assert_eq!(
+                reordered_groups(&groups, &m),
+                reordered_groups_by_scan(&groups, &m),
+                "{groups:?} {m:?}"
+            );
+        }
     }
 }

@@ -37,6 +37,5 @@ pub use hier::hierarchical_mapping;
 pub use refine::congestion_refine;
 pub use session::{
     CacheStats, CommKey, CoreCacheStats, CoreState, DegradationReport, Mapper, MappingInfo,
-    PatternKind, ProbeCollective, ProbeOutcome, ProbePoint, SchedKey, Scheme, Session,
-    SessionConfig, SessionCore, SessionHandle,
+    PatternKind, SchedKey, Scheme, Session, SessionConfig, SessionCore, SessionHandle,
 };

@@ -16,10 +16,11 @@
 //! the stages whose `(from, to)` pairs involve the two swapped ranks, so
 //! the production path runs a [`DeltaPricer`] (per-rank → affected-stage
 //! index over the compiled schedule, scratch communicator mutated in place)
-//! instead of a full re-price per proposal. The [`reference`] module keeps
-//! the full re-price path as the differential baseline; both paths share
-//! one hill-climbing loop, so they consume the identical RNG stream and
-//! must produce bit-identical results — which the differential tests pin.
+//! instead of a full re-price per proposal. The
+//! [`reference`](mod@reference) module keeps the full re-price path as the
+//! differential baseline; both paths share one hill-climbing loop, so they
+//! consume the identical RNG stream and must produce bit-identical results
+//! — which the differential tests pin.
 //!
 //! The loop also refuses to pay for repeat proposals: under strict hill
 //! climbing, a pair already rejected since the last accepted swap would be

@@ -27,9 +27,9 @@
 //!   (schedule, communicator), from which a fault re-prices only the
 //!   stages it reaches.
 //!
-//! The distance structure is the O(P)-memory [`ImplicitDistance`] oracle,
-//! which takes a 65,536-rank session from an 8 GiB dense extraction to a
-//! few MiBs. The heuristics run in their bucketed O(P·L) form on it. The
+//! The distance structure is the O(P)-memory
+//! [`tarr_topo::ImplicitDistance`] oracle, which takes a 65,536-rank
+//! session from an 8 GiB dense extraction to a few MiBs. The heuristics run in their bucketed O(P·L) form on it. The
 //! dense [`tarr_topo::DistanceMatrix`] and the linear-scan heuristics stay
 //! in `tarr-topo`/`tarr-mapping` as the reference the differential suites
 //! pin every session mapping against.
@@ -37,15 +37,13 @@
 mod degraded;
 mod shared;
 
-pub use degraded::{DegradationReport, ProbeCollective, ProbeOutcome, ProbePoint};
+pub use degraded::DegradationReport;
 pub use shared::{CoreCacheStats, CoreState, SessionCore};
 
 use crate::hier::{hierarchical_mapping, reordered_groups, HierMapper};
 use std::sync::Arc;
 use std::time::Duration;
-use tarr_collectives::allgather::{
-    groups_by_node, hierarchical, HierarchicalConfig, InterAlg, IntraPattern,
-};
+use tarr_collectives::allgather::{hierarchical, HierarchicalConfig, InterAlg, IntraPattern};
 use tarr_collectives::gather::binomial_gather;
 use tarr_collectives::{pattern_graph, pattern_graph_unweighted, select_allgather, AllgatherAlg};
 use tarr_mapping::initial::mvapich_cyclic_reorder;
@@ -57,7 +55,7 @@ use tarr_mapping::{
 use tarr_mpi::cache::Lookup;
 use tarr_mpi::{Communicator, FunctionalState, Schedule, TimedSchedule, TrafficBreakdown};
 use tarr_netsim::NetParams;
-use tarr_topo::{Cluster, CoreId, DistanceConfig, ExtractionCostModel, ImplicitDistance, Rank};
+use tarr_topo::{Cluster, CoreId, DistanceConfig, ExtractionCostModel, Rank};
 
 /// Mapping engine choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -427,15 +425,7 @@ impl Session {
     pub fn mapping(&mut self, mapper: Mapper, pattern: PatternKind) -> Option<Arc<MappingInfo>> {
         let core = &*self.core;
         let (v, outcome) = core.mappings.get_or_compute(&(mapper, pattern), || {
-            compute_mapping(
-                &core.d,
-                &core.cluster,
-                &core.comm,
-                &core.cfg,
-                mapper,
-                pattern,
-            )
-            .map(Arc::new)
+            compute_mapping(core, mapper, pattern).map(Arc::new)
         });
         self.record(Cache::Mapping, outcome);
         v
@@ -553,8 +543,8 @@ impl Session {
         scheme: Scheme,
     ) -> Option<f64> {
         let p = self.size() as u32;
-        let groups = self.core.node_groups()?;
-        if hcfg.inter == InterAlg::RecursiveDoubling && !groups.len().is_power_of_two() {
+        let leaders = self.core.node_groups()?.len();
+        if hcfg.inter == InterAlg::RecursiveDoubling && !leaders.is_power_of_two() {
             return None;
         }
         match scheme {
@@ -869,14 +859,15 @@ impl Session {
         scheme: Scheme,
     ) -> Option<Result<(), String>> {
         let p = self.size() as u32;
-        let groups = self.core.node_groups()?;
+        let core = Arc::clone(&self.core);
+        let groups = core.node_groups()?;
         if hcfg.inter == InterAlg::RecursiveDoubling && !groups.len().is_power_of_two() {
             return None;
         }
         Some(match scheme {
             Scheme::Default => {
                 let mut st = FunctionalState::init_allgather(p as usize);
-                match st.run(&hierarchical(p, &groups, hcfg)) {
+                match st.run(&hierarchical(p, groups, hcfg)) {
                     Ok(()) => st.verify_allgather_identity(),
                     Err(e) => Err(e.to_string()),
                 }
@@ -887,7 +878,7 @@ impl Session {
                 }
                 let info = self.mapping(mapper, PatternKind::Hier(hcfg.inter, hcfg.intra))?;
                 let m = &info.mapping;
-                let new_groups = reordered_groups(&groups, m);
+                let new_groups = reordered_groups(groups, m);
                 let sched = hierarchical(p, &new_groups, hcfg);
                 let mut st = reorder::reordered_init_state(m, false);
                 let run = match fix {
@@ -929,18 +920,16 @@ fn scalar_comm(scheme: Scheme, pattern: PatternKind) -> CommKey {
     }
 }
 
-/// Compute the mapping for one (mapper, pattern) pair over the session's
+/// Compute the mapping for one (mapper, pattern) pair over the core's
 /// distance oracle. `None` = unsupported configuration.
 fn compute_mapping(
-    d: &ImplicitDistance,
-    cluster: &Cluster,
-    comm: &Communicator,
-    cfg: &SessionConfig,
+    core: &SessionCore,
     mapper: Mapper,
     pattern: PatternKind,
 ) -> Option<MappingInfo> {
+    let (d, cluster, comm) = (&*core.d, &core.cluster, &core.comm);
     let p = comm.size() as u32;
-    let seed = cfg.seed;
+    let seed = core.cfg.seed;
     // Recursive doubling pairs ranks by XOR: every topology-aware mapper
     // needs a power-of-two process count for it. The MVAPICH reorder reads
     // no pattern.
@@ -966,8 +955,8 @@ fn compute_mapping(
                     PatternKind::BinomialBcast => bbmh_bucketed(d, seed),
                     PatternKind::BinomialGather => bgmh_bucketed(d, seed),
                     PatternKind::Hier(inter, intra) => {
-                        let groups = groups_by_node(comm, cluster)?;
-                        hierarchical_mapping(d, &groups, inter, intra, HierMapper::Heuristic, seed)?
+                        let groups = core.node_groups()?;
+                        hierarchical_mapping(d, groups, inter, intra, HierMapper::Heuristic, seed)?
                     }
                 })
             })?;
@@ -979,9 +968,9 @@ fn compute_mapping(
         }
         Mapper::ScotchLike | Mapper::ScotchTuned => match pattern {
             PatternKind::Hier(inter, intra) => {
-                let groups = groups_by_node(comm, cluster)?;
+                let groups = core.node_groups()?;
                 let (mapping, compute) = timed_compute(mapper, p, || {
-                    hierarchical_mapping(d, &groups, inter, intra, HierMapper::ScotchLike, seed)
+                    hierarchical_mapping(d, groups, inter, intra, HierMapper::ScotchLike, seed)
                 })?;
                 Some(MappingInfo {
                     mapping,

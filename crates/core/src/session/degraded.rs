@@ -1,8 +1,9 @@
-//! Fault resilience: [`SessionCore::apply_faults`] mints the degraded core
-//! — degraded cluster, displaced ranks migrated, distance oracle
-//! repaired or rebuilt — and carries over **exactly** the cached state the
-//! faults did not touch, as the same `Arc`s. [`Session::apply_faults`]
-//! swaps a handle onto that core.
+//! Fault resilience: [`SessionCore::apply_faults`] is the one way to
+//! degrade a session. It mints a new core — degraded cluster, displaced
+//! ranks migrated, distance oracle rebuilt — and carries over **exactly**
+//! the cached state the faults did not touch, as the same `Arc`s. A
+//! [`Session`](super::Session) handle never changes its core: a caller
+//! that wants the degraded view takes a fresh handle on the new core.
 //!
 //! The carry-over is keyed, not a flush. What survives a fault:
 //!
@@ -32,7 +33,7 @@
 //! every kept entry is a deterministic function of inputs the fault did not
 //! change.
 
-use super::{CommKey, Mapper, SchedKey, Scheme, Session, SessionCore};
+use super::{CommKey, Mapper, SchedKey, SessionCore};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::rc::Rc;
@@ -43,97 +44,8 @@ use tarr_mpi::cache::ShardedOnceMap;
 use tarr_mpi::{Communicator, TimedSchedule};
 use tarr_topo::{CoreId, Hop, ImplicitDistance, IrregularFabric, Rank};
 
-/// Which collective a [`ProbePoint`] prices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProbeCollective {
-    /// Non-hierarchical `MPI_Allgather` (algorithm chosen by size).
-    Allgather,
-    /// Binomial `MPI_Bcast` from rank 0.
-    Bcast,
-    /// Binomial `MPI_Gather` to rank 0.
-    Gather,
-}
-
-impl ProbeCollective {
-    /// Display name for tables and traces.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProbeCollective::Allgather => "allgather",
-            ProbeCollective::Bcast => "bcast",
-            ProbeCollective::Gather => "gather",
-        }
-    }
-}
-
-/// One collective configuration to price before and after a fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbePoint {
-    /// The collective.
-    pub collective: ProbeCollective,
-    /// Per-rank message size in bytes.
-    pub msg_bytes: u64,
-    /// Execution scheme.
-    pub scheme: Scheme,
-}
-
-impl ProbePoint {
-    /// An allgather probe.
-    pub fn allgather(msg_bytes: u64, scheme: Scheme) -> Self {
-        ProbePoint {
-            collective: ProbeCollective::Allgather,
-            msg_bytes,
-            scheme,
-        }
-    }
-
-    /// A broadcast probe.
-    pub fn bcast(msg_bytes: u64, scheme: Scheme) -> Self {
-        ProbePoint {
-            collective: ProbeCollective::Bcast,
-            msg_bytes,
-            scheme,
-        }
-    }
-
-    /// A gather probe.
-    pub fn gather(msg_bytes: u64, scheme: Scheme) -> Self {
-        ProbePoint {
-            collective: ProbeCollective::Gather,
-            msg_bytes,
-            scheme,
-        }
-    }
-
-    fn price(&self, s: &mut Session) -> f64 {
-        match self.collective {
-            ProbeCollective::Allgather => s.allgather_time(self.msg_bytes, self.scheme),
-            ProbeCollective::Bcast => s.bcast_time(self.msg_bytes, self.scheme),
-            ProbeCollective::Gather => s.gather_time(self.msg_bytes, self.scheme),
-        }
-    }
-}
-
-/// One probe's pre- and post-fault timings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeOutcome {
-    /// The probe configuration.
-    pub probe: ProbePoint,
-    /// Simulated latency before the fault (seconds).
-    pub before: f64,
-    /// Simulated latency on the degraded cluster (seconds).
-    pub after: f64,
-}
-
-impl ProbeOutcome {
-    /// Post-fault slowdown factor (`after / before`).
-    pub fn slowdown(&self) -> f64 {
-        self.after / self.before
-    }
-}
-
-/// What a fault application did: damage accounting, rank migration, exact
-/// cache invalidation, and (from [`Session::apply_faults`]) the priced
-/// degradation per probe.
+/// What a fault application did: damage accounting, rank migration and
+/// exact cache invalidation.
 #[derive(Debug, Clone)]
 pub struct DegradationReport {
     /// Hardware damage accounting from the fault application.
@@ -158,21 +70,15 @@ pub struct DegradationReport {
     pub price_stages_repriced: usize,
     /// Cached unique-stage prices that survived the fault untouched.
     pub price_stages_reused: usize,
-    /// Distance-structure slots patched in place instead of a full rebuild
-    /// (drain-only migration; zero when the fabric changed).
-    pub dist_slots_patched: usize,
-    /// Wall-clock time of the distance-structure rebuild or repair (zero
-    /// when the fault changed neither the fabric nor any rank's placement).
+    /// Wall-clock time of the distance-oracle rebuild (zero when the fault
+    /// changed neither the fabric nor any rank's placement).
     pub dist_rebuild: Duration,
-    /// Pre/post-fault timings, one per requested probe, in order (empty
-    /// from [`SessionCore::apply_faults`], which prices no probes).
-    pub probes: Vec<ProbeOutcome>,
 }
 
 impl SessionCore {
     /// Apply a [`FaultSet`] *functionally*: degrade the cluster, migrate
     /// ranks whose cores died onto the lowest-numbered spare live cores,
-    /// repair or rebuild the distance oracle, and return a new core that
+    /// rebuild the distance oracle, and return a new core that
     /// shares every cache entry the fault did not touch (see the module
     /// docs). `self` is untouched — concurrent readers keep pricing the
     /// pre-fault topology until the caller swaps its `Arc`.
@@ -242,26 +148,9 @@ impl SessionCore {
         };
 
         let mut dist_rebuild = Duration::ZERO;
-        let mut dist_slots_patched = 0usize;
         let d = if stale {
             let sp = tarr_trace::timed_span("fault.distance_rebuild").arg("p", p);
-            let d = if fabric_changed {
-                ImplicitDistance::build(&degraded.cluster, comm.cores(), &self.cfg.dist)
-            } else {
-                // Drain-only migration: the cluster is untouched, so only
-                // the migrated slots' distances change — patch them in O(k)
-                // instead of rebuilding.
-                let changed: Vec<(usize, CoreId)> = moved
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &m)| m)
-                    .map(|(i, _)| (i, comm.cores()[i]))
-                    .collect();
-                dist_slots_patched = changed.len();
-                let mut d = (*self.d).clone();
-                d.repair_slots(&changed);
-                d
-            };
+            let d = ImplicitDistance::build(&degraded.cluster, comm.cores(), &self.cfg.dist);
             dist_rebuild = sp.finish();
             Arc::new(d)
         } else {
@@ -322,7 +211,6 @@ impl SessionCore {
         tarr_trace::counter_add!("fault.cache.sched_kept", scheds_kept as u64);
         tarr_trace::counter_add!("fault.price.stages_repriced", price_stages_repriced as u64);
         tarr_trace::counter_add!("fault.price.stages_reused", price_stages_reused as u64);
-        tarr_trace::counter_add!("fault.distance.slots_patched", dist_slots_patched as u64);
 
         let report = DegradationReport {
             summary: degraded.summary,
@@ -334,9 +222,7 @@ impl SessionCore {
             price_entries_dropped,
             price_stages_repriced,
             price_stages_reused,
-            dist_slots_patched,
             dist_rebuild,
-            probes: Vec::new(),
         };
         Ok((new, report))
     }
@@ -490,35 +376,6 @@ impl StageSurvey<'_> {
     }
 }
 
-impl Session {
-    /// Apply a [`FaultSet`] to this handle: [`SessionCore::apply_faults`]
-    /// on its core, then point the handle at the degraded core. Each
-    /// `probe` is priced before and after so the report quantifies the
-    /// degradation per scheme. Other handles on the old core are
-    /// unaffected.
-    ///
-    /// On error the handle is left **unchanged** and fully usable.
-    pub fn apply_faults(
-        &mut self,
-        faults: &FaultSet,
-        probes: &[ProbePoint],
-    ) -> Result<DegradationReport, FaultError> {
-        let before: Vec<f64> = probes.iter().map(|pr| pr.price(self)).collect();
-        let (core, mut report) = self.core.apply_faults(faults)?;
-        self.core = Arc::new(core);
-        report.probes = probes
-            .iter()
-            .zip(before)
-            .map(|(pr, b)| ProbeOutcome {
-                probe: *pr,
-                before: b,
-                after: pr.price(self),
-            })
-            .collect();
-        Ok(report)
-    }
-}
-
 /// Copy the entries of `from` that `keep` accepts into `to`, as the same
 /// values (`Arc`s stay shared). Returns the number of *computed* (`Some`)
 /// entries dropped and kept; cached "unsupported" outcomes are carried but
@@ -572,18 +429,25 @@ fn route_is_stable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionConfig;
+    use crate::session::{Scheme, Session, SessionConfig};
     use tarr_mapping::{InitialMapping, OrderFix};
     use tarr_topo::Cluster;
 
-    fn probes() -> Vec<ProbePoint> {
+    fn price_probes(s: &mut Session) -> Vec<f64> {
         vec![
-            ProbePoint::allgather(512, Scheme::Default),
-            ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
-            ProbePoint::allgather(65536, Scheme::hrstc(OrderFix::InPlace)),
-            ProbePoint::bcast(4096, Scheme::hrstc(OrderFix::InPlace)),
-            ProbePoint::gather(4096, Scheme::Default),
+            s.allgather_time(512, Scheme::Default),
+            s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm)),
+            s.allgather_time(65536, Scheme::hrstc(OrderFix::InPlace)),
+            s.bcast_time(4096, Scheme::hrstc(OrderFix::InPlace)),
+            s.gather_time(4096, Scheme::Default),
         ]
+    }
+
+    /// Apply `set` to the handle's core and take a fresh handle on the
+    /// degraded core.
+    fn fault(s: &Session, set: &FaultSet) -> Result<(Session, DegradationReport), FaultError> {
+        let (core, report) = s.core().apply_faults(set)?;
+        Ok((Arc::new(core).handle(), report))
     }
 
     #[test]
@@ -595,15 +459,14 @@ mod tests {
             64,
             SessionConfig::default(),
         );
-        let report = s.apply_faults(&FaultSet::default(), &probes()).unwrap();
+        let before = price_probes(&mut s);
+        let (mut s, report) = fault(&s, &FaultSet::default()).unwrap();
         assert_eq!(report.ranks_migrated, 0);
         assert_eq!(report.mappings_dropped, 0);
         assert_eq!(report.comms_dropped, 0);
         assert_eq!(report.scheds_dropped, 0);
         assert_eq!(report.dist_rebuild, Duration::ZERO);
-        for o in &report.probes {
-            assert_eq!(o.before, o.after, "{:?}", o.probe);
-        }
+        assert_eq!(price_probes(&mut s), before);
     }
 
     #[test]
@@ -627,7 +490,9 @@ mod tests {
             failed_cables: leaf0,
             ..FaultSet::default()
         };
-        let err = s.apply_faults(&set, &[]).unwrap_err();
+        let Err(err) = fault(&s, &set) else {
+            panic!("a fault that isolates leaf 0 must be rejected")
+        };
         assert!(matches!(err, FaultError::PartitionedFabric { .. }), "{err}");
         // Unchanged session: same cached timing, nothing dropped.
         let stats = s.cache_stats();
@@ -650,7 +515,9 @@ mod tests {
             drained_nodes: vec![0],
             ..FaultSet::default()
         };
-        let err = s.apply_faults(&set, &[]).unwrap_err();
+        let Err(err) = fault(&s, &set) else {
+            panic!("draining a node of a full allocation must be rejected")
+        };
         assert_eq!(
             err,
             FaultError::InsufficientCores {
@@ -736,7 +603,7 @@ mod tests {
             failed_cables: vec![(2, 5, 2)],
             ..FaultSet::default()
         };
-        let report = s.apply_faults(&set, &[]).unwrap();
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(report.summary.fabric_rebuilt);
         assert!(report.summary.dist_rows_rebuilt > 0);
         assert!(report.summary.dist_rows_reused > 0);
@@ -749,7 +616,6 @@ mod tests {
             report.price_stages_repriced > 0,
             "stages crossing the dead cable must be re-priced: {report:?}"
         );
-        assert_eq!(report.dist_slots_patched, 0);
         assert_matches_cold(&mut s, &grid);
     }
 
@@ -844,7 +710,7 @@ mod tests {
             failed_cables: vec![(0, 3, 1)],
             ..FaultSet::default()
         };
-        let report = s.apply_faults(&set, &[]).unwrap();
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(report.summary.fabric_rebuilt);
         assert_eq!(report.summary.dist_rows_rebuilt, 0);
         assert_eq!(report.summary.dist_rows_reused, 6);
@@ -868,14 +734,14 @@ mod tests {
             failed_switches: vec![5],
             ..FaultSet::default()
         };
-        let report = s.apply_faults(&set, &[]).unwrap();
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(report.summary.fabric_rebuilt);
         assert_eq!(report.price_stages_reused, 0, "{report:?}");
         assert_matches_cold(&mut s, &grid);
     }
 
     #[test]
-    fn drain_only_migration_patches_distance_slots_and_matches_cold() {
+    fn drain_only_migration_rebuilds_distance_and_matches_cold() {
         let cluster = Cluster::gpc(8); // 64 cores, 32 ranks: spares exist
         let mut s = Session::from_layout(
             cluster,
@@ -884,21 +750,19 @@ mod tests {
             SessionConfig::default(),
         );
         let grid = warm(&mut s);
-        let report = s
-            .apply_faults(
-                &FaultSet {
-                    drained_nodes: vec![0],
-                    ..FaultSet::default()
-                },
-                &[],
-            )
-            .unwrap();
+        let set = FaultSet {
+            drained_nodes: vec![0],
+            ..FaultSet::default()
+        };
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(!report.summary.fabric_rebuilt);
         assert_eq!(report.ranks_migrated, 8);
-        assert_eq!(
-            report.dist_slots_patched, 8,
-            "drain-only migration must patch, not rebuild: {report:?}"
-        );
+        // The moved ranks leave the oracle stale: it is rebuilt over the
+        // migrated binding, exactly as a cold build would produce it.
+        let d = &s.core().d;
+        let cold = ImplicitDistance::build(s.cluster(), s.comm().cores(), d.config());
+        assert_eq!(d.cores(), cold.cores());
+        assert_eq!(d.paths(), cold.paths());
         assert_matches_cold(&mut s, &grid);
     }
 
@@ -911,24 +775,20 @@ mod tests {
             32,
             SessionConfig::default(),
         );
-        let pr = probes();
-        let report = s
-            .apply_faults(
-                &FaultSet {
-                    drained_nodes: vec![0],
-                    ..FaultSet::default()
-                },
-                &pr,
-            )
-            .unwrap();
+        price_probes(&mut s);
+        let set = FaultSet {
+            drained_nodes: vec![0],
+            ..FaultSet::default()
+        };
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(!report.summary.fabric_rebuilt);
         assert_eq!(report.ranks_migrated, 8, "node 0 hosted ranks 0..8");
         assert!(report.comms_dropped > 0);
         // Size-only schedules survive: Flat(RD), Flat(Ring), Gather at least.
         assert!(report.scheds_kept >= 3, "kept {}", report.scheds_kept);
         // Ranks moved: every probe must still price finitely.
-        for o in &report.probes {
-            assert!(o.after.is_finite() && o.after > 0.0, "{:?}", o.probe);
+        for t in price_probes(&mut s) {
+            assert!(t.is_finite() && t > 0.0, "{t}");
         }
     }
 }

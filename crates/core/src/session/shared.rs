@@ -46,7 +46,7 @@
 //! requests see the degraded one.
 
 use super::{CommKey, Mapper, MappingInfo, PatternKind, SchedKey, Session, SessionConfig};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tarr_collectives::allgather::{groups_by_node, hierarchical, HierarchicalConfig};
 use tarr_collectives::gather::binomial_gather;
@@ -140,6 +140,8 @@ pub struct SessionCore {
     pub(super) comm: Communicator,
     pub(super) d: Arc<ImplicitDistance>,
     pub(super) dist_build: Duration,
+    /// The initial communicator's node groups, computed on first use.
+    node_groups: OnceLock<Option<Vec<(u32, u32)>>>,
     pub(super) mappings: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<MappingInfo>>>,
     pub(super) comms: ShardedOnceMap<(Mapper, PatternKind), Option<Arc<Communicator>>>,
     pub(super) scheds: ShardedOnceMap<SchedKey, Option<Arc<TimedSchedule>>>,
@@ -173,6 +175,7 @@ impl SessionCore {
             comm,
             d,
             dist_build,
+            node_groups: OnceLock::new(),
             mappings: ShardedOnceMap::default(),
             comms: ShardedOnceMap::default(),
             scheds: ShardedOnceMap::default(),
@@ -344,8 +347,13 @@ impl SessionCore {
         StageModel::new(&self.cluster, self.cfg.net.clone())
     }
 
-    pub(super) fn node_groups(&self) -> Option<Vec<(u32, u32)>> {
-        groups_by_node(&self.comm, &self.cluster)
+    /// The initial communicator's contiguous `(start, len)` node groups,
+    /// or `None` when a node's ranks are not contiguous. Scanned once per
+    /// core.
+    pub(super) fn node_groups(&self) -> Option<&[(u32, u32)]> {
+        self.node_groups
+            .get_or_init(|| groups_by_node(&self.comm, &self.cluster))
+            .as_deref()
     }
 
     /// Compile the schedule `key` names. `mapping` is the permutation of
@@ -357,8 +365,8 @@ impl SessionCore {
         let hier = |hcfg: HierarchicalConfig, m: Option<&[u32]>| -> Option<Schedule> {
             let groups = self.node_groups()?;
             Some(match m {
-                None => hierarchical(p, &groups, hcfg),
-                Some(m) => hierarchical(p, &reordered_groups(&groups, m), hcfg),
+                None => hierarchical(p, groups, hcfg),
+                Some(m) => hierarchical(p, &reordered_groups(groups, m), hcfg),
             })
         };
         Some(match key {

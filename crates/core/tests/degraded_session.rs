@@ -1,6 +1,7 @@
-//! Acceptance tests for [`Session::apply_faults`]: the keyed cache
-//! invalidation is **exact**, and a faulted session is indistinguishable
-//! from a cold session built directly on the degraded cluster.
+//! Acceptance tests for [`SessionCore::apply_faults`]: the keyed cache
+//! invalidation is **exact**, and a handle on the degraded core is
+//! indistinguishable from a cold session built directly on the degraded
+//! cluster.
 //!
 //! Two properties pin the invalidation from both sides:
 //!
@@ -19,8 +20,10 @@ mod dense_reference;
 
 use dense_reference::DenseReference;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 use tarr_collectives::allgather::{HierarchicalConfig, InterAlg, IntraPattern};
-use tarr_core::{Mapper, PatternKind, ProbePoint, Scheme, Session, SessionConfig};
+use tarr_core::{DegradationReport, Mapper, PatternKind, Scheme, Session, SessionConfig};
 use tarr_faults::{FaultError, FaultRates, FaultSet};
 use tarr_mapping::{is_permutation, InitialMapping, OrderFix};
 use tarr_topo::{Cluster, CoreId};
@@ -40,6 +43,13 @@ fn surviving_link_faults(cluster: &Cluster, rate: f64) -> FaultSet {
         .map(|s| FaultSet::random(cluster, &FaultRates::links(rate), 0xfau64 << 8 | s))
         .find(|set| set.apply(cluster).is_ok())
         .expect("some seed under 64 yields a connectivity-preserving fault set")
+}
+
+/// Apply `set` to the session's core and take a fresh handle on the
+/// degraded core. The old handle keeps pricing the pre-fault topology.
+fn fault(s: &Session, set: &FaultSet) -> Result<(Session, DegradationReport), FaultError> {
+    let (core, report) = s.core().apply_faults(set)?;
+    Ok((Arc::new(core).handle(), report))
 }
 
 /// Price one probe set on a session; used to compare faulted vs cold.
@@ -95,7 +105,7 @@ fn faulted_session_matches_cold_session_p512() {
     let mut warm =
         Session::from_layout(base.clone(), InitialMapping::BLOCK_BUNCH, 512, cfg.clone());
     probe_sweep(&mut warm); // populate every cache before the fault
-    let report = warm.apply_faults(&set, &[]).unwrap();
+    let (mut warm, report) = fault(&warm, &set).unwrap();
     assert_eq!(report.ranks_migrated, 0, "link faults kill no cores");
 
     let mut cold = Session::new(degraded.cluster.clone(), warm.comm().cores().to_vec(), cfg);
@@ -153,7 +163,7 @@ fn kept_entries_are_reused_after_link_fault() {
     // And one droppable key: a topology-aware mapping + its schedule.
     s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm));
 
-    let report = s.apply_faults(&set, &[]).unwrap();
+    let (mut s, report) = fault(&s, &set).unwrap();
     assert!(report.scheds_kept >= 8, "kept {}", report.scheds_kept);
     assert!(report.mappings_dropped >= 1);
 
@@ -180,7 +190,7 @@ fn kept_entries_are_reused_after_link_fault() {
 
 /// Drained hosts (satellite): two whole nodes plus one lone core drained
 /// out of a P = 512 job leaves nodes hosting 0, 7 and 8 live ranks. The
-/// oracle is patched in place, not rebuilt. Every mapper must still produce
+/// oracle is rebuilt over the migrated binding. Every mapper must still produce
 /// a bijection equal to the dense reference on the migrated binding, and
 /// the faulted session must match a cold session on the same (unchanged)
 /// fabric with the migrated binding.
@@ -200,21 +210,25 @@ fn drained_hosts_non_uniform_occupancy_p512() {
     );
     let before = DenseReference::of(&s);
 
-    let probes = [
-        ProbePoint::allgather(512, Scheme::Default),
-        ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
-    ];
-    let report = s.apply_faults(&set, &probes).unwrap();
+    let schemes = [Scheme::Default, Scheme::hrstc(OrderFix::InitComm)];
+    let priced_before = schemes.map(|scheme| s.allgather_time(512, scheme));
+    let (mut s, report) = fault(&s, &set).unwrap();
     assert_eq!(report.ranks_migrated, 17, "2 nodes x 8 + 1 lone core");
     assert!(!report.summary.fabric_rebuilt, "drain-only fault");
     assert_eq!(report.summary.cores_lost, 17);
-    assert_eq!(report.dist_slots_patched, 17);
+    assert!(
+        report.dist_rebuild > Duration::ZERO,
+        "moved ranks rebuild the oracle"
+    );
     // Probe pricing equals the dense reference, before and after.
     let after = DenseReference::of(&s);
-    for o in &report.probes {
-        let scheme = o.probe.scheme;
-        assert_eq!(o.before, before.allgather_time(512, scheme), "{scheme:?}");
-        assert_eq!(o.after, after.allgather_time(512, scheme), "{scheme:?}");
+    for (scheme, b) in schemes.into_iter().zip(priced_before) {
+        assert_eq!(b, before.allgather_time(512, scheme), "{scheme:?}");
+        assert_eq!(
+            s.allgather_time(512, scheme),
+            after.allgather_time(512, scheme),
+            "{scheme:?}"
+        );
     }
     // Drained nodes host no ranks; the lone-core node hosts 7.
     let mut per_node = vec![0usize; 68];
@@ -261,20 +275,23 @@ fn compound_fault_at_p4096_matches_cold_session() {
         4096,
         SessionConfig::default(),
     );
-    let probes = [
-        ProbePoint::allgather(512, Scheme::Default),
-        ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
-        ProbePoint::bcast(4096, Scheme::hrstc(OrderFix::InPlace)),
-    ];
+    let probes = |s: &mut Session| {
+        [
+            s.allgather_time(512, Scheme::Default),
+            s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm)),
+            s.bcast_time(4096, Scheme::hrstc(OrderFix::InPlace)),
+        ]
+    };
     // Warm both allreduce schedules so they ride through the fault.
     for rabenseifner in [false, true] {
         warm.allreduce_time(4096, rabenseifner, Scheme::Default);
     }
-    let report = warm.apply_faults(&set, &probes).unwrap();
+    probes(&mut warm);
+    let (mut warm, report) = fault(&warm, &set).unwrap();
     assert_eq!(report.ranks_migrated, 8);
     assert!(report.summary.fabric_rebuilt);
-    for o in &report.probes {
-        assert!(o.after.is_finite() && o.after > 0.0, "{:?}", o.probe);
+    for t in probes(&mut warm) {
+        assert!(t.is_finite() && t > 0.0, "{t}");
     }
     let m = warm
         .mapping(Mapper::Hrstc, PatternKind::Rd)
@@ -347,14 +364,17 @@ proptest! {
             SessionConfig::default(),
         );
         let t0 = s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm));
-        let probes = [
-            ProbePoint::allgather(512, Scheme::hrstc(OrderFix::InitComm)),
-            ProbePoint::bcast(4096, Scheme::Default),
-        ];
-        match s.apply_faults(&set, &probes) {
-            Ok(report) => {
-                for o in &report.probes {
-                    prop_assert!(o.after.is_finite() && o.after > 0.0, "{:?}", o.probe);
+        let probes = |s: &mut Session| {
+            [
+                s.allgather_time(512, Scheme::hrstc(OrderFix::InitComm)),
+                s.bcast_time(4096, Scheme::Default),
+            ]
+        };
+        probes(&mut s);
+        match fault(&s, &set) {
+            Ok((mut s, _)) => {
+                for t in probes(&mut s) {
+                    prop_assert!(t.is_finite() && t > 0.0, "{t}");
                 }
                 let m = &s.mapping(Mapper::Hrstc, PatternKind::Rd).unwrap().mapping;
                 prop_assert!(is_permutation(m));
@@ -413,13 +433,13 @@ fn post_fault_hrstc_mappings_are_pinned_p8192() {
         let set = FaultSet::random(&base, &FaultRates::links(0.002), seed);
         let cables: u32 = set.failed_cables.iter().map(|&(_, _, k)| k).sum();
         assert_eq!(cables, 1, "seed {seed} must fail exactly one cable");
-        let mut s = Session::from_layout(
+        let s = Session::from_layout(
             base.clone(),
             InitialMapping::BLOCK_BUNCH,
             8192,
             SessionConfig::default(),
         );
-        let report = s.apply_faults(&set, &[]).unwrap();
+        let (mut s, report) = fault(&s, &set).unwrap();
         assert!(report.summary.fabric_rebuilt);
         assert!(s.cluster().fabric().as_irregular().is_some());
         let got: Vec<u64> = PATTERNS

@@ -34,13 +34,12 @@ pub use error::FaultError;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tarr_topo::irregular::IrregularConfig;
 use tarr_topo::{Cluster, CoreId, Fabric, IrregularFabric};
 
 /// Per-component failure probabilities for [`FaultSet::random`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability that each individual cable (one trunk of one link) fails.
     pub link_fail: f64,
@@ -72,7 +71,7 @@ impl FaultRates {
 /// Failed switches disappear together with every cable touching them, and
 /// kill the nodes they host. Drained nodes/cores stay physically present —
 /// their cores are simply excluded from allocations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSet {
     /// Cable failures `(switch_a, switch_b, count)`.
     pub failed_cables: Vec<(u32, u32, u32)>,
@@ -85,7 +84,7 @@ pub struct FaultSet {
 }
 
 /// What applying a [`FaultSet`] did to the cluster.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationSummary {
     /// Individual cables removed (≤ requested: counts clamp at trunk width).
     pub cables_removed: usize,

@@ -7,7 +7,7 @@
 //!   [`parse_hwloc`], with graceful degradation when a machine does not
 //!   report NUMA domains, packages or L2 groups;
 //! * **`ibnetdiscover` dumps** → a switch-port graph via [`parse_ibnet`],
-//!   classified by [`classify`] into either the ideal leaf/line/spine
+//!   classified by [`classify()`] into either the ideal leaf/line/spine
 //!   fat-tree (when the wiring matches the model exactly) or a general
 //!   [`tarr_topo::IrregularFabric`];
 //! * both combined → a [`Cluster`] via [`ingest_cluster`], and a versioned

@@ -11,11 +11,10 @@
 //! The paper evaluates all four combinations (block-bunch, block-scatter,
 //! cyclic-bunch, cyclic-scatter).
 
-use serde::{Deserialize, Serialize};
 use tarr_topo::{Cluster, CoreId, NodeId};
 
 /// Rank-to-node assignment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeOrder {
     /// Fill each node before moving on.
     Block,
@@ -24,7 +23,7 @@ pub enum NodeOrder {
 }
 
 /// Rank-to-socket assignment policy within a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntraOrder {
     /// Fill each socket before moving on.
     Bunch,
@@ -33,7 +32,7 @@ pub enum IntraOrder {
 }
 
 /// One of the four initial layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InitialMapping {
     /// Node-level policy.
     pub node: NodeOrder,

@@ -17,12 +17,11 @@
 //!   communication or shuffle needed.
 
 use crate::{invert, is_permutation, MapError};
-use serde::{Deserialize, Serialize};
 use tarr_mpi::{Payload, Schedule, SendOp, Stage};
 use tarr_topo::Rank;
 
 /// Which §V-B mechanism preserves the output order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrderFix {
     /// Extra initial communications ("initComm" in the paper's figures).
     InitComm,

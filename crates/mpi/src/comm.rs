@@ -1,15 +1,13 @@
 //! Communicators: ordered bindings of ranks to physical cores.
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use tarr_topo::{Cluster, CoreId, NodeId, Rank};
+use tarr_topo::{CoreId, Rank};
 
 /// A communicator: rank `r` is the process pinned to `cores[r]`.
 ///
 /// Processes never migrate; *rank reordering* produces a new communicator in
 /// which the same cores appear in a different rank order (the paper's
 /// reordered duplicate of `MPI_COMM_WORLD` created once at run time).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Communicator {
     cores: Vec<CoreId>,
 }
@@ -86,61 +84,6 @@ impl Communicator {
     pub fn swap_ranks(&mut self, a: Rank, b: Rank) {
         self.cores.swap(a.idx(), b.idx());
     }
-
-    /// The permutation relating this communicator to `other` over the same
-    /// core set: `perm[rank_in_self] = rank_in_other` for the same process.
-    ///
-    /// # Panics
-    /// Panics if the two communicators do not cover the same cores.
-    pub fn permutation_to(&self, other: &Communicator) -> Vec<u32> {
-        assert_eq!(self.size(), other.size(), "size mismatch");
-        let pos: HashMap<CoreId, u32> = other
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-        self.cores
-            .iter()
-            .map(|c| *pos.get(c).expect("core missing from other communicator"))
-            .collect()
-    }
-
-    /// Split into per-node communicators plus the leader communicator
-    /// (hierarchical collectives, §II): each node communicator contains the
-    /// node's ranks in rank order; its first rank is the node leader; the
-    /// leader communicator contains all leaders ordered by leader rank.
-    ///
-    /// Returns `(node_comms, leader_comm, node_index_of_rank)`.
-    pub fn split_by_node(
-        &self,
-        cluster: &Cluster,
-    ) -> (Vec<Communicator>, Communicator, Vec<usize>) {
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut groups: HashMap<NodeId, Vec<CoreId>> = HashMap::new();
-        for &core in &self.cores {
-            let node = cluster.node_of(core);
-            groups.entry(node).or_insert_with(|| {
-                order.push(node);
-                Vec::new()
-            });
-            groups.get_mut(&node).unwrap().push(core);
-        }
-        let node_comms: Vec<Communicator> = order
-            .iter()
-            .map(|n| Communicator::new(groups[n].clone()))
-            .collect();
-        let leaders = Communicator::new(node_comms.iter().map(|c| c.cores[0]).collect());
-        let node_index: Vec<usize> = self
-            .cores
-            .iter()
-            .map(|&core| {
-                let n = cluster.node_of(core);
-                order.iter().position(|&x| x == n).unwrap()
-            })
-            .collect();
-        (node_comms, leaders, node_index)
-    }
 }
 
 #[cfg(test)]
@@ -185,43 +128,5 @@ mod tests {
     #[should_panic(expected = "duplicate core")]
     fn duplicate_cores_rejected() {
         comm(&[1, 1]);
-    }
-
-    #[test]
-    fn permutation_to_roundtrip() {
-        let a = comm(&[10, 11, 12, 13]);
-        let b = a.reordered(&[3, 1, 0, 2]);
-        let perm = a.permutation_to(&b);
-        // Process at a-rank i sits at b-rank perm[i]; verify cores match.
-        for (i, &pi) in perm.iter().enumerate() {
-            assert_eq!(a.core_of(Rank(i as u32)), b.core_of(Rank(pi)));
-        }
-        // And b→a composed with a→b is the identity.
-        let back = b.permutation_to(&a);
-        for i in 0..a.size() {
-            assert_eq!(back[perm[i] as usize], i as u32);
-        }
-    }
-
-    #[test]
-    fn split_by_node_groups_and_leaders() {
-        let cluster = Cluster::gpc(2); // cores 0..8 node0, 8..16 node1
-                                       // Interleaved ranks across the two nodes.
-        let c = comm(&[0, 8, 1, 9, 2, 10]);
-        let (nodes, leaders, node_idx) = c.split_by_node(&cluster);
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(nodes[0].cores(), &[CoreId(0), CoreId(1), CoreId(2)]);
-        assert_eq!(nodes[1].cores(), &[CoreId(8), CoreId(9), CoreId(10)]);
-        assert_eq!(leaders.cores(), &[CoreId(0), CoreId(8)]);
-        assert_eq!(node_idx, vec![0, 1, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn split_single_node() {
-        let cluster = Cluster::gpc(1);
-        let c = comm(&[0, 1, 2, 3]);
-        let (nodes, leaders, _) = c.split_by_node(&cluster);
-        assert_eq!(nodes.len(), 1);
-        assert_eq!(leaders.size(), 1);
     }
 }

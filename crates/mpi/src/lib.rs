@@ -3,9 +3,7 @@
 //! The minimal MPI substrate the paper's framework needs, built from scratch:
 //!
 //! * [`Communicator`] — an ordered binding of ranks to physical cores, with
-//!   `reordered` (the `MPI_Comm_create` + reordered-group mechanism of §IV)
-//!   and `split_by_node` (the per-node communicators of hierarchical
-//!   collectives);
+//!   `reordered` (the `MPI_Comm_create` + reordered-group mechanism of §IV);
 //! * [`Schedule`] — a collective expressed as synchronized stages of
 //!   point-to-point operations carrying *allgather blocks* (with explicit
 //!   source/destination buffer slots, so the in-place ring trick of §V-B is

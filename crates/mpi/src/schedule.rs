@@ -9,11 +9,10 @@
 //! expressible. Non-allgather traffic (broadcast payloads, reduced partial
 //! vectors) uses raw byte counts.
 
-use serde::{Deserialize, Serialize};
 use tarr_topo::Rank;
 
 /// What one point-to-point operation carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Payload {
     /// `len` allgather blocks, read from the sender's buffer slots
     /// `src_slot, src_slot+1, …` and stored at the receiver's slots
@@ -56,7 +55,7 @@ impl Payload {
 }
 
 /// One point-to-point operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SendOp {
     /// Sending rank.
     pub from: Rank,
@@ -88,7 +87,7 @@ impl SendOp {
 
 /// One synchronized stage: all operations proceed concurrently and the stage
 /// completes when the last lands.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stage {
     /// The operations of the stage.
     pub ops: Vec<SendOp>,
@@ -102,7 +101,7 @@ impl Stage {
 }
 
 /// A complete collective schedule for a `p`-rank communicator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Communicator size the schedule was generated for.
     pub p: u32,

@@ -8,7 +8,6 @@
 //! ([`TimedSchedule::traffic_breakdown_stages`](crate::TimedSchedule::traffic_breakdown_stages)):
 //! each unique stage once, so a ring costs O(P) rather than O(P²).
 
-use serde::{Deserialize, Serialize};
 use tarr_topo::{Cluster, HopKind};
 
 /// Bytes moved per channel class by one schedule execution.
@@ -16,7 +15,7 @@ use tarr_topo::{Cluster, HopKind};
 /// A message is classified by the *slowest* class it touches (a cross-socket
 /// message is QPI traffic even though it also crosses shared memory; an
 /// inter-node message is network traffic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficBreakdown {
     /// Bytes between cores of the same socket.
     pub intra_socket: u64,

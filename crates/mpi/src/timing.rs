@@ -41,7 +41,7 @@
 //!   its expected receives have arrived, so ranks may run several stages
 //!   apart — the behaviour of a real MPI implementation with
 //!   eager/rendezvous point-to-point collectives.
-//! * [`reference`] — the pre-compilation executors, kept verbatim as the
+//! * [`reference`](mod@reference) — the pre-compilation executors, kept verbatim as the
 //!   differential-validation baseline for the compiled path.
 
 use crate::comm::Communicator;

@@ -4,10 +4,8 @@
 //! the allgather output buffer) and for any local buffer staging a schedule
 //! performs.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear cost model for a local copy: `latency + bytes / bandwidth`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemcpyModel {
     /// Fixed per-call cost (function call, loop setup), seconds.
     pub latency_s: f64,

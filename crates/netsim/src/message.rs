@@ -1,10 +1,9 @@
 //! The unit of pricing: one point-to-point message between two cores.
 
-use serde::{Deserialize, Serialize};
 use tarr_topo::CoreId;
 
 /// A point-to-point transfer to be priced by a network model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Message {
     /// Sending core.
     pub src: CoreId,

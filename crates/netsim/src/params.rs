@@ -8,11 +8,10 @@
 //! configurable.
 
 use crate::memcpy::MemcpyModel;
-use serde::{Deserialize, Serialize};
 use tarr_topo::{Cluster, Hop, HopKind};
 
 /// Latency/bandwidth pair of one channel class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelParams {
     /// One-way traversal latency contribution, seconds.
     pub latency_s: f64,
@@ -32,7 +31,7 @@ impl ChannelParams {
 }
 
 /// Full parameter set of the network model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetParams {
     /// Per-message software overhead (MPI stack), seconds.
     pub sw_overhead_s: f64,

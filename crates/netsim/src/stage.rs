@@ -254,18 +254,6 @@ impl<'a> StageModel<'a> {
         }
         acc
     }
-
-    /// Total time of a sequence of synchronized stages.
-    pub fn stages_time<I>(&self, stages: I) -> f64
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[Message]>,
-    {
-        stages
-            .into_iter()
-            .map(|s| self.stage_time(s.as_ref()))
-            .sum()
-    }
 }
 
 /// One remote term of a [`StageProfile`]: a message with payload
@@ -430,16 +418,6 @@ mod tests {
         let m = model(&c);
         let t = m.stage_time(&[Message::new(CoreId(0), CoreId(0), 4096)]);
         assert_eq!(t, NetParams::default().memcpy.copy_time(4096));
-    }
-
-    #[test]
-    fn stages_time_sums() {
-        let c = Cluster::gpc(2);
-        let m = model(&c);
-        let s1 = vec![Message::new(CoreId(0), CoreId(1), 1024)];
-        let s2 = vec![Message::new(CoreId(0), CoreId(8), 1024)];
-        let total = m.stages_time([&s1[..], &s2[..]]);
-        assert!((total - (m.stage_time(&s1) + m.stage_time(&s2))).abs() < 1e-15);
     }
 
     #[test]

@@ -80,18 +80,6 @@ impl LayoutKind {
         }
     }
 
-    /// Classify an [`InitialMapping`] back into the closed enum (the four
-    /// standard layouts are exhaustive today; a future custom layout would
-    /// extend this).
-    pub fn of_initial(m: InitialMapping) -> Option<LayoutKind> {
-        Some(match m {
-            InitialMapping::BLOCK_BUNCH => LayoutKind::BlockBunch,
-            InitialMapping::BLOCK_SCATTER => LayoutKind::BlockScatter,
-            InitialMapping::CYCLIC_BUNCH => LayoutKind::CyclicBunch,
-            InitialMapping::CYCLIC_SCATTER => LayoutKind::CyclicScatter,
-        })
-    }
-
     fn code(self) -> u8 {
         match self {
             LayoutKind::BlockBunch => 0,
@@ -463,7 +451,13 @@ mod tests {
             LayoutKind::CyclicScatter,
         ] {
             assert_eq!(LayoutKind::parse(l.name()), Some(l));
-            assert_eq!(LayoutKind::of_initial(l.initial()), Some(l));
+            let back = match l.initial() {
+                InitialMapping::BLOCK_BUNCH => LayoutKind::BlockBunch,
+                InitialMapping::BLOCK_SCATTER => LayoutKind::BlockScatter,
+                InitialMapping::CYCLIC_BUNCH => LayoutKind::CyclicBunch,
+                InitialMapping::CYCLIC_SCATTER => LayoutKind::CyclicScatter,
+            };
+            assert_eq!(back, l);
         }
         assert_eq!(LayoutKind::parse("diagonal"), None);
     }

@@ -11,7 +11,7 @@
 //! retrying on mismatch), so concurrent faults/ingests on one cluster
 //! cannot silently discard each other's acknowledged updates.
 //!
-//! Each cluster is [`Served`]: its core plus the encoded bodies of warm
+//! Each cluster is `Served`: its core plus the encoded bodies of warm
 //! `map`/`reorder` replies. A warm array reply is a header spliced onto a
 //! cached body, never a [`Json`] tree of one number per rank. The bodies
 //! live and die with the core — every swap replaces both in one step — so

@@ -23,7 +23,7 @@
 //!
 //! **Inline rule.** A read-only request also runs inline on the reader,
 //! skipping the queue's thread hop, when nothing can overlap with it: the
-//! pool is idle (nothing queued, nothing in flight) and the [`LineReader`]
+//! pool is idle (nothing queued, nothing in flight) and the `LineReader`
 //! holds no further line. Both are facts of the input, not settings. An
 //! idle pool has written every earlier reply (workers deliver before they
 //! report done), so order and barrier semantics are those of the queue. A
@@ -42,7 +42,7 @@
 //! the original behaviour):
 //!
 //! - **Protocol limits** — request lines are read through a capped
-//!   [`LineReader`]: a line longer than `max_line_bytes` is discarded (the
+//!   `LineReader`: a line longer than `max_line_bytes` is discarded (the
 //!   client gets a typed `line_too_long` error, the connection survives),
 //!   invalid UTF-8 gets `bad_utf8`, unparseable JSON counts as `bad_json`.
 //!   Each connection has an error budget (`max_protocol_errors`); the

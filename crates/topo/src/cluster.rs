@@ -7,12 +7,11 @@ use crate::irregular::IrregularFabric;
 use crate::node::{IntraLevel, NodeTopology};
 use crate::path::{Hop, HopKind};
 use crate::torus::Torus3D;
-use serde::{Deserialize, Serialize};
 
 /// The inter-node network: a fat-tree (the paper's platform), a 3D torus
 /// (the BlueGene-class platform of its related work), or an ingested
 /// switch graph that does not match the ideal fat-tree wiring.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fabric {
     /// Leaf/line/spine fat-tree with deterministic up/down routing.
     FatTree(FatTree),
@@ -110,7 +109,7 @@ impl Fabric {
 }
 
 /// Everything needed to instantiate a [`Cluster`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Per-node processor hierarchy.
     pub node: NodeTopology,
@@ -147,7 +146,7 @@ impl ClusterConfig {
 /// trunk offset table for irregular fabrics, so [`Cluster::route_into`]
 /// yields a path's ids with no hashing and no allocation; the id's range
 /// gives its channel kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     node_topo: NodeTopology,
     fabric: Fabric,
@@ -277,12 +276,6 @@ impl Cluster {
     #[inline]
     pub fn local_of(&self, core: CoreId) -> usize {
         core.idx() % self.cores_per_node()
-    }
-
-    /// Node-local socket index of `core`.
-    #[inline]
-    pub fn socket_of(&self, core: CoreId) -> usize {
-        self.node_topo.socket_of_local(self.local_of(core))
     }
 
     /// Global core id of `(node, local)`.
@@ -497,10 +490,11 @@ mod tests {
     #[test]
     fn socket_of_matches_local_layout() {
         let c = Cluster::gpc(1);
-        assert_eq!(c.socket_of(CoreId(0)), 0);
-        assert_eq!(c.socket_of(CoreId(3)), 0);
-        assert_eq!(c.socket_of(CoreId(4)), 1);
-        assert_eq!(c.socket_of(CoreId(7)), 1);
+        let socket = |core| c.node_topology().socket_of_local(c.local_of(core));
+        assert_eq!(socket(CoreId(0)), 0);
+        assert_eq!(socket(CoreId(3)), 0);
+        assert_eq!(socket(CoreId(4)), 1);
+        assert_eq!(socket(CoreId(7)), 1);
     }
 
     #[test]

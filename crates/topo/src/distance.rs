@@ -16,10 +16,9 @@
 use crate::cluster::Cluster;
 use crate::ids::CoreId;
 use crate::node::IntraLevel;
-use serde::{Deserialize, Serialize};
 
 /// Ordinal distance assigned to each hierarchy level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceConfig {
     /// Same physical core (SMT siblings or identical PU).
     pub same_core: u16,
@@ -125,7 +124,7 @@ pub fn core_distance(cluster: &Cluster, cfg: &DistanceConfig, a: CoreId, b: Core
 /// Row/column indices are **slot indices** `0..p` into the job's allocated
 /// core list (in allocation order), not global core ids; the mapping
 /// heuristics work entirely in slot space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
     p: usize,
     cores: Vec<CoreId>,
@@ -263,7 +262,7 @@ impl DistanceMatrix {
 /// of processes (Fig. 7a): each rank's distances are probed once (hwloc
 /// queries + IB subnet queries). The default calibration reproduces those
 /// numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionCostModel {
     /// Fixed startup cost (tool initialisation), seconds.
     pub base_seconds: f64,

@@ -6,20 +6,19 @@
 //! paper warns about ("we interchangeably use process ranks to refer to a
 //! particular process or the core hosting it"), which we make explicit instead.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical core, numbered globally across the cluster
 /// (`node * cores_per_node + local_core`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u32);
 
 /// A compute node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A leaf switch of the fat-tree fabric.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LeafId(pub u32);
 
 /// An MPI rank within some communicator.
@@ -27,7 +26,7 @@ pub struct LeafId(pub u32);
 /// A rank is *not* a core: the whole point of rank reordering is to change the
 /// rank↔core association. Conversions are always explicit through a
 /// rank-to-core binding (see `tarr-mpi`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 macro_rules! impl_id {

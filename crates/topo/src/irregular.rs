@@ -26,10 +26,9 @@
 use crate::error::TopoError;
 use crate::ids::NodeId;
 use crate::path::{Hop, HopKind};
-use serde::{Deserialize, Serialize};
 
 /// Static description of an irregular switch fabric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrregularConfig {
     /// Number of switches.
     pub switches: usize,
@@ -41,7 +40,7 @@ pub struct IrregularConfig {
 }
 
 /// An irregular switch fabric with precomputed deterministic routes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrregularFabric {
     switches: usize,
     node_switch: Vec<u32>,

@@ -11,13 +11,11 @@
 //! complicated intra-node topology with a larger number of cores" — are
 //! supported through the optional L2-group level and SMT width.
 
-use serde::{Deserialize, Serialize};
-
 /// Shared-resource level at which two hardware threads of one node meet.
 ///
 /// Ordered from closest to farthest; the integer value participates in
 /// distance computation (closer level ⇒ smaller distance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IntraLevel {
     /// Same physical core (SMT siblings) or identical PU.
     Core,
@@ -30,7 +28,7 @@ pub enum IntraLevel {
 }
 
 /// Description of one compute node's processor hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeTopology {
     /// Number of processor sockets.
     pub sockets: usize,

@@ -12,6 +12,11 @@
 //!
 //! [`DistanceOracle`] abstracts over both so every heuristic, the general
 //! mappers and the cost function run unchanged against either.
+//!
+//! An oracle is never patched after it is built. A fault that moves a rank
+//! or changes the fabric gets a fresh [`ImplicitDistance::build`] over the
+//! new binding, which is O(P) and the reference any cheaper repair would
+//! have to match.
 
 use crate::cluster::{Cluster, Fabric};
 use crate::distance::{DistanceConfig, DistanceMatrix};
@@ -190,46 +195,6 @@ impl ImplicitDistance {
         &self.paths
     }
 
-    /// Re-bind the given slots to new cores and recompute exactly their
-    /// [`SlotPath`]s — the drain-only fault repair, O(k) instead of the O(P)
-    /// full rebuild. Each recomputed path goes through the same derivation
-    /// the full build uses, so the patched oracle answers bit-identically to
-    /// a rebuild over the updated core list.
-    ///
-    /// Only valid while the cluster itself is unchanged (migration without
-    /// fabric damage); a fabric rebuild invalidates the stored cluster and
-    /// line-sharing table too.
-    ///
-    /// # Panics
-    /// Panics if a slot is out of range, a core is out of range, or the
-    /// updated core list contains duplicates.
-    pub fn repair_slots(&mut self, changed: &[(usize, CoreId)]) {
-        let _span = tarr_trace::span("topo.distance.repair")
-            .arg("p", self.cores.len())
-            .arg("slots", changed.len());
-        let deriver = PathDeriver::new(&self.cluster);
-        for &(slot, core) in changed {
-            assert!(slot < self.cores.len(), "slot {slot} out of range");
-            assert!(
-                core.idx() < self.cluster.total_cores(),
-                "core {} out of range",
-                core.idx()
-            );
-            self.cores[slot] = core;
-            self.paths[slot] = deriver.path(core);
-        }
-        {
-            let mut sorted = self.cores.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(
-                sorted.len(),
-                self.paths.len(),
-                "duplicate cores after repair"
-            );
-        }
-    }
-
     /// Sorted leaves sharing a line switch with `leaf` (fat-tree only;
     /// excludes `leaf` itself).
     ///
@@ -244,10 +209,10 @@ impl ImplicitDistance {
     }
 }
 
-/// Position of a core in the cluster hierarchy — the single derivation both
-/// the full oracle build and the slot repair share. The per-cluster work is
-/// done once: the node-local part of every key is tabulated per local PU
-/// index, so a core costs one division for its node and one for its leaf.
+/// Position of a core in the cluster hierarchy, as the oracle build derives
+/// it. The per-cluster work is done once: the node-local part of every key
+/// is tabulated per local PU index, so a core costs one division for its
+/// node and one for its leaf.
 struct PathDeriver<'a> {
     cluster: &'a Cluster,
     cores_per_node: u32,
@@ -573,37 +538,6 @@ mod tests {
                 total_cores: 16
             }
         );
-    }
-
-    #[test]
-    fn repair_slots_matches_rebuild() {
-        let c = Cluster::gpc(8);
-        let mut cores: Vec<CoreId> = c.cores().take(32).collect();
-        let cfg = DistanceConfig::default();
-        let mut o = ImplicitDistance::build(&c, &cores, &cfg);
-        // Migrate three slots onto spare cores (nodes 4..8 are free).
-        let changed = [(0usize, CoreId(40)), (7, CoreId(41)), (31, CoreId(63))];
-        for &(slot, core) in &changed {
-            cores[slot] = core;
-        }
-        o.repair_slots(&changed);
-        let cold = ImplicitDistance::build(&c, &cores, &cfg);
-        assert_eq!(o.cores(), cold.cores());
-        assert_eq!(o.paths(), cold.paths());
-        for i in 0..cores.len() {
-            for j in 0..cores.len() {
-                assert_eq!(o.distance(i, j), cold.distance(i, j), "{i},{j}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cores after repair")]
-    fn repair_slots_rejects_collisions() {
-        let c = Cluster::gpc(2);
-        let cores: Vec<CoreId> = c.cores().take(4).collect();
-        let mut o = ImplicitDistance::build(&c, &cores, &DistanceConfig::default());
-        o.repair_slots(&[(0, CoreId(1))]); // core 1 already backs slot 1
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! exactly when their paths share a hop value.
 
 use crate::ids::{LeafId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Channel class of a [`Hop`]; determines latency/bandwidth constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopKind {
     /// Shared-memory channel of one socket (last-level cache / local DRAM).
     Shm,
@@ -38,7 +37,7 @@ pub enum HopKind {
 ///
 /// Equality of two `Hop` values means "same physical resource"; the network
 /// model uses this to account for contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hop {
     /// Shared-memory channel of socket `socket` (node-local index) on `node`.
     Shm { node: NodeId, socket: u32 },

@@ -9,10 +9,9 @@
 
 use crate::ids::NodeId;
 use crate::path::{Hop, HopKind};
-use serde::{Deserialize, Serialize};
 
 /// A wrapping 3D torus of compute nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Torus3D {
     dims: [usize; 3],
 }
