@@ -29,14 +29,23 @@
 //!    counters), best-of-N and clamped at zero like `benches/timing.rs` —
 //!    asserted < 2% on any host.
 //!
+//! 5. **Pipelined TCP.** The in-process [`serve_tcp`] on loopback at 2
+//!    workers, one client sending passes of 24 warm requests in one write
+//!    each and reading all 24 replies before the next pass: requests/s,
+//!    best of `REPS`, and reply writes per reply (the `serve.reply.writes`
+//!    trace counter over one traced replay). Unlike the rows above, which
+//!    write to `io::sink()`, this row pays for every write.
+//!
 //! `cargo bench --bench serve` regenerates the JSON; `--test` runs a smoke
 //! pass without overwriting the committed numbers.
 
-use std::io;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use tarr_serve::{serve_lines, Engine, ServeOpts};
+use tarr_serve::{serve_lines, serve_tcp, Engine, ServeOpts};
 
 /// Ops whose warm service-time percentiles land in the JSON.
 const LATENCY_OPS: [&str; 3] = ["map", "reorder", "price"];
@@ -49,6 +58,10 @@ const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const UNPIPELINED_SWEEP: [usize; 2] = [1, 2];
 /// Threads hammering the identical cold request.
 const COLD_THREADS: usize = 8;
+/// Workers of the pipelined TCP row.
+const TCP_WORKERS: usize = 2;
+/// Requests per write of the pipelined TCP row.
+const TCP_PASS: usize = 24;
 
 /// The mixed request script replayed by every throughput configuration:
 /// mapping and reorder lookups plus prices across collectives, message
@@ -179,6 +192,77 @@ fn throughput_sweep(
     (sweep, engine)
 }
 
+/// The pipelined TCP row: requests/s (best of `reps` replays of `passes`
+/// passes) and reply writes per reply (one traced replay).
+struct TcpPoint {
+    passes: usize,
+    requests_per_s: f64,
+    writes_per_reply: f64,
+}
+
+/// Serve the warm `engine` over loopback TCP at [`TCP_WORKERS`] workers;
+/// one client connection sends each pass of [`TCP_PASS`] lines (the mix,
+/// cycled) in one write and reads every reply before the next pass.
+fn tcp_pipelined(engine: &Engine, mix: &[String], passes: usize, reps: usize) -> TcpPoint {
+    let mut pass = Vec::new();
+    for line in mix.iter().cycle().take(TCP_PASS) {
+        pass.extend_from_slice(line.as_bytes());
+        pass.push(b'\n');
+    }
+    let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address");
+    let opts = ServeOpts {
+        workers: TCP_WORKERS,
+        shutdown: Some(stop),
+        ..Default::default()
+    };
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_tcp(engine, listener, &opts));
+        let mut tx = TcpStream::connect(addr).expect("connect to the in-process server");
+        tx.set_nodelay(true).expect("TCP_NODELAY");
+        let mut rx = BufReader::new(tx.try_clone().expect("clone the client stream"));
+        let mut reply = Vec::new();
+        let mut replay = |passes: usize| {
+            let t = Instant::now();
+            for _ in 0..passes {
+                tx.write_all(&pass).expect("send a pass");
+                for _ in 0..TCP_PASS {
+                    reply.clear();
+                    rx.read_until(b'\n', &mut reply).expect("read a reply");
+                    assert!(
+                        reply.ends_with(b"\n") && reply.windows(9).any(|w| w == b"\"ok\":true"),
+                        "bad reply: {}",
+                        String::from_utf8_lossy(&reply)
+                    );
+                }
+            }
+            t.elapsed().as_secs_f64()
+        };
+        let best = (0..reps)
+            .map(|_| replay(passes))
+            .fold(f64::INFINITY, f64::min);
+        tarr_trace::set_enabled(true);
+        tarr_trace::reset();
+        replay(passes);
+        let writes = tarr_trace::counter("serve.reply.writes").get();
+        tarr_trace::set_enabled(false);
+        tarr_trace::reset();
+        drop((tx, rx));
+        stop.store(true, Ordering::Relaxed);
+        server
+            .join()
+            .expect("server thread")
+            .expect("serve_tcp on loopback");
+        let replies = (passes * TCP_PASS) as f64;
+        TcpPoint {
+            passes,
+            requests_per_s: replies / best,
+            writes_per_reply: writes as f64 / replies,
+        }
+    })
+}
+
 /// Per-op warm p50/p95/p99 service times from the engine's RED histograms,
 /// as JSON object lines for the report.
 fn latency_summary(engine: &Engine) -> Vec<String> {
@@ -289,7 +373,7 @@ fn cold_coalesce(gpc_nodes: usize, threads: usize) -> ColdOutcome {
     }
 }
 
-fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
+fn run(gpc_nodes: usize, passes: usize, tcp_passes: usize, reps: usize, write_json: bool) {
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -341,6 +425,13 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
 
     let latency_json = latency_summary(&warm_engine);
 
+    let tcp = tcp_pipelined(&warm_engine, &request_mix("w"), tcp_passes, reps);
+    println!(
+        "tcp pipelined ({TCP_WORKERS} workers, {TCP_PASS} lines per write): \
+         {:>10.0} requests/s, {:.3} writes per reply",
+        tcp.requests_per_s, tcp.writes_per_reply
+    );
+
     // Overhead is measured at the golden-fixture cluster scale (64 GPC
     // nodes, 512 ranks) in every mode: the ratio is only meaningful
     // against production-sized requests, and a fixed configuration keeps
@@ -382,6 +473,7 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
   "throughput": [
 {throughput}
   ],
+  "tcp_pipelined": {{"workers": {TCP_WORKERS}, "lines_per_write": {TCP_PASS}, "passes": {tcp_passes}, "requests_per_s": {tcp_rps:.0}, "writes_per_reply": {tcp_wpr:.3}}},
   "speedup_8v1": {speedup:.2},
   "speedup_asserted": {speedup_asserted},
   "latency_ns": {{
@@ -398,6 +490,9 @@ fn run(gpc_nodes: usize, passes: usize, reps: usize, write_json: bool) {
 }}
 "#,
         per_pass = request_mix("w").len(),
+        tcp_passes = tcp.passes,
+        tcp_rps = tcp.requests_per_s,
+        tcp_wpr = tcp.writes_per_reply,
         throughput = throughput_json.join(",\n"),
         latency = latency_json.join(",\n"),
         cold_threads = cold.threads,
@@ -433,8 +528,8 @@ fn main() {
         }
     }
     if full_run {
-        run(16, 200, 3, true);
+        run(16, 200, 4000, 3, true);
     } else {
-        run(4, 2, 1, false);
+        run(4, 2, 20, 1, false);
     }
 }

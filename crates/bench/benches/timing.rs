@@ -36,6 +36,8 @@ use tarr_topo::{Cluster, CoreId, Rank};
 
 const P: u32 = 4096;
 const MSG: u64 = 65536;
+/// Timed repetitions of the one-cable fault repair (median reported).
+const FAULT_REPS: usize = 5;
 
 struct Fixture {
     cluster: Cluster,
@@ -206,39 +208,57 @@ fn fault_summary() -> String {
     // and the fault-local BFS repair must rebuild the trees that crossed it.
     let (cluster, (sw_a, sw_b)) = tarr_bench::chorded_mesh_cluster(32);
     let switches = cluster.fabric().to_switch_graph().switches;
-    let mut session = Session::from_layout(
-        cluster,
-        InitialMapping::CYCLIC_BUNCH,
-        ranks,
-        SessionConfig::default(),
-    );
-    // Warm the compiled-schedule and stage-price caches: the timed region
-    // below is pure re-convergence, not first-touch compilation. The 512 B
-    // probe compiles to recursive doubling, whose 17 unique stages give the
-    // stage-selective re-pricer survivors to keep.
+    // One session per timed repetition, each built and warmed outside the
+    // timed region: the compiled-schedule and stage-price caches are warm,
+    // so the timed region is pure re-convergence, not first-touch
+    // compilation. The 512 B probe compiles to recursive doubling, whose
+    // 17 unique stages give the stage-selective re-pricer survivors to
+    // keep.
     let probes = [MSG, 512];
-    for msg in probes {
-        session.allgather_time(msg, Scheme::Default);
-    }
+    let warmed: Vec<Session> = (0..FAULT_REPS)
+        .map(|_| {
+            let mut session = Session::from_layout(
+                cluster.clone(),
+                InitialMapping::CYCLIC_BUNCH,
+                ranks,
+                SessionConfig::default(),
+            );
+            for msg in probes {
+                session.allgather_time(msg, Scheme::Default);
+            }
+            session
+        })
+        .collect();
+    let mut warmed = warmed.into_iter();
     let set = FaultSet {
         failed_cables: vec![(sw_a, sw_b, 1)],
         ..FaultSet::default()
     };
-    // Timed: the two probes priced before the fault, the fault, and the
-    // same probes priced on a fresh handle onto the degraded core.
-    let t = Instant::now();
-    for msg in probes {
-        session.allgather_time(msg, Scheme::Default);
-    }
-    let (degraded, report) = session
-        .core()
-        .apply_faults(&set)
-        .expect("one leaf uplink cannot partition the GPC fabric");
-    session = Arc::new(degraded).handle();
-    for msg in probes {
-        session.allgather_time(msg, Scheme::Default);
-    }
-    let apply_ms = t.elapsed().as_secs_f64() * 1e3;
+    // Timed, median of FAULT_REPS: the two probes priced before the
+    // fault, the fault, and the same probes priced on a fresh handle onto
+    // the degraded core. Every session outlives the timed region, so no
+    // repetition pays for dropping one.
+    let mut faulted = Vec::with_capacity(FAULT_REPS);
+    let apply_s = median_secs(FAULT_REPS, || {
+        let mut session = warmed.next().expect("one warmed session per repetition");
+        for msg in probes {
+            session.allgather_time(msg, Scheme::Default);
+        }
+        let (degraded, report) = session
+            .core()
+            .apply_faults(&set)
+            .expect("one leaf uplink cannot partition the GPC fabric");
+        let mut degraded = Arc::new(degraded).handle();
+        let mut t = 0.0;
+        for msg in probes {
+            t = degraded.allgather_time(msg, Scheme::Default);
+        }
+        faulted.push((session, degraded, report));
+        t
+    });
+    let apply_ms = apply_s * 1e3;
+    let (_, mut session, report) = faulted.pop().expect("FAULT_REPS > 0");
+    drop(faulted);
     assert_eq!(report.summary.cables_removed, 1);
     assert!(
         report.summary.dist_rows_rebuilt > 0,

@@ -675,12 +675,36 @@ impl Write for WriteLog {
     }
 }
 
+impl WriteLog {
+    /// Check that every write holds one or more whole reply lines, that
+    /// the writes concatenate to the replies with ids `1..=n` in order,
+    /// and that there are no more writes than replies. Returns the replies.
+    fn whole_lines_in_order(&self, n: usize) -> Vec<String> {
+        assert!(self.0.len() <= n, "{} writes for {n} replies", self.0.len());
+        for (i, write) in self.0.iter().enumerate() {
+            assert!(
+                write.ends_with(b"\n"),
+                "write {i} is not whole lines: {}",
+                String::from_utf8_lossy(write)
+            );
+        }
+        let text = String::from_utf8(self.0.concat()).unwrap();
+        let lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        assert_eq!(lines.len(), n);
+        for (i, line) in lines.iter().enumerate() {
+            let reply = parse(line).unwrap();
+            assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+        }
+        lines
+    }
+}
+
 #[test]
 fn every_reply_is_one_write() {
     // A reply split over two writes stalls a TCP client: the second
     // segment waits for the first one's delayed ACK. Large array replies
-    // and small tree replies, in parallel, must each leave as one write
-    // of the whole line and its newline.
+    // and small tree replies, in parallel, must leave in writes of whole
+    // lines — several replies may share a write, none is ever split.
     let engine = Engine::new();
     let mut log = WriteLog::default();
     let served = serve_lines(
@@ -694,17 +718,86 @@ fn every_reply_is_one_write() {
     )
     .unwrap();
     assert_eq!(served, SCRIPT.len() as u64);
+    log.whole_lines_in_order(SCRIPT.len());
+}
+
+#[test]
+fn unpipelined_replies_are_one_write_each() {
+    // One line per read: nothing ever waits in the queue, so every reply
+    // is written by itself, as soon as it is ready.
+    let engine = Engine::new();
+    let mut log = WriteLog::default();
+    let script = SCRIPT.join("\n");
+    let served = serve_lines(
+        &engine,
+        LinePerRead(script.as_bytes()),
+        &mut log,
+        &ServeOpts {
+            workers: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(served, SCRIPT.len() as u64);
     assert_eq!(log.0.len(), SCRIPT.len(), "one write per reply");
-    for (i, write) in log.0.iter().enumerate() {
-        let text = std::str::from_utf8(write).unwrap();
-        assert!(
-            text.ends_with('\n'),
-            "write {i} is not a whole line: {text}"
-        );
-        assert_eq!(text.matches('\n').count(), 1, "write {i}: {text}");
-        let reply = parse(text.trim_end()).unwrap();
-        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+    log.whole_lines_in_order(SCRIPT.len());
+}
+
+#[test]
+fn pipelined_batch_is_coalesced() {
+    // A pass of 24 read-only requests in one read, at 2 workers: the
+    // reader queues the whole pass while the first replies are computed,
+    // and a worker that finds a request still waiting leaves its reply
+    // for a later write. Cold requests (each computes a mapping or a
+    // schedule) keep the queue busy for most of the pass.
+    let engine = Engine::new();
+    let ingest = r#"{"op":"ingest","cluster":"c","gpc_nodes":64}"#;
+    assert!(engine.handle_line(ingest).contains("\"ok\":true"));
+    let mut lines = Vec::new();
+    for mapper in ["hrstc", "greedy", "scotch"] {
+        for pattern in ["ring", "rd"] {
+            lines.push(format!(
+                r#""op":"map","cluster":"c","mapper":"{mapper}","pattern":"{pattern}""#
+            ));
+        }
+        for (collective, msg) in [("allgather", 4096), ("gather", 65536), ("bcast", 1024)] {
+            lines.push(format!(
+                r#""op":"price","cluster":"c","collective":"{collective}","msg_bytes":{msg},"mapper":"{mapper}""#
+            ));
+        }
     }
+    lines.extend((0..9).map(|m| {
+        format!(
+            r#""op":"price","cluster":"c","collective":"allgather","msg_bytes":{}"#,
+            1 << m
+        )
+    }));
+    assert_eq!(lines.len(), 24);
+    let script: String = lines
+        .iter()
+        .enumerate()
+        .map(|(i, body)| format!("{{\"id\":{},{body}}}\n", i + 1))
+        .collect();
+    let mut log = WriteLog::default();
+    let served = serve_lines(
+        &engine,
+        script.as_bytes(),
+        &mut log,
+        &ServeOpts {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(served, 24);
+    for reply in log.whole_lines_in_order(24) {
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    assert!(
+        log.0.len() < 24,
+        "a pipelined pass must share writes, got {} writes",
+        log.0.len()
+    );
 }
 
 #[test]
